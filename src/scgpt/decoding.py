@@ -4,9 +4,16 @@ Each dialog act yields ``n_candidates`` realizations: the first decoded
 greedily, the rest sampled top-k with a per-candidate seeded RNG.  Every
 candidate is scored by slot error rate and the winner is the lowest-ERR
 candidate, ties broken by higher mean token log-probability, then by
-candidate index.  All candidates for all acts decode together in one
-left-padded batch with per-row position offsets and cached attention
-keys/values, which keeps per-step work to a few wide matrix products.
+candidate index.
+
+All candidates for all acts decode together in one batch with cached
+attention keys/values, which keeps per-step work to a few wide matrix
+products.  Each distinct act prefix is prefilled once, left-padded with
+per-row position offsets, and its caches are copied to that act's
+candidate rows.  Finished rows leave the batch once they make up a
+quarter of it.  Every row has its own budget,
+``min(max_new_tokens, max_context - prefix length)``, so an act's
+candidates do not depend on the acts that share its batch.
 """
 
 from __future__ import annotations
@@ -60,9 +67,21 @@ class Candidate:
     err: float
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row.astype(np.float64) - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Float64 log-softmax over the last axis."""
+    shifted = x.astype(np.float64) - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _draw(logp: np.ndarray, rng) -> int:
+    """Index drawn with probabilities exp(logp).
+
+    The arithmetic of ``rng.choice(len(logp), p=np.exp(logp))``, without
+    its argument checks: the same uniform variate gives the same index.
+    """
+    cdf = np.exp(logp).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def select_next_token(logits: np.ndarray, strategy, rng) -> int:
@@ -72,14 +91,12 @@ def select_next_token(logits: np.ndarray, strategy, rng) -> int:
     if isinstance(strategy, Temperature):
         if strategy.t < 1e-6:
             return int(np.argmax(logits))
-        logp = _log_softmax(logits / strategy.t)
-        return int(rng.choice(len(logits), p=np.exp(logp)))
+        return _draw(_log_softmax(logits / strategy.t), rng)
     if isinstance(strategy, TopK):
         k = min(strategy.k, len(logits))
-        top = np.argsort(logits)[::-1][:k]
+        top = logits.argsort()[: -k - 1 : -1]  # k largest, largest first
         scaled = logits[top] / max(strategy.temperature, 1e-6)
-        logp = _log_softmax(scaled)
-        return int(top[rng.choice(k, p=np.exp(logp))])
+        return int(top[_draw(_log_softmax(scaled), rng)])
     raise TypeError(f"unknown decode strategy {strategy!r}")
 
 
@@ -90,70 +107,90 @@ def _candidate_rng(seed: int, da_index: int, cand_index: int) -> np.random.Gener
 def _generate_rows(params: ModelParams, v: Vocab, rows, max_new_tokens: int):
     """Decode many (prefix_ids, strategy, rng) rows in one batched session.
 
+    Each distinct prefix is prefilled once and its caches are copied to
+    every row that shares it.  A row stops at EOS or after
+    ``min(max_new_tokens, max_context - len(prefix))`` tokens, whatever
+    the other rows do.  Finished rows leave the session once they make up
+    a quarter of it: copying the caches on every finish costs more than
+    carrying a few dead rows.
+
     Returns per row (token ids without specials, mean token logprob).
     The mean covers every emitted token including the terminating EOS.
     """
     cfg = params.config
-    B = len(rows)
-    prefix_lens = [len(r[0]) for r in rows]
-    T0 = max(prefix_lens)
-    longest = max(
-        (pl + max_new_tokens for pl in prefix_lens), default=0
-    )
-    for pl in prefix_lens:
-        if pl + 1 > cfg.max_context:
-            raise ContextOverflowError(
-                f"dialog-act prefix of {pl} tokens leaves no room to generate "
-                f"within max_context {cfg.max_context}"
-            )
-    max_len = min(cfg.max_context, longest)
-    budget = max_len - T0
-
-    ids = np.full((B, T0), v.pad_id, dtype=np.int64)
-    keep = np.zeros((B, T0), dtype=bool)
-    pos = np.zeros((B, T0), dtype=np.int64)
-    for b, (prefix, _, _) in enumerate(rows):
+    first_row = {}  # prefix -> its row in the prefill batch
+    prefixes, prefill_row = [], []
+    for prefix, _, _ in rows:
+        key = tuple(prefix)
+        if key not in first_row:
+            if len(prefix) + 1 > cfg.max_context:
+                raise ContextOverflowError(
+                    f"dialog-act prefix of {len(prefix)} tokens leaves no room to "
+                    f"generate within max_context {cfg.max_context}"
+                )
+            first_row[key] = len(prefixes)
+            prefixes.append(prefix)
+        prefill_row.append(first_row[key])
+    prefix_lens = np.array([len(p) for p in prefixes])
+    T0 = int(prefix_lens.max())
+    ids = np.full((len(prefixes), T0), v.pad_id, dtype=np.int64)
+    keep = np.zeros(ids.shape, dtype=bool)
+    pos = np.zeros(ids.shape, dtype=np.int64)
+    for u, prefix in enumerate(prefixes):
         L = len(prefix)
-        ids[b, T0 - L :] = prefix
-        keep[b, T0 - L :] = True
-        pos[b, T0 - L :] = np.arange(L)
+        ids[u, T0 - L :] = prefix
+        keep[u, T0 - L :] = True
+        pos[u, T0 - L :] = np.arange(L)
 
-    sess = DecodeSession(params, batch_size=B, max_len=max_len)
-    logits = sess.append(ids, pos, keep)
+    start_pos = prefix_lens[prefill_row]
+    budget = np.minimum(max_new_tokens, cfg.max_context - start_pos)
+    # a row's last token is never fed back
+    sess = DecodeSession(params, batch_size=len(prefixes), max_len=T0 + int(budget.max()) - 1)
+    logits = sess.append(ids, pos, keep)[prefill_row]
+    sess.take(prefill_row)
 
-    out_ids = [[] for _ in range(B)]
+    B = len(rows)
+    strategies = [r[1] for r in rows]
+    rngs = [r[2] for r in rows]
+    tokens = np.zeros((B, int(budget.max())), dtype=np.int64)
+    counts = np.zeros(B, dtype=np.int64)
     logprob_sums = np.zeros(B)
-    counts = np.zeros(B, dtype=int)
-    done = np.zeros(B, dtype=bool)
-    next_pos = np.array(prefix_lens, dtype=np.int64)
-
-    for step in range(budget):
-        step_ids = np.zeros(B, dtype=np.int64)
-        for b in range(B):
-            if done[b]:
-                continue
-            _, strategy, rng = rows[b]
-            tok = select_next_token(logits[b], strategy, rng)
-            step_ids[b] = tok
-            logprob_sums[b] += _log_softmax(logits[b])[tok]
-            counts[b] += 1
-            if tok == v.eos_id:
-                done[b] = True
-            else:
-                out_ids[b].append(tok)
-        if done.all() or step == budget - 1:
-            break
-        # finished rows feed an inert masked column; position 0 is arbitrary
-        feed_pos = np.where(done, 0, next_pos)
-        logits = sess.append(
-            step_ids.reshape(B, 1),
-            feed_pos.reshape(B, 1),
-            (~done).reshape(B, 1),
+    row = np.arange(B)  # the row each session slot decodes
+    live = np.ones(B, dtype=bool)  # per session slot
+    for step in range(tokens.shape[1]):
+        slots = np.flatnonzero(live)
+        live_rows = row[slots]
+        picked = np.array(
+            [
+                select_next_token(logits[s], strategies[b], rngs[b])
+                for s, b in zip(slots.tolist(), live_rows.tolist())
+            ],
+            dtype=np.int64,
         )
-        next_pos = next_pos + 1
+        logprob_sums[live_rows] += _log_softmax(logits[slots])[np.arange(len(slots)), picked]
+        tokens[live_rows, step] = picked
+        counts[live_rows] = step + 1
+        live[slots] = (picked != v.eos_id) & (step + 1 < budget[live_rows])
+        if not live.any():
+            break
+        if 4 * np.count_nonzero(~live) >= len(live):
+            kept = np.flatnonzero(live)
+            sess.take(kept)
+            row, live = row[kept], live[kept]
+        # finished slots feed an inert masked column; position 0 is arbitrary
+        logits = sess.append(
+            tokens[row, step].reshape(-1, 1),
+            np.where(live, start_pos[row] + step, 0).reshape(-1, 1),
+            live.reshape(-1, 1),
+        )
 
-    means = [logprob_sums[b] / counts[b] if counts[b] else 0.0 for b in range(B)]
-    return [(out_ids[b], float(means[b])) for b in range(B)]
+    out = []
+    for b in range(B):
+        emitted = tokens[b, : counts[b]].tolist()
+        if emitted[-1] == v.eos_id:
+            emitted.pop()
+        out.append((emitted, float(logprob_sums[b] / counts[b])))
+    return out
 
 
 def _prefix_ids(acts: DialogActSet, v: Vocab) -> list:

@@ -23,6 +23,7 @@ VALUE may span several tokens but never contains ";" or ")".
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Union
@@ -224,6 +225,7 @@ def canonicalize(acts: DialogActSet) -> CanonicalDA:
     return CanonicalDA(key)
 
 
+@functools.lru_cache(maxsize=4096)
 def _boundary_pattern(value: str) -> re.Pattern:
     # Word-boundary match that also refuses to touch text inside [...]
     # placeholders, which keeps repeated delexicalization idempotent.

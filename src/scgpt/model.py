@@ -342,31 +342,42 @@ class DecodeSession:
     Works on raw float32 numpy (no tape).  Rows may be left-padded: pass
     per-row position indices and mark PAD slots in the key mask.  Logits
     match a full re-forward to within float32 noise.
+
+    All rows share the ``max_len`` buffer columns, so left-padded rows
+    with their own step budgets may need more columns than
+    ``max_context``; the context bound applies to positions instead.  An
+    ``append`` with a position at or beyond ``max_context``, or past the
+    buffer, raises :class:`ContextOverflowError`.
+
+    :meth:`take` rebuilds the batch from chosen rows: it keeps, drops or
+    repeats rows together with their caches, so one prefill can serve
+    several rows with the same prefix and finished rows can leave the
+    batch.
     """
 
     def __init__(self, params: ModelParams, batch_size: int, max_len: int):
         cfg = params.config
-        if max_len > cfg.max_context:
-            raise ContextOverflowError(
-                f"decode buffer {max_len} exceeds max_context {cfg.max_context}"
-            )
         self.params = params
         self.cfg = cfg
         self.B = batch_size
         self.max_len = max_len
-        self.t = 0  # filled positions
+        self.t = 0  # filled columns
         dh = cfg.d_model // cfg.n_heads
         shape = (cfg.n_layers, batch_size, cfg.n_heads, max_len, dh)
         self._k = np.zeros(shape, dtype=np.float32)
         self._v = np.zeros(shape, dtype=np.float32)
-        self._keep = np.zeros((batch_size, max_len), dtype=bool)
+        # additive key bias of every filled column: 0, or NEG_BIAS at PAD
+        self._bias = np.zeros((batch_size, max_len), dtype=np.float32)
         self._w = {name: t.data.astype(np.float32, copy=False) for name, t in params.named()}
 
     def _ln(self, x, prefix):
         g, b = self._w[prefix + ".gain"], self._w[prefix + ".bias"]
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return (x - mu) / np.sqrt(var + ag.LAYERNORM_EPS) * g + b
+        # x.mean and x.var give the same float32 bits through slower wrappers
+        n = x.shape[-1]
+        mu = np.add.reduce(x, -1, keepdims=True) / n
+        xc = x - mu
+        var = np.add.reduce(xc * xc, -1, keepdims=True) / n
+        return xc / np.sqrt(var + ag.LAYERNORM_EPS) * g + b
 
     def append(self, ids: np.ndarray, positions: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Feed T new columns for every row; returns last-column logits [B,V].
@@ -378,28 +389,26 @@ class DecodeSession:
         B, T = ids.shape
         if B != self.B:
             raise ValueError(f"session built for batch {self.B}, got {B}")
-        if self.t + T > self.max_len:
+        lo, hi = self.t, self.t + T
+        if hi > self.max_len:
             raise ContextOverflowError(
-                f"appending {T} to {self.t} filled exceeds buffer {self.max_len}"
+                f"appending {T} to {lo} filled exceeds buffer {self.max_len}"
+            )
+        if positions.max() >= cfg.max_context:
+            raise ContextOverflowError(
+                f"position {positions.max()} is beyond max_context {cfg.max_context}"
             )
         H, d = cfg.n_heads, cfg.d_model
         dh = d // H
-        lo, hi = self.t, self.t + T
-        self._keep[:, lo:hi] = keep
+        self._bias[:, lo:hi] = np.where(keep, 0.0, NEG_BIAS)
+        bias = self._bias[:, None, None, :hi]
+        if T > 1:
+            # new-column queries attend old+new keys: causal within new columns
+            causal = np.zeros((T, hi), dtype=np.float32)
+            causal[:, lo:] = np.triu(np.full((T, T), NEG_BIAS, dtype=np.float32), 1)
+            bias = np.minimum(bias, causal)
 
         x = w["tok_emb"][ids] + w["pos_emb"][positions]
-        # new-column queries attend old+new keys: causal within new columns
-        causal = np.tril(np.ones((T, T), dtype=bool))
-        allowed_old = self._keep[:, None, None, :lo]
-        allowed_new = causal[None, None, :, :] & keep[:, None, None, :]
-        bias = np.concatenate(
-            [
-                np.where(np.broadcast_to(allowed_old, (B, 1, T, lo)), 0.0, NEG_BIAS),
-                np.where(allowed_new, 0.0, NEG_BIAS),
-            ],
-            axis=3,
-        ).astype(np.float32)
-
         for i in range(cfg.n_layers):
             p = f"layers.{i}."
             h = self._ln(x, p + "ln1")
@@ -434,3 +443,11 @@ class DecodeSession:
             positions.reshape(B, 1),
             np.ones((B, 1), dtype=bool),
         )
+
+    def take(self, index) -> None:
+        """Make row ``r`` of the batch a copy of current row ``index[r]``."""
+        index = np.asarray(index, dtype=np.intp)
+        self._k = self._k[:, index]
+        self._v = self._v[:, index]
+        self._bias = self._bias[index]
+        self.B = len(index)

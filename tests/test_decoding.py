@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scgpt.bpe import train_bpe
+from scgpt.bpe import encode, train_bpe
 from scgpt.dataset import Corpus, Example
 from scgpt.decoding import (
     Candidate,
@@ -128,6 +128,23 @@ def test_batch_greedy_matches_single(overfit):
         assert cands[0].text == solo.text
 
 
+def test_act_decodes_alike_alone_and_beside_a_long_act(overfit):
+    _, vocab, _ = overfit
+    cfg = ModelConfig(vocab_size=vocab.size, n_layers=1, n_heads=2, d_model=16,
+                      d_ff=32, max_context=57, dropout=0.0)
+    params = init_params(cfg, seed=0)
+    short = act_set("inform", [("name", "ix")])
+    long = act_set("inform", [("name", " ".join(["bloom"] * 44))])
+    dc = DecodeConfig(n_candidates=3, max_new_tokens=20, seed=4)
+    # one budget for the whole batch would leave the short act fewer tokens
+    assert len(encode(vocab, linearize(long))) + 1 + dc.max_new_tokens > cfg.max_context
+    solo = generate_candidates(params, vocab, [short], dc)[0]
+    batched = generate_candidates(params, vocab, [short, long], dc)[0]
+    assert [c.text for c in batched] == [c.text for c in solo]
+    for a, b in zip(solo, batched):
+        assert abs(a.token_logprob_mean - b.token_logprob_mean) < 1e-5
+
+
 def test_generate_corpus_returns_winner_per_act(overfit):
     params, vocab, corpus = overfit
     acts_list = [ex.acts for ex in corpus]
@@ -155,6 +172,34 @@ def test_select_next_token_strategies():
     assert picks <= {1, 3}  # only the two largest logits are reachable
     spread = {select_next_token(logits, Temperature(50.0), rng) for _ in range(200)}
     assert len(spread) >= 3
+
+
+def _reference_choice(logits, strategy, rng):
+    # the draw as rng.choice made it, which fixes every sampled RNG stream
+    def log_softmax(row):
+        shifted = row.astype(np.float64) - row.max()
+        return shifted - np.log(np.exp(shifted).sum())
+
+    if isinstance(strategy, Temperature):
+        return int(rng.choice(len(logits), p=np.exp(log_softmax(logits / strategy.t))))
+    k = min(strategy.k, len(logits))
+    top = np.argsort(logits)[::-1][:k]
+    logp = log_softmax(logits[top] / max(strategy.temperature, 1e-6))
+    return int(top[rng.choice(k, p=np.exp(logp))])
+
+
+@pytest.mark.parametrize(
+    "strategy", [TopK(1), TopK(5, 0.7), TopK(20), TopK(100, 1.3), Temperature(0.8)]
+)
+def test_sampled_draw_matches_rng_choice(strategy):
+    rows = np.random.default_rng(99)
+    for seed in range(30):
+        logits = (rows.standard_normal(64) * 3).astype(np.float32)
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert select_next_token(logits, strategy, ours) == _reference_choice(
+                logits, strategy, ref
+            )
 
 
 def test_decode_config_validation():

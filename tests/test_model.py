@@ -239,10 +239,45 @@ def test_decode_session_left_padding(vocab):
         assert np.abs(batched[row] - solo).max() < 1e-5
 
 
+def test_decode_session_take(vocab):
+    cfg = tiny_config(vocab, n_layers=2, d_model=16, d_ff=32)
+    params = init_params(cfg, seed=10)
+    a = build_example(act_set("bye"), "", vocab).ids
+    b = build_example(act_set("inform", [("name", "hilton")]), "", vocab).ids
+    T = max(len(a), len(b))
+
+    def prefill(rows):
+        ids = np.full((len(rows), T), vocab.pad_id)
+        keep = np.zeros((len(rows), T), dtype=bool)
+        pos = np.zeros((len(rows), T), dtype=int)
+        for r, row in enumerate(rows):
+            ids[r, T - len(row) :] = row
+            keep[r, T - len(row) :] = True
+            pos[r, T - len(row) :] = np.arange(len(row))
+        sess = DecodeSession(params, batch_size=len(rows), max_len=T + 2)
+        sess.append(ids, pos, keep)
+        return sess
+
+    def step(sess, rows, t):
+        return sess.step(np.full(len(rows), 5), np.array([len(row) + t for row in rows]))
+
+    gathered = prefill([a, b])
+    gathered.take([0, 0, 1])
+    direct = prefill([a, a, b])
+    assert np.abs(step(gathered, [a, a, b], 0) - step(direct, [a, a, b], 0)).max() < 1e-5
+    # dropping a row leaves the other rows' logits unchanged
+    kept = step(direct, [a, a, b], 1)
+    gathered.take([0, 2])
+    assert np.abs(step(gathered, [a, b], 1) - kept[[0, 2]]).max() < 1e-5
+
+
 def test_decode_session_overflow(vocab):
     params = init_params(tiny_config(vocab, max_context=8), seed=9)
+    # the buffer may be wider than max_context, but no position may reach it
+    sess = DecodeSession(params, batch_size=1, max_len=9)
+    sess.append(np.zeros((1, 8), int), np.arange(8)[None, :], np.ones((1, 8), bool))
     with pytest.raises(ContextOverflowError):
-        DecodeSession(params, batch_size=1, max_len=9)
+        sess.append(np.zeros((1, 1), int), np.array([[8]]), np.ones((1, 1), bool))
     sess = DecodeSession(params, batch_size=1, max_len=4)
     sess.append(np.zeros((1, 3), int), np.arange(3)[None, :], np.ones((1, 3), bool))
     with pytest.raises(ContextOverflowError):
