@@ -5,6 +5,9 @@ a :class:`Tape` recording forward operations, and backward rules for
 matmul, broadcasting add/mul, GELU, softmax, layer normalization,
 embedding lookup, dropout, and masked cross-entropy.
 
+GELU, softmax and layer norm are also kernels on raw arrays returning
+``(out, backward)``; :func:`emit` records such a kernel as one op.
+
 Ops run in whatever float width their inputs carry; training uses 32-bit
 and gradient checking builds 64-bit tensors.  Every op verifies its
 output is finite and raises :class:`NumericFaultError` otherwise, which
@@ -74,13 +77,12 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-def _finite_or_fault(arr: np.ndarray, op: str) -> None:
-    if not np.isfinite(arr).all():
+def emit(op: str, parents, out_data: np.ndarray, backward) -> Tensor:
+    """Record ``out_data`` as op ``op`` on ``parents``; ``backward(g)``
+    returns one gradient (or None) per parent.  Raises
+    :class:`NumericFaultError` on NaN or Inf."""
+    if not np.isfinite(out_data).all():
         raise NumericFaultError(f"non-finite values produced by {op}")
-
-
-def _emit(op: str, out_data: np.ndarray, parents, backward) -> Tensor:
-    _finite_or_fault(out_data, op)
     out = Tensor(out_data, requires_grad=any(p.requires_grad for p in parents))
     if _active_tape is not None and out.requires_grad:
         _active_tape._records.append((out, parents, backward))
@@ -109,7 +111,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
         return ga, gb
 
-    return _emit("matmul", out, (a, b), backward)
+    return emit("matmul", (a, b), out, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -121,7 +123,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
-    return _emit("add", out, (a, b), backward)
+    return emit("add", (a, b), out, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -136,7 +138,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(g * a.data, b.data.shape),
         )
 
-    return _emit("mul", out, (a, b), backward)
+    return emit("mul", (a, b), out, backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -145,42 +147,67 @@ def scale(a: Tensor, s: float) -> Tensor:
     def backward(g):
         return (g * s,)
 
-    return _emit("scale", out, (a,), backward)
+    return emit("scale", (a,), out, backward)
 
 
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU activation, tanh approximation."""
-    x = a.data
-    u = GELU_C * (x + GELU_A * (x * x * x))
-    t = np.tanh(u)
+def gelu_kernel(x: np.ndarray):
+    """GELU, tanh approximation; returns (out, backward)."""
+    t = np.tanh(GELU_C * (x + GELU_A * (x * x * x)))
     out = 0.5 * x * (1.0 + t)
 
     def backward(g):
         du = GELU_C * (1.0 + 3.0 * GELU_A * x**2)
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du),)
 
-    return _emit("gelu", out, (a,), backward)
+    return out, backward
 
 
-def softmax_lastdim(a: Tensor) -> Tensor:
-    """Row-stable softmax along the last axis."""
-    x = a.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+def gelu(a: Tensor) -> Tensor:
+    """GELU activation, tanh approximation."""
+    return emit("gelu", (a,), *gelu_kernel(a.data))
+
+
+def softmax_kernel(x: np.ndarray):
+    """Row-stable softmax over the last axis; returns (out, backward)."""
+    out = np.exp(x - x.max(axis=-1, keepdims=True))
+    out /= out.sum(axis=-1, keepdims=True)
 
     def backward(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
-    return _emit("softmax_lastdim", out, (a,), backward)
+    return out, backward
+
+
+def softmax_lastdim(a: Tensor) -> Tensor:
+    """Row-stable softmax along the last axis."""
+    return emit("softmax_lastdim", (a,), *softmax_kernel(a.data))
 
 
 LAYERNORM_EPS = 1e-5
+
+
+def layernorm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Layer norm over the last axis, then affine; returns (out, backward)."""
+    n = x.shape[-1]
+    # the same bits as x.mean and x.var, without their wrappers' overhead
+    mu = np.add.reduce(x, -1, keepdims=True) / n
+    xc = x - mu
+    std = np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / n + LAYERNORM_EPS)
+    y = xc / std
+    out = y * gain + bias
+
+    def backward(g):
+        sum_axes = tuple(range(g.ndim - 1))
+        gy = g * gain
+        dx = gy - gy.mean(axis=-1, keepdims=True) - y * (gy * y).mean(axis=-1, keepdims=True)
+        return dx / std, (g * y).sum(axis=sum_axes), g.sum(axis=sum_axes)
+
+    return out, backward
 
 
 def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -191,26 +218,7 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layernorm affine shapes {gain.data.shape}/{bias.data.shape} "
             f"for feature dim {d}"
         )
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    y = (x - mu) * inv
-    out = y * gain.data + bias.data
-
-    def backward(g):
-        sum_axes = tuple(range(g.ndim - 1))
-        dgain = (g * y).sum(axis=sum_axes)
-        dbias = g.sum(axis=sum_axes)
-        gy = g * gain.data
-        dx = inv * (
-            gy
-            - gy.mean(axis=-1, keepdims=True)
-            - y * (gy * y).mean(axis=-1, keepdims=True)
-        )
-        return dx, dgain, dbias
-
-    return _emit("layernorm", out, (a, gain, bias), backward)
+    return emit("layernorm", (a, gain, bias), *layernorm_kernel(a.data, gain.data, bias.data))
 
 
 def embed_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -227,7 +235,12 @@ def embed_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         np.add.at(gt, ids, g)
         return (gt,)
 
-    return _emit("embed_lookup", out, (table,), backward)
+    return emit("embed_lookup", (table,), out, backward)
+
+
+def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Inverted-dropout multiplier: 0 with probability p, else 1/(1-p)."""
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
@@ -236,13 +249,13 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         raise RangeError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+    keep = dropout_mask(a.data.shape, p, rng, a.data.dtype)
     out = a.data * keep
 
     def backward(g):
         return (g * keep,)
 
-    return _emit("dropout", out, (a,), backward)
+    return emit("dropout", (a,), out, backward)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -251,7 +264,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     def backward(g):
         return (g.reshape(a.data.shape),)
 
-    return _emit("reshape", out, (a,), backward)
+    return emit("reshape", (a,), out, backward)
 
 
 def transpose(a: Tensor, axes: tuple) -> Tensor:
@@ -261,7 +274,7 @@ def transpose(a: Tensor, axes: tuple) -> Tensor:
     def backward(g):
         return (g.transpose(inverse),)
 
-    return _emit("transpose", out, (a,), backward)
+    return emit("transpose", (a,), out, backward)
 
 
 def take_index(a: Tensor, index: int) -> Tensor:
@@ -275,7 +288,7 @@ def take_index(a: Tensor, index: int) -> Tensor:
         ga[index] = g
         return (ga,)
 
-    return _emit("take_index", out, (a,), backward)
+    return emit("take_index", (a,), out, backward)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -284,7 +297,7 @@ def sum_all(a: Tensor) -> Tensor:
     def backward(g):
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
-    return _emit("sum_all", out, (a,), backward)
+    return emit("sum_all", (a,), out, backward)
 
 
 def cross_entropy_masked(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -321,7 +334,7 @@ def cross_entropy_masked(logits: Tensor, targets: np.ndarray, mask: np.ndarray) 
         grad[(*idx, targets)] -= mask
         return (grad * (g / denom),)
 
-    return _emit("cross_entropy_masked", out, (logits,), backward)
+    return emit("cross_entropy_masked", (logits,), out, backward)
 
 
 def backward(loss: Tensor) -> dict:

@@ -41,11 +41,6 @@ class TopK:
 
 
 @dataclass(frozen=True)
-class Temperature:
-    t: float = 1.0
-
-
-@dataclass(frozen=True)
 class DecodeConfig:
     n_candidates: int = 5
     max_new_tokens: int = 128
@@ -58,6 +53,10 @@ class DecodeConfig:
             raise ValueError("n_candidates must be at least 1")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be at least 1")
+        if self.top_k < 1:
+            raise ValueError("top_k must be at least 1")
+        if self.temperature < 0:
+            raise ValueError("temperature must not be negative")
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,6 @@ def select_next_token(logits: np.ndarray, strategy, rng) -> int:
     """Pick the next token id from a logits row under a strategy."""
     if isinstance(strategy, Greedy):
         return int(np.argmax(logits))
-    if isinstance(strategy, Temperature):
-        if strategy.t < 1e-6:
-            return int(np.argmax(logits))
-        return _draw(_log_softmax(logits / strategy.t), rng)
     if isinstance(strategy, TopK):
         k = min(strategy.k, len(logits))
         top = logits.argsort()[: -k - 1 : -1]  # k largest, largest first
@@ -193,25 +188,6 @@ def _generate_rows(params: ModelParams, v: Vocab, rows, max_new_tokens: int):
     return out
 
 
-def _prefix_ids(acts: DialogActSet, v: Vocab) -> list:
-    return encode(v, linearize(acts)) + [v.bos_id]
-
-
-def generate_one(
-    params: ModelParams,
-    v: Vocab,
-    acts: DialogActSet,
-    strategy=Greedy(),
-    rng: np.random.Generator | None = None,
-    max_new_tokens: int = 128,
-) -> Candidate:
-    """Decode a single realization of one dialog act."""
-    rows = [(_prefix_ids(acts, v), strategy, rng)]
-    (token_ids, mean_lp), = _generate_rows(params, v, rows, max_new_tokens)
-    text = decode(v, token_ids)
-    return Candidate(text, mean_lp, slot_error(acts, text).err)
-
-
 def pick_best(candidates) -> int:
     """Index of the lowest-ERR candidate; ties to higher mean logprob,
     then to the earlier candidate."""
@@ -236,9 +212,11 @@ def generate_candidates(
     its batched candidates up to float32 accumulation order.
     """
     acts_list = list(acts_list)
+    if not acts_list:
+        return []
     rows = []
     for i, acts in enumerate(acts_list):
-        prefix = _prefix_ids(acts, v)
+        prefix = encode(v, linearize(acts)) + [v.bos_id]
         for j in range(cfg.n_candidates):
             if j == 0:
                 rows.append((prefix, Greedy(), None))

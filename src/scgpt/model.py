@@ -7,6 +7,12 @@ through EOS).  Architecture: learned absolute position embeddings,
 pre-layernorm blocks, multi-head causal self-attention, GELU MLP, and an
 output head tied to the token embedding.
 
+Each block's two sublayers are written once, as numpy kernels
+(:func:`attention_block`, :func:`mlp_block`) that return their output
+and a hand-written backward.  Training (:func:`forward_logits`) records
+each kernel call as one tape entry; :class:`DecodeSession` runs the same
+kernels with its key/value caches.
+
 Checkpoint format: the text header line ``SCGPT-CKPT v1``, one
 ``key=value`` config line, then per tensor a ``name dim0 dim1 ...``
 metadata line followed by that many raw little-endian float32 bytes and
@@ -52,29 +58,29 @@ class ModelConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
+#: Per-layer weights of each sublayer, in the order the kernels take them.
+ATTN_WEIGHTS = ("ln1.gain", "ln1.bias", "attn.wqkv", "attn.bqkv", "attn.wo", "attn.bo")
+MLP_WEIGHTS = ("ln2.gain", "ln2.bias", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
+
+
 def _param_shapes(cfg: ModelConfig) -> dict:
-    shapes = {
-        "tok_emb": (cfg.vocab_size, cfg.d_model),
-        "pos_emb": (cfg.max_context, cfg.d_model),
-    }
     d, f = cfg.d_model, cfg.d_ff
+    layer_shapes = (
+        [(d,), (d,), (d, 3 * d), (3 * d,), (d, d), (d,)]  # ATTN_WEIGHTS
+        + [(d,), (d,), (d, f), (f,), (f, d), (d,)]  # MLP_WEIGHTS
+    )
+    shapes = {"tok_emb": (cfg.vocab_size, d), "pos_emb": (cfg.max_context, d)}
     for i in range(cfg.n_layers):
-        p = f"layers.{i}."
-        shapes[p + "ln1.gain"] = (d,)
-        shapes[p + "ln1.bias"] = (d,)
-        shapes[p + "attn.wqkv"] = (d, 3 * d)
-        shapes[p + "attn.bqkv"] = (3 * d,)
-        shapes[p + "attn.wo"] = (d, d)
-        shapes[p + "attn.bo"] = (d,)
-        shapes[p + "ln2.gain"] = (d,)
-        shapes[p + "ln2.bias"] = (d,)
-        shapes[p + "mlp.w1"] = (d, f)
-        shapes[p + "mlp.b1"] = (f,)
-        shapes[p + "mlp.w2"] = (f, d)
-        shapes[p + "mlp.b2"] = (d,)
-    shapes["lnf.gain"] = (d,)
-    shapes["lnf.bias"] = (d,)
+        for name, shape in zip(ATTN_WEIGHTS + MLP_WEIGHTS, layer_shapes):
+            shapes[f"layers.{i}.{name}"] = shape
+    shapes["lnf.gain"] = shapes["lnf.bias"] = (d,)
     return shapes
+
+
+def _layer_weights(tensors: dict, i: int):
+    """Layer i's (attention, MLP) sublayer weights from a name -> value map."""
+    names = (ATTN_WEIGHTS, MLP_WEIGHTS)
+    return tuple([tensors[f"layers.{i}.{n}"] for n in ns] for ns in names)
 
 
 @dataclass
@@ -186,88 +192,126 @@ def pad_batch(batch, pad_id: int):
     return ids, mask, keep
 
 
-def _attention_bias(keep: np.ndarray, dtype) -> np.ndarray:
-    # [B,1,T,T]: query t may attend key s iff s <= t and key s is not PAD
-    B, T = keep.shape
-    causal = np.tril(np.ones((T, T), dtype=bool))
-    allowed = causal[None, :, :] & keep[:, None, :]
-    return np.where(allowed, 0.0, NEG_BIAS).astype(dtype)[:, None, :, :]
+def _attention_bias(keep: np.ndarray, T: int, dtype) -> np.ndarray:
+    """[B,1,T,S] bias: each of the last T of S columns attends the kept
+    (``keep`` [B,S]) keys at or before it."""
+    S = keep.shape[1]
+    allowed = np.tri(T, S, S - T, dtype=bool) & keep[:, None, :]
+    zero, neg = np.array([0.0, NEG_BIAS], dtype=dtype)
+    return np.where(allowed, zero, neg)[:, None]
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ag.add(ag.matmul(x, w), b)
+def _linear_grads(inp: np.ndarray, w: np.ndarray, g: np.ndarray):
+    """Gradients (of inp, of w, of b) of ``inp @ w + b`` given g."""
+    g2 = g.reshape(-1, g.shape[-1])
+    return (g2 @ w.T).reshape(inp.shape), inp.reshape(-1, inp.shape[-1]).T @ g2, g2.sum(axis=0)
+
+
+def attention_block(x, weights, bias, n_heads: int, cache=None, drop=None):
+    """``x + attn(ln1(x))`` on raw arrays; returns (out, backward), where
+    ``backward(g)`` gives the gradients of x and of each weight.
+
+    ``x`` is [B,T,d], ``weights`` as named by ``ATTN_WEIGHTS``, and
+    ``bias`` broadcasts to the [B,H,T,S] scores.  ``cache=(keys, vals,
+    lo)`` stores the new keys and values at columns lo..lo+T of the
+    [B,H,max_len,dh] buffers and attends over columns 0..lo+T.
+    ``drop(shape)`` draws the dropout multipliers of the attention
+    probabilities, then of the output.
+    """
+    ln_g, ln_b, wqkv, bqkv, wo, bo = weights
+    B, T, d = x.shape
+    dh = d // n_heads
+    h, ln_backward = ag.layernorm_kernel(x, ln_g, ln_b)
+    qkv = (h @ wqkv + bqkv).reshape(B, T, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    q, keys, vals = qkv[0], qkv[1], qkv[2]  # [B,H,T,dh]
+    lo = 0
+    if cache is not None:
+        k_buf, v_buf, lo = cache
+        k_buf[:, :, lo : lo + T], v_buf[:, :, lo : lo + T] = keys, vals
+        keys, vals = k_buf[:, :, : lo + T], v_buf[:, :, : lo + T]
+    scale = dh**-0.5
+    scores = q @ keys.swapaxes(-1, -2)
+    scores *= scale
+    scores += bias
+    attn, softmax_backward = ag.softmax_kernel(scores)
+    attn_mask = drop(attn.shape) if drop else None
+    attn_kept = attn if attn_mask is None else attn * attn_mask
+    ctx = (attn_kept @ vals).transpose(0, 2, 1, 3).reshape(B, T, d)
+    o = ctx @ wo
+    out_mask = drop(o.shape) if drop else None
+    out = x + o + bo if out_mask is None else x + (o + bo) * out_mask
+
+    def backward(g):
+        go = g if out_mask is None else g * out_mask
+        dctx, dwo, dbo = _linear_grads(ctx, wo, go)
+        dctx = dctx.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+        dattn = dctx @ vals.swapaxes(-1, -2)
+        dscores = softmax_backward(dattn if attn_mask is None else dattn * attn_mask)[0] * scale
+        # gradients reach only the new columns' keys and values
+        dk = (dscores.swapaxes(-1, -2) @ q)[:, :, lo:]
+        dv = (attn_kept.swapaxes(-1, -2) @ dctx)[:, :, lo:]
+        dqkv = np.stack([dscores @ keys, dk, dv]).transpose(1, 3, 0, 2, 4)
+        dh_, dwqkv, dbqkv = _linear_grads(h, wqkv, dqkv.reshape(B, T, 3 * d))
+        dx, dln_g, dln_b = ln_backward(dh_)
+        return g + dx, dln_g, dln_b, dwqkv, dbqkv, dwo, dbo
+
+    return out, backward
+
+
+def mlp_block(x, weights, drop=None):
+    """``x + mlp(gelu(ln2(x)))`` on raw arrays, ``weights`` as named by
+    ``MLP_WEIGHTS``; otherwise like :func:`attention_block`."""
+    ln_g, ln_b, w1, b1, w2, b2 = weights
+    h, ln_backward = ag.layernorm_kernel(x, ln_g, ln_b)
+    a, gelu_backward = ag.gelu_kernel(h @ w1 + b1)
+    o = a @ w2
+    out_mask = drop(o.shape) if drop else None
+    out = x + o + b2 if out_mask is None else x + (o + b2) * out_mask
+
+    def backward(g):
+        go = g if out_mask is None else g * out_mask
+        da, dw2, db2 = _linear_grads(a, w2, go)
+        dh_, dw1, db1 = _linear_grads(h, w1, gelu_backward(da)[0])
+        dx, dln_g, dln_b = ln_backward(dh_)
+        return g + dx, dln_g, dln_b, dw1, db1, dw2, db2
+
+    return out, backward
+
+
+def _taped(op: str, kernel, x: Tensor, weights, *args, **kwargs) -> Tensor:
+    out_backward = kernel(x.data, [w.data for w in weights], *args, **kwargs)
+    return ag.emit(op, (x, *weights), *out_backward)
 
 
 def forward_logits(
     params: ModelParams,
     ids: np.ndarray,
     keep: np.ndarray,
-    positions: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Run the transformer; returns pre-softmax logits [B,T,vocab].
 
-    ``rng`` enables dropout (training); None runs deterministically.
-    ``positions`` overrides the default 0..T-1 per row (used by left-padded
-    incremental decoding).
+    ``rng`` enables dropout (training); None runs deterministically.  Each
+    sublayer kernel is one tape entry.
     """
     cfg = params.config
-    B, T = ids.shape
-    H, d = cfg.n_heads, cfg.d_model
-    dh = d // H
+    T = ids.shape[1]
     dtype = params["tok_emb"].data.dtype
     p_drop = cfg.dropout if rng is not None else 0.0
-
-    def drop(t: Tensor) -> Tensor:
-        return ag.dropout(t, p_drop, rng) if p_drop else t
-
-    if positions is None:
-        positions = np.broadcast_to(np.arange(T), (B, T))
+    drop = (lambda shape: ag.dropout_mask(shape, p_drop, rng, dtype)) if p_drop else None
     x = ag.add(
         ag.embed_lookup(params["tok_emb"], ids),
-        ag.embed_lookup(params["pos_emb"], positions),
+        ag.embed_lookup(params["pos_emb"], np.broadcast_to(np.arange(T), ids.shape)),
     )
-    x = drop(x)
-    bias = ag.constant(_attention_bias(keep, dtype))
-
+    x = ag.dropout(x, p_drop, rng)
+    bias = _attention_bias(keep, T, dtype)
     for i in range(cfg.n_layers):
-        p = f"layers.{i}."
-        h = ag.layernorm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
-        qkv = _linear(h, params[p + "attn.wqkv"], params[p + "attn.bqkv"])
-        qkv = ag.reshape(qkv, (B, T, 3, H, dh))
-        qkv = ag.transpose(qkv, (2, 0, 3, 1, 4))  # [3,B,H,T,dh]
-        q = ag.take_index(qkv, 0)
-        k = ag.take_index(qkv, 1)
-        v_heads = ag.take_index(qkv, 2)
-        scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), dh**-0.5)
-        scores = ag.add(scores, bias)
-        attn = ag.softmax_lastdim(scores)
-        attn = drop(attn)
-        ctx = ag.matmul(attn, v_heads)  # [B,H,T,dh]
-        ctx = ag.transpose(ctx, (0, 2, 1, 3))
-        ctx = ag.reshape(ctx, (B, T, d))
-        x = ag.add(x, drop(_linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])))
-
-        h = ag.layernorm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
-        h = ag.gelu(_linear(h, params[p + "mlp.w1"], params[p + "mlp.b1"]))
-        x = ag.add(x, drop(_linear(h, params[p + "mlp.w2"], params[p + "mlp.b2"])))
+        attn_w, mlp_w = _layer_weights(params.tensors, i)
+        x = _taped("attention", attention_block, x, attn_w, bias, cfg.n_heads, drop=drop)
+        x = _taped("mlp", mlp_block, x, mlp_w, drop=drop)
 
     x = ag.layernorm(x, params["lnf.gain"], params["lnf.bias"])
-    logits = ag.matmul(x, ag.transpose(params["tok_emb"], (1, 0)))
-    return logits
-
-
-def forward(params: ModelParams, batch) -> np.ndarray:
-    """Next-token distributions for a batch of examples, [B,T,vocab].
-
-    The batch is right-padded with PAD internally; PAD positions are
-    excluded from attention keys.  Rows sum to 1.
-    """
-    # the tokenizer always assigns PAD the final id
-    pad_id = params.config.vocab_size - 1
-    ids, _, keep = pad_batch(batch, pad_id)
-    logits = forward_logits(params, ids, keep)
-    return ag.softmax_lastdim(logits).data
+    return ag.matmul(x, ag.transpose(params["tok_emb"], (1, 0)))
 
 
 def nll_loss(
@@ -339,9 +383,11 @@ def load_checkpoint(path) -> ModelParams:
 class DecodeSession:
     """Incremental batched decoding with per-layer key/value caches.
 
-    Works on raw float32 numpy (no tape).  Rows may be left-padded: pass
-    per-row position indices and mark PAD slots in the key mask.  Logits
-    match a full re-forward to within float32 noise.
+    Runs the same sublayer kernels as :func:`forward_logits`, on raw
+    float32 numpy without a tape, writing each new column's keys and
+    values into the caches.  Rows may be left-padded: pass per-row
+    position indices and mark PAD slots in the key mask.  Logits match a
+    full re-forward to within float32 noise.
 
     All rows share the ``max_len`` buffer columns, so left-padded rows
     with their own step budgets may need more columns than
@@ -357,7 +403,6 @@ class DecodeSession:
 
     def __init__(self, params: ModelParams, batch_size: int, max_len: int):
         cfg = params.config
-        self.params = params
         self.cfg = cfg
         self.B = batch_size
         self.max_len = max_len
@@ -369,15 +414,7 @@ class DecodeSession:
         # additive key bias of every filled column: 0, or NEG_BIAS at PAD
         self._bias = np.zeros((batch_size, max_len), dtype=np.float32)
         self._w = {name: t.data.astype(np.float32, copy=False) for name, t in params.named()}
-
-    def _ln(self, x, prefix):
-        g, b = self._w[prefix + ".gain"], self._w[prefix + ".bias"]
-        # x.mean and x.var give the same float32 bits through slower wrappers
-        n = x.shape[-1]
-        mu = np.add.reduce(x, -1, keepdims=True) / n
-        xc = x - mu
-        var = np.add.reduce(xc * xc, -1, keepdims=True) / n
-        return xc / np.sqrt(var + ag.LAYERNORM_EPS) * g + b
+        self._layers = [_layer_weights(self._w, i) for i in range(cfg.n_layers)]
 
     def append(self, ids: np.ndarray, positions: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Feed T new columns for every row; returns last-column logits [B,V].
@@ -398,51 +435,20 @@ class DecodeSession:
             raise ContextOverflowError(
                 f"position {positions.max()} is beyond max_context {cfg.max_context}"
             )
-        H, d = cfg.n_heads, cfg.d_model
-        dh = d // H
         self._bias[:, lo:hi] = np.where(keep, 0.0, NEG_BIAS)
-        bias = self._bias[:, None, None, :hi]
-        if T > 1:
-            # new-column queries attend old+new keys: causal within new columns
-            causal = np.zeros((T, hi), dtype=np.float32)
-            causal[:, lo:] = np.triu(np.full((T, T), NEG_BIAS, dtype=np.float32), 1)
-            bias = np.minimum(bias, causal)
+        if T == 1:
+            bias = self._bias[:, None, None, :hi]
+        else:
+            bias = _attention_bias(self._bias[:, :hi] == 0.0, T, np.float32)
 
         x = w["tok_emb"][ids] + w["pos_emb"][positions]
-        for i in range(cfg.n_layers):
-            p = f"layers.{i}."
-            h = self._ln(x, p + "ln1")
-            qkv = h @ w[p + "attn.wqkv"] + w[p + "attn.bqkv"]
-            qkv = qkv.reshape(B, T, 3, H, dh).transpose(2, 0, 3, 1, 4)
-            q, k, v = qkv[0], qkv[1], qkv[2]
-            self._k[i][:, :, lo:hi] = k
-            self._v[i][:, :, lo:hi] = v
-            keys = self._k[i][:, :, :hi]
-            vals = self._v[i][:, :, :hi]
-            scores = q @ keys.swapaxes(-1, -2) * dh**-0.5 + bias
-            scores -= scores.max(axis=-1, keepdims=True)
-            e = np.exp(scores)
-            attn = e / e.sum(axis=-1, keepdims=True)
-            ctx = (attn @ vals).transpose(0, 2, 1, 3).reshape(B, T, d)
-            x = x + ctx @ w[p + "attn.wo"] + w[p + "attn.bo"]
-            h = self._ln(x, p + "ln2")
-            u = h @ w[p + "mlp.w1"] + w[p + "mlp.b1"]
-            t_ = np.tanh(ag.GELU_C * (u + ag.GELU_A * (u * u * u)))
-            h = 0.5 * u * (1.0 + t_)
-            x = x + h @ w[p + "mlp.w2"] + w[p + "mlp.b2"]
-
+        for i, (attn_w, mlp_w) in enumerate(self._layers):
+            cache = (self._k[i], self._v[i], lo)
+            x, _ = attention_block(x, attn_w, bias, cfg.n_heads, cache=cache)
+            x, _ = mlp_block(x, mlp_w)
         self.t = hi
-        x_last = self._ln(x[:, -1], "lnf")
+        x_last, _ = ag.layernorm_kernel(x[:, -1], w["lnf.gain"], w["lnf.bias"])
         return x_last @ w["tok_emb"].T
-
-    def step(self, ids: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Feed one real token per row; returns next-token logits [B,V]."""
-        B = ids.shape[0]
-        return self.append(
-            ids.reshape(B, 1),
-            positions.reshape(B, 1),
-            np.ones((B, 1), dtype=bool),
-        )
 
     def take(self, index) -> None:
         """Make row ``r`` of the batch a copy of current row ``index[r]``."""

@@ -1,13 +1,20 @@
-"""Independent reference implementations of the evaluation metrics.
+"""Independent reference implementations of the evaluation metrics and
+of the transformer forward.
 
-Everything here is written from the metric definitions alone, using plain
+The metrics here are written from their definitions alone, using plain
 loops and dicts instead of the library's regex and Counter machinery, so
 the test suite can cross-check the fast implementations against a second
 opinion.  Hand-worked anchor values for the BLEU scorer live in
-test_acceptance.py next to the comparison tests.
+test_acceptance.py next to the comparison tests.  The transformer forward
+is composed of the generic taped ops, one per step, so its gradients come
+from the per-op backward rules rather than the model's fused kernels.
 """
 
 import math
+
+import numpy as np
+
+from scgpt import autograd as ag
 
 PLACEHOLDERS = {"?", "yes", "no", "dontcare", "true", "false", "none"}
 
@@ -253,3 +260,50 @@ def f1_bruteforce(candidates, references, extract) -> float:
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
+
+
+def forward_logits_reference(params, ids, keep, rng=None):
+    """Pre-softmax logits [B,T,vocab] built op by op on the tape.
+
+    Draws dropout masks in the order and shapes the model does: the
+    embeddings, then per layer the attention probabilities, the attention
+    output and the MLP output.
+    """
+    cfg = params.config
+    B, T = ids.shape
+    H, d = cfg.n_heads, cfg.d_model
+    dh = d // H
+    dtype = params["tok_emb"].data.dtype
+    p_drop = cfg.dropout if rng is not None else 0.0
+
+    def drop(t):
+        return ag.dropout(t, p_drop, rng) if p_drop else t
+
+    def linear(x, w, b):
+        return ag.add(ag.matmul(x, w), b)
+
+    x = ag.add(
+        ag.embed_lookup(params["tok_emb"], ids),
+        ag.embed_lookup(params["pos_emb"], np.broadcast_to(np.arange(T), (B, T))),
+    )
+    x = drop(x)
+    allowed = np.tril(np.ones((T, T), dtype=bool))[None, :, :] & keep[:, None, :]
+    bias = ag.constant(np.where(allowed, 0.0, -1e9).astype(dtype)[:, None, :, :])
+
+    for i in range(cfg.n_layers):
+        p = f"layers.{i}."
+        h = ag.layernorm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
+        qkv = linear(h, params[p + "attn.wqkv"], params[p + "attn.bqkv"])
+        qkv = ag.transpose(ag.reshape(qkv, (B, T, 3, H, dh)), (2, 0, 3, 1, 4))
+        q, k, v = (ag.take_index(qkv, j) for j in range(3))  # [B,H,T,dh]
+        scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), dh**-0.5)
+        attn = drop(ag.softmax_lastdim(ag.add(scores, bias)))
+        ctx = ag.reshape(ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)), (B, T, d))
+        x = ag.add(x, drop(linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])))
+
+        h = ag.layernorm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
+        h = ag.gelu(linear(h, params[p + "mlp.w1"], params[p + "mlp.b1"]))
+        x = ag.add(x, drop(linear(h, params[p + "mlp.w2"], params[p + "mlp.b2"])))
+
+    x = ag.layernorm(x, params["lnf.gain"], params["lnf.bias"])
+    return ag.matmul(x, ag.transpose(params["tok_emb"], (1, 0)))

@@ -138,6 +138,15 @@ def test_generate_corpus_mode(pipeline, tmp_path):
     assert len(gens.read_text().splitlines()) == n_taxi
 
 
+def test_generate_absent_domain_writes_no_lines(pipeline, tmp_path):
+    gens = tmp_path / "gens.txt"
+    assert run(["generate", "--config", pipeline / "run.cfg",
+                "--ckpt", pipeline / "da.ckpt",
+                "--corpus", pipeline / "corpus.jsonl", "--domain", "museum",
+                "--out", gens]) == 0
+    assert gens.read_text() == ""
+
+
 def test_generate_malformed_da(pipeline, tmp_path, capsys):
     code = run(["generate", "--config", pipeline / "run.cfg",
                 "--ckpt", pipeline / "da.ckpt", "--da", "inform ( name x )",

@@ -7,11 +7,9 @@ from scgpt.decoding import (
     Candidate,
     DecodeConfig,
     Greedy,
-    Temperature,
     TopK,
     generate_candidates,
     generate_corpus,
-    generate_one,
     generate_reranked,
     pick_best,
     select_next_token,
@@ -48,30 +46,25 @@ def overfit():
     return params, vocab, corpus
 
 
+def greedy(params, vocab, acts, max_new_tokens=128):
+    """The greedy candidate of one act."""
+    cfg = DecodeConfig(n_candidates=1, max_new_tokens=max_new_tokens)
+    return generate_candidates(params, vocab, [acts], cfg)[0][0]
+
+
 def test_greedy_reproduces_memorized(overfit):
     params, vocab, corpus = overfit
     for ex in corpus:
-        cand = generate_one(params, vocab, ex.acts)
+        cand = greedy(params, vocab, ex.acts)
         assert cand.text == ex.response
         assert cand.err == 0.0
         assert cand.token_logprob_mean > -0.5
 
 
-def test_temperature_zero_equals_greedy(overfit):
-    params, vocab, corpus = overfit
-    acts = corpus.examples[0].acts
-    greedy = generate_one(params, vocab, acts)
-    cold = generate_one(
-        params, vocab, acts, strategy=Temperature(1e-9),
-        rng=np.random.default_rng(0),
-    )
-    assert cold.text == greedy.text
-
-
 def test_max_new_tokens_one(overfit):
     params, vocab, corpus = overfit
     ex = corpus.examples[0]
-    cand = generate_one(params, vocab, ex.acts, max_new_tokens=1)
+    cand = greedy(params, vocab, ex.acts, max_new_tokens=1)
     assert isinstance(cand, Candidate)
     # at most one token came out, so the text is a strict prefix
     assert ex.response.startswith(cand.text)
@@ -105,8 +98,11 @@ def test_single_candidate_equals_greedy(overfit):
     params, vocab, corpus = overfit
     acts = corpus.examples[1].acts
     one = generate_reranked(params, vocab, acts, DecodeConfig(n_candidates=1, max_new_tokens=24))
-    greedy = generate_one(params, vocab, acts, max_new_tokens=24)
-    assert one == greedy
+    assert one == greedy(params, vocab, acts, max_new_tokens=24)
+    # candidate 0 of a wider decode is the same greedy text
+    first = generate_candidates(params, vocab, [acts], DecodeConfig(max_new_tokens=24))[0][0]
+    assert (first.text, first.err) == (one.text, one.err)
+    assert abs(first.token_logprob_mean - one.token_logprob_mean) < 1e-5
 
 
 def test_generation_deterministic(overfit):
@@ -124,7 +120,7 @@ def test_batch_greedy_matches_single(overfit):
     cfg = DecodeConfig(n_candidates=2, max_new_tokens=24, seed=3)
     batched = generate_candidates(params, vocab, acts_list, cfg)
     for ex, cands in zip(corpus, batched):
-        solo = generate_one(params, vocab, ex.acts, max_new_tokens=24)
+        solo = greedy(params, vocab, ex.acts, max_new_tokens=24)
         assert cands[0].text == solo.text
 
 
@@ -160,18 +156,15 @@ def test_context_overflow(overfit):
     params, vocab, corpus = overfit
     big = act_set("inform", [("blurb", "word " * 60 + "word")])
     with pytest.raises(ContextOverflowError):
-        generate_one(params, vocab, big)
+        greedy(params, vocab, big)
 
 
 def test_select_next_token_strategies():
     rng = np.random.default_rng(0)
     logits = np.array([0.0, 5.0, 1.0, 4.9])
     assert select_next_token(logits, Greedy(), None) == 1
-    assert select_next_token(logits, Temperature(1e-9), rng) == 1
     picks = {select_next_token(logits, TopK(2, 1.0), rng) for _ in range(50)}
     assert picks <= {1, 3}  # only the two largest logits are reachable
-    spread = {select_next_token(logits, Temperature(50.0), rng) for _ in range(200)}
-    assert len(spread) >= 3
 
 
 def _reference_choice(logits, strategy, rng):
@@ -180,17 +173,13 @@ def _reference_choice(logits, strategy, rng):
         shifted = row.astype(np.float64) - row.max()
         return shifted - np.log(np.exp(shifted).sum())
 
-    if isinstance(strategy, Temperature):
-        return int(rng.choice(len(logits), p=np.exp(log_softmax(logits / strategy.t))))
     k = min(strategy.k, len(logits))
     top = np.argsort(logits)[::-1][:k]
     logp = log_softmax(logits[top] / max(strategy.temperature, 1e-6))
     return int(top[rng.choice(k, p=np.exp(logp))])
 
 
-@pytest.mark.parametrize(
-    "strategy", [TopK(1), TopK(5, 0.7), TopK(20), TopK(100, 1.3), Temperature(0.8)]
-)
+@pytest.mark.parametrize("strategy", [TopK(1), TopK(5, 0.7), TopK(20), TopK(100, 1.3)])
 def test_sampled_draw_matches_rng_choice(strategy):
     rows = np.random.default_rng(99)
     for seed in range(30):
@@ -207,3 +196,16 @@ def test_decode_config_validation():
         DecodeConfig(n_candidates=0)
     with pytest.raises(ValueError):
         DecodeConfig(max_new_tokens=0)
+    for top_k in (0, -3):
+        with pytest.raises(ValueError, match="top_k"):
+            DecodeConfig(top_k=top_k)
+    with pytest.raises(ValueError, match="temperature"):
+        DecodeConfig(temperature=-0.5)
+    DecodeConfig(top_k=1, temperature=0.0)  # the smallest valid values
+
+
+def test_empty_act_list(overfit):
+    params, vocab, _ = overfit
+    cfg = DecodeConfig(n_candidates=3, max_new_tokens=8)
+    assert generate_candidates(params, vocab, [], cfg) == []
+    assert generate_corpus(params, vocab, [], cfg) == []

@@ -12,7 +12,6 @@ from scgpt.model import (
     ModelConfig,
     build_example,
     build_plain_example,
-    forward,
     forward_logits,
     init_params,
     load_checkpoint,
@@ -23,6 +22,7 @@ from scgpt.model import (
 )
 
 from gradcheck import fd_gradient, rel_error
+from oracles import forward_logits_reference
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,12 @@ def tiny_config(vocab, **kw):
     )
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+def probs(params, batch):
+    """Next-token distributions [B,T,vocab] of a right-padded batch."""
+    ids, _, keep = pad_batch(batch, params.config.vocab_size - 1)
+    return ag.softmax_lastdim(forward_logits(params, ids, keep)).data
 
 
 def test_config_validation():
@@ -88,8 +94,7 @@ def test_zero_params_uniform(vocab):
     cfg = tiny_config(vocab)
     params = zero_params(cfg)
     ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
-    probs = forward(params, [ex])
-    assert np.allclose(probs, 1.0 / cfg.vocab_size)
+    assert np.allclose(probs(params, [ex]), 1.0 / cfg.vocab_size)
     loss = nll_loss(params, [ex])
     assert abs(float(loss.data) - np.log(cfg.vocab_size)) < 1e-5
 
@@ -97,8 +102,7 @@ def test_zero_params_uniform(vocab):
 def test_forward_rows_are_distributions(vocab):
     params = init_params(tiny_config(vocab), seed=0)
     ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
-    probs = forward(params, [ex])
-    assert np.abs(probs.sum(axis=-1) - 1.0).max() < 1e-6
+    assert np.abs(probs(params, [ex]).sum(axis=-1) - 1.0).max() < 1e-6
 
 
 def test_causality(vocab):
@@ -139,8 +143,8 @@ def test_padding_equivalence(vocab):
     params = init_params(tiny_config(vocab), seed=3)
     short = build_example(act_set("bye"), "bye", vocab)
     long = build_example(act_set("inform", [("name", "hilton")]), "the hilton is here", vocab)
-    solo = forward(params, [short])
-    packed = forward(params, [short, long])
+    solo = probs(params, [short])
+    packed = probs(params, [short, long])
     L = len(short.ids)
     assert np.abs(packed[0, :L] - solo[0, :L]).max() < 1e-5
 
@@ -159,6 +163,50 @@ def test_e2e_gradient_check(vocab):
     for name, tensor in params.named():
         fd = fd_gradient(loss_value, tensor.data)
         worst[name] = rel_error(tensor.grad, fd)
+    assert max(worst.values()) < 1e-3, worst
+
+
+def test_forward_matches_per_op_oracle():
+    # the fused kernels against the per-op taped forward, dropout drawn alike
+    cfg = ModelConfig(vocab_size=23, n_layers=2, n_heads=2, d_model=8, d_ff=16,
+                      max_context=12, dropout=0.3)
+    params = init_params(cfg, seed=11, dtype=np.float64)
+    ids = np.random.default_rng(0).integers(0, cfg.vocab_size, (3, 9))
+    keep = np.arange(9) >= 9 - np.array([[7], [4], [9]])  # left-padded rows
+    weights = ag.constant(np.random.default_rng(1).standard_normal((3, 9, cfg.vocab_size)))
+    for seed in (None, 5):
+        runs = []
+        for forward in (forward_logits, forward_logits_reference):
+            rng = None if seed is None else np.random.default_rng(seed)
+            with Tape():
+                logits = forward(params, ids, keep, rng=rng)
+                backward(ag.sum_all(ag.mul(logits, weights)))
+            runs.append((logits.data, {n: t.grad for n, t in params.named()}))
+        (ours, ours_g), (ref, ref_g) = runs
+        assert np.abs(ours - ref).max() < 1e-12
+        worst = {n: rel_error(ours_g[n], ref_g[n]) for n in ref_g}
+        assert max(worst.values()) < 1e-10, worst
+
+
+def test_gradient_check_with_dropout():
+    cfg = ModelConfig(vocab_size=17, n_layers=2, n_heads=2, d_model=8, d_ff=16,
+                      max_context=12, dropout=0.3)
+    params = init_params(cfg, seed=12, dtype=np.float64)
+    batch = [
+        LinearizedExample(ids=(3, 9, 1, 14, 7, 2, 15), loss_mask=(0, 0, 0, 1, 1, 1, 0)),
+        LinearizedExample(ids=(5, 11, 14, 4, 15), loss_mask=(0, 0, 1, 1, 0)),
+    ]
+
+    def loss(params):
+        # a fresh generator per evaluation draws the same dropout masks
+        return nll_loss(params, batch, rng=np.random.default_rng(3))
+
+    with Tape():
+        backward(loss(params))
+    worst = {
+        name: rel_error(t.grad, fd_gradient(lambda: float(loss(params).data), t.data))
+        for name, t in params.named()
+    }
     assert max(worst.values()) < 1e-3, worst
 
 
@@ -205,7 +253,7 @@ def test_decode_session_matches_full_forward(vocab):
     )
     assert np.abs(pre - full[:, T0 - 1]).max() < 1e-5
     for t in range(T0, len(ex.ids)):
-        logits = sess.step(ids[:, t], np.array([t]))
+        logits = sess.append(ids[:, t : t + 1], np.array([[t]]), np.ones((1, 1), dtype=bool))
         assert np.abs(logits - full[:, t]).max() < 1e-5
 
 
@@ -259,7 +307,9 @@ def test_decode_session_take(vocab):
         return sess
 
     def step(sess, rows, t):
-        return sess.step(np.full(len(rows), 5), np.array([len(row) + t for row in rows]))
+        B = len(rows)
+        pos = np.array([[len(row) + t] for row in rows])
+        return sess.append(np.full((B, 1), 5), pos, np.ones((B, 1), dtype=bool))
 
     gathered = prefill([a, b])
     gathered.take([0, 0, 1])
