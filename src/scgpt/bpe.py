@@ -5,6 +5,12 @@ an unknown-token path.  Training repeatedly merges the most frequent
 adjacent token pair; three special tokens (BOS, EOS, PAD) occupy the
 last ids and are never produced by merges.
 
+Training and encoding hold a token sequence as a ``str`` whose code
+points are the token ids: a text's UTF-8 bytes read as Latin-1 give its
+base ids, ``s.replace(chr(a) + chr(b), chr(new_id))`` applies a merge
+left to right without overlaps, and ``zip(s, s[1:])`` lists the adjacent
+pairs, overlaps included, so the per-token work runs in C.
+
 Vocab file format (line-delimited text)::
 
     BPEVOCAB v1 <base> <n_merges>
@@ -17,8 +23,11 @@ Vocab file format (line-delimited text)::
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 
 from .errors import (
     CorpusEmptyError,
@@ -70,6 +79,16 @@ class Vocab:
     def pad_id(self) -> int:
         return self.specials["PAD"]
 
+    @cached_property
+    def _merge_ranks(self) -> dict:
+        """Rank of each merge, keyed by its pair of code points."""
+        return {(chr(a), chr(b)): i for i, (a, b) in enumerate(self.merges)}
+
+    @cached_property
+    def _token_ids(self) -> tuple:
+        """One shared int per token id, so encoded lists share them."""
+        return tuple(range(len(self.id_to_token)))
+
     def encode(self, s: str, wrap: str = "none") -> list:
         return encode(self, s, wrap)
 
@@ -77,18 +96,12 @@ class Vocab:
         return decode(self, ids)
 
 
-def _merge_pair(ids: list, a: int, b: int, new_id: int) -> list:
-    out = []
-    i = 0
-    n = len(ids)
-    while i < n:
-        if i + 1 < n and ids[i] == a and ids[i + 1] == b:
-            out.append(new_id)
-            i += 2
-        else:
-            out.append(ids[i])
-            i += 1
-    return out
+def _pair_counts(seqs, weights) -> Counter:
+    """Adjacent pairs of the sequences, overlaps included, each sequence
+    counted ``weight`` times."""
+    return Counter(chain.from_iterable(
+        zip(s, s[1:]) for s, w in zip(seqs, weights) for _ in range(w)
+    ))
 
 
 def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
@@ -98,6 +111,15 @@ def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
     learned merges, and the three specials.  Training stops early when no
     adjacent pair occurs at least twice.  Ties between equally frequent
     pairs go to the lexicographically smaller (left bytes, right bytes).
+
+    Identical strings are held once, with their number of occurrences, as
+    code-point sequences (see the module docstring).  All pairs are
+    counted once at the start; each merge then recounts only the strings
+    that contain the merged pair, taking away their old pairs and adding
+    their new ones.  The best pair comes from a heap keyed ``(-count,
+    left bytes, right bytes)``, the tie rule above, whose stale entries
+    are dropped when they reach the top.  The merges are those a full
+    recount after every merge learns.
     """
     corpus = list(corpus)
     if not corpus:
@@ -110,26 +132,38 @@ def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
 
     id_to_token = [bytes([i]) for i in range(N_BASE)]
     merges = []
-    seqs = [list(text.encode("utf-8")) for text in corpus]
+    words = Counter(_code_points(text) for text in corpus)
+    seqs, weights = list(words), list(words.values())
+    counts = _pair_counts(seqs, weights)
+
+    def entry(pair, n):
+        return (-n, id_to_token[ord(pair[0])], id_to_token[ord(pair[1])], pair)
+
+    heap = [entry(p, n) for p, n in counts.items()]
+    heapq.heapify(heap)
 
     while len(id_to_token) + n_specials < target_vocab_size:
-        counts = Counter()
-        for seq in seqs:
-            for i in range(len(seq) - 1):
-                counts[(seq[i], seq[i + 1])] += 1
-        if not counts:
+        while heap and counts[heap[0][3]] != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
             break
-        best_pair = min(
-            counts,
-            key=lambda p: (-counts[p], id_to_token[p[0]], id_to_token[p[1]]),
-        )
-        if counts[best_pair] < 2:
-            break
-        a, b = best_pair
-        new_id = len(id_to_token)
+        left, right = heapq.heappop(heap)[3]
+        a, b = ord(left), ord(right)
+        pattern, new = left + right, chr(len(id_to_token))
         id_to_token.append(id_to_token[a] + id_to_token[b])
         merges.append((a, b))
-        seqs = [_merge_pair(seq, a, b, new_id) for seq in seqs]
+
+        hit = [i for i, s in enumerate(seqs) if pattern in s]
+        hit_weights = [weights[i] for i in hit]
+        gone = _pair_counts([seqs[i] for i in hit], hit_weights)
+        for i in hit:
+            seqs[i] = seqs[i].replace(pattern, new)
+        born = _pair_counts([seqs[i] for i in hit], hit_weights)
+        for p in {p for p, _ in gone.items() ^ born.items()}:
+            n = counts[p] + born[p] - gone[p]
+            counts[p] = n
+            if n:
+                heapq.heappush(heap, entry(p, n))
 
     specials = {
         name: len(id_to_token) + k for k, name in enumerate(SPECIAL_NAMES)
@@ -137,19 +171,9 @@ def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
     return Vocab(tuple(id_to_token), tuple(merges), specials)
 
 
-def _apply_merges(v: Vocab, ids: list) -> list:
-    ranks = {pair: i for i, pair in enumerate(v.merges)}
-    while len(ids) >= 2:
-        best_rank = None
-        for i in range(len(ids) - 1):
-            r = ranks.get((ids[i], ids[i + 1]))
-            if r is not None and (best_rank is None or r < best_rank):
-                best_rank = r
-        if best_rank is None:
-            break
-        a, b = v.merges[best_rank]
-        ids = _merge_pair(ids, a, b, N_BASE + best_rank)
-    return ids
+def _code_points(s: str) -> str:
+    """The string's UTF-8 bytes as code points 0-255, i.e. its base ids."""
+    return s.encode("utf-8").decode("latin-1")
 
 
 def encode(v: Vocab, s: str, wrap: str = "none") -> list:
@@ -160,7 +184,16 @@ def encode(v: Vocab, s: str, wrap: str = "none") -> list:
     """
     if wrap not in ("none", "bos_eos"):
         raise ValueError(f"wrap must be 'none' or 'bos_eos', got {wrap!r}")
-    ids = _apply_merges(v, list(s.encode("utf-8")))
+    seq = _code_points(s)
+    ranks = v._merge_ranks
+    no_merge = len(v.merges)
+    while len(seq) >= 2:
+        r = min(map(ranks.get, zip(seq, seq[1:]), repeat(no_merge)))
+        if r == no_merge:
+            break
+        a, b = v.merges[r]
+        seq = seq.replace(chr(a) + chr(b), chr(N_BASE + r))
+    ids = list(map(v._token_ids.__getitem__, map(ord, seq)))
     if wrap == "bos_eos":
         ids = [v.bos_id] + ids + [v.eos_id]
     return ids

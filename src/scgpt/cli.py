@@ -26,6 +26,7 @@ _set_thread_env()
 import argparse
 import json
 import tempfile
+import time
 
 from . import __version__
 from .bpe import load_vocab, save_vocab, train_bpe
@@ -151,11 +152,14 @@ def cmd_train_bpe(args):
     else:
         texts = [ln for ln in _read_lines(args.corpus) if ln.strip()]
     man, man_path = _start_manifest(args, [args.corpus], args.out + ".manifest.json")
+    start = time.perf_counter()
     vocab = train_bpe(texts, target_vocab_size=args.target_size)
+    elapsed = time.perf_counter() - start
     save_vocab(vocab, args.out)
     man.finish(args.out)
     man.write(man_path)
-    print(f"saved {args.out} ({vocab.size} tokens)")
+    print(f"saved {args.out} ({vocab.size} tokens, {len(vocab.merges)} merges, "
+          f"{elapsed:.2f} s)")
     return 0
 
 

@@ -65,9 +65,6 @@ class Template:
     fixed: tuple
     body_tokens: tuple
 
-    def head_slots(self) -> tuple:
-        return self.required + self.optional + tuple(s for s, _ in self.fixed)
-
 
 @dataclass(frozen=True)
 class DomainGrammar:

@@ -1,5 +1,5 @@
-"""Independent reference implementations of the evaluation metrics and
-of the transformer forward.
+"""Independent reference implementations of the evaluation metrics, of
+the transformer forward and of the BPE tokenizer.
 
 The metrics here are written from their definitions alone, using plain
 loops and dicts instead of the library's regex and Counter machinery, so
@@ -8,13 +8,18 @@ opinion.  Hand-worked anchor values for the BLEU scorer live in
 test_acceptance.py next to the comparison tests.  The transformer forward
 is composed of the generic taped ops, one per step, so its gradients come
 from the per-op backward rules rather than the model's fused kernels.
+The tokenizer trainer recounts every pair of the corpus for each merge,
+and the encoder rescans the whole sequence for each merge it applies.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from scgpt import autograd as ag
+from scgpt.bpe import N_BASE, SPECIAL_NAMES, Vocab
+from scgpt.errors import CorpusEmptyError
 
 PLACEHOLDERS = {"?", "yes", "no", "dontcare", "true", "false", "none"}
 
@@ -307,3 +312,92 @@ def forward_logits_reference(params, ids, keep, rng=None):
 
     x = ag.layernorm(x, params["lnf.gain"], params["lnf.bias"])
     return ag.matmul(x, ag.transpose(params["tok_emb"], (1, 0)))
+
+
+def _merge_pair(ids: list, a: int, b: int, new_id: int) -> list:
+    out = []
+    i = 0
+    n = len(ids)
+    while i < n:
+        if i + 1 < n and ids[i] == a and ids[i + 1] == b:
+            out.append(new_id)
+            i += 2
+        else:
+            out.append(ids[i])
+            i += 1
+    return out
+
+
+def train_bpe_reference(corpus, target_vocab_size: int = 512) -> Vocab:
+    """Learn merges from the corpus until the vocabulary reaches the target.
+
+    ``target_vocab_size`` counts the full vocabulary: 256 base tokens,
+    learned merges, and the three specials.  Training stops early when no
+    adjacent pair occurs at least twice.  Ties between equally frequent
+    pairs go to the lexicographically smaller (left bytes, right bytes).
+    """
+    corpus = list(corpus)
+    if not corpus:
+        raise CorpusEmptyError("cannot train a tokenizer on an empty corpus")
+    n_specials = len(SPECIAL_NAMES)
+    if target_vocab_size <= N_BASE + n_specials:
+        raise ValueError(
+            f"target_vocab_size must exceed {N_BASE + n_specials}, got {target_vocab_size}"
+        )
+
+    id_to_token = [bytes([i]) for i in range(N_BASE)]
+    merges = []
+    seqs = [list(text.encode("utf-8")) for text in corpus]
+
+    while len(id_to_token) + n_specials < target_vocab_size:
+        counts = Counter()
+        for seq in seqs:
+            for i in range(len(seq) - 1):
+                counts[(seq[i], seq[i + 1])] += 1
+        if not counts:
+            break
+        best_pair = min(
+            counts,
+            key=lambda p: (-counts[p], id_to_token[p[0]], id_to_token[p[1]]),
+        )
+        if counts[best_pair] < 2:
+            break
+        a, b = best_pair
+        new_id = len(id_to_token)
+        id_to_token.append(id_to_token[a] + id_to_token[b])
+        merges.append((a, b))
+        seqs = [_merge_pair(seq, a, b, new_id) for seq in seqs]
+
+    specials = {
+        name: len(id_to_token) + k for k, name in enumerate(SPECIAL_NAMES)
+    }
+    return Vocab(tuple(id_to_token), tuple(merges), specials)
+
+
+def _apply_merges(v: Vocab, ids: list) -> list:
+    ranks = {pair: i for i, pair in enumerate(v.merges)}
+    while len(ids) >= 2:
+        best_rank = None
+        for i in range(len(ids) - 1):
+            r = ranks.get((ids[i], ids[i + 1]))
+            if r is not None and (best_rank is None or r < best_rank):
+                best_rank = r
+        if best_rank is None:
+            break
+        a, b = v.merges[best_rank]
+        ids = _merge_pair(ids, a, b, N_BASE + best_rank)
+    return ids
+
+
+def encode_reference(v: Vocab, s: str, wrap: str = "none") -> list:
+    """Tokenize a string; ``wrap="bos_eos"`` adds the sequence delimiters.
+
+    Merges apply in learned order, each rewriting every occurrence left
+    to right, so encode(train corpus) reproduces the training segmentation.
+    """
+    if wrap not in ("none", "bos_eos"):
+        raise ValueError(f"wrap must be 'none' or 'bos_eos', got {wrap!r}")
+    ids = _apply_merges(v, list(s.encode("utf-8")))
+    if wrap == "bos_eos":
+        ids = [v.bos_id] + ids + [v.eos_id]
+    return ids

@@ -11,7 +11,16 @@ from scgpt.bpe import (
     save_vocab,
     train_bpe,
 )
+from scgpt.dialog_act import linearize
 from scgpt.errors import CorpusEmptyError, InvalidTokenIdError, ParseError, UnknownFormatError
+from scgpt.synthetic import (
+    PRETRAIN_GRAMMARS,
+    builtin_grammars,
+    generate,
+    inject_coined_values,
+)
+
+from oracles import encode_reference, train_bpe_reference
 
 
 def test_first_merge_is_most_frequent_pair():
@@ -143,3 +152,63 @@ def test_property_encode_matches_training_segmentation(corpus):
     v = train_bpe(corpus, target_vocab_size=264)
     for s in corpus:
         assert decode(v, encode(v, s)) == s
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except (ValueError, CorpusEmptyError) as e:
+        return type(e), str(e)
+
+
+_piece = st.one_of(
+    st.text(alphabet="ab ", max_size=12),
+    st.sampled_from(["aaaa", "aaa", "aa", "abab", "aab",
+                     "\u00e9\u00e9\u00e9", "\u20ac\u00e9\u20ac", "\U0001f642 a"]),
+    st.text(max_size=8),
+)
+
+
+@given(
+    st.lists(_piece, max_size=14),
+    st.integers(min_value=255, max_value=330),
+    st.lists(st.text(alphabet="ab \u00e9\u20ac\U0001f642", max_size=20), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_matches_full_recount_oracle(corpus, target, others):
+    # duplicates, equal counts (ties), runs like "aaaa"/"aaa", multibyte
+    # UTF-8, and targets past the point where merges run out
+    v = _outcome(train_bpe, corpus, target)
+    assert v == _outcome(train_bpe_reference, corpus, target)
+    if isinstance(v, Vocab):
+        for s in corpus + others:
+            assert encode(v, s) == encode_reference(v, s)
+            assert encode(v, s, wrap="bos_eos") == encode_reference(v, s, wrap="bos_eos")
+
+
+@pytest.mark.parametrize("per_domain,target", [(15, 384), (50, 448)])
+def test_synthetic_corpus_matches_full_recount_oracle(per_domain, target):
+    corpus = generate(builtin_grammars(PRETRAIN_GRAMMARS), per_domain, seed=5)
+    corpus = inject_coined_values(corpus, 0.2, seed=5)
+    texts = [linearize(ex.acts) for ex in corpus] + [ex.response for ex in corpus]
+    v = train_bpe(texts, target_vocab_size=target)
+    assert v == train_bpe_reference(texts, target_vocab_size=target)
+    assert v.size == target
+    assert [encode(v, s) for s in texts] == [encode_reference(v, s) for s in texts]
+
+
+def test_encode_leaves_vocab_equal_to_a_fresh_load(tmp_path):
+    v = train_bpe(["the cat sat on the mat", "the cat", "a mat"], target_vocab_size=275)
+    save_vocab(v, tmp_path / "first.bpe")
+    ids = encode(v, "the cat sat on a mat")  # builds the vocab's merge tables
+    fresh = load_vocab(tmp_path / "first.bpe")
+    assert v == fresh and repr(v) == repr(fresh)
+    save_vocab(v, tmp_path / "again.bpe")
+    save_vocab(fresh, tmp_path / "fresh.bpe")
+    first = (tmp_path / "first.bpe").read_bytes()
+    assert (tmp_path / "again.bpe").read_bytes() == first
+    assert (tmp_path / "fresh.bpe").read_bytes() == first
+    assert encode(fresh, "the cat sat on a mat") == ids
+    assert any(i >= N_BASE for i in ids)
+    assert all(type(i) is int and 0 <= i < len(v.id_to_token) for i in ids)

@@ -1,11 +1,13 @@
 import io
 import json
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+from scgpt.bpe import load_vocab
 from scgpt.cli import main
 from scgpt.dataset import ingest
 from scgpt.manifest import load_manifest, sha256_file
@@ -221,6 +223,19 @@ def test_vocab_size_mismatch_exits_2(pipeline, tmp_path):
                 "--target-size", 300, "--out", tmp_path / "tiny.bpe"]) == 0
     assert run(["generate", "--config", small, "--ckpt", pipeline / "da.ckpt",
                 "--da", "bye ( )", "--manifest", tmp_path / "m.json"]) == 2
+
+
+def test_train_bpe_reports_merges_and_replays(pipeline, tmp_path, capsys):
+    out = tmp_path / "v.bpe"
+    assert run(["train-bpe", "--corpus", pipeline / "corpus.jsonl",
+                "--target-size", 300, "--out", out]) == 0
+    line = capsys.readouterr().out.strip()
+    m = re.fullmatch(rf"saved {re.escape(str(out))} \(300 tokens, (\d+) merges, \d+\.\d\d s\)",
+                     line)
+    assert m and int(m.group(1)) == len(load_vocab(out).merges) == 41
+    assert run(["replay", f"{out}.manifest.json", "--out-dir", tmp_path / "r"]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+    assert sha256_file(tmp_path / "r" / "v.bpe") == sha256_file(out)
 
 
 def test_argparse_usage_exit(capsys):
