@@ -29,6 +29,12 @@ from .metrics import slot_error
 from .model import DecodeSession, ModelParams
 
 
+#: Most candidate rows one decode session holds.  A session's key/value
+#: caches grow with its rows, so a long act list decodes in groups of
+#: whole acts; a 40-act call with five candidates stays one session.
+MAX_SESSION_ROWS = 256
+
+
 @dataclass(frozen=True)
 class Greedy:
     pass
@@ -72,26 +78,51 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _draw(logp: np.ndarray, rng) -> int:
-    """Index drawn with probabilities exp(logp).
+def select_tokens(logits: np.ndarray, rngs, k: int, temperature: float):
+    """Next token id of every row of ``logits`` [n,V], and its log-prob.
 
-    The arithmetic of ``rng.choice(len(logp), p=np.exp(logp))``, without
-    its argument checks: the same uniform variate gives the same index.
+    A row whose entry in ``rngs`` is None takes the argmax.  Every other
+    row draws from its k largest logits divided by ``temperature`` (at
+    least 1e-6), with one uniform from its own generator; the draw is
+    the arithmetic of ``rng.choice(k, p=...)`` over the k in descending
+    order, so the same uniform gives the same pick.  The log-probability
+    (float64) is that of the unscaled distribution over the vocabulary.
+
+    Ties: a greedy row takes the first largest index.  Among sampled
+    logits tied at the k-th largest value, ``argpartition`` decides which
+    enter the k and the sort decides their order.  Both depend on the
+    logits alone, so a pick is deterministic and always has one of the k
+    largest values, though not always the index a full ``argsort`` would
+    have ordered there.
     """
-    cdf = np.exp(logp).cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    logp = _log_softmax(logits)
+    picked = logits.argmax(axis=-1)
+    sampled = [i for i, rng in enumerate(rngs) if rng is not None]
+    if sampled:
+        block = logits[sampled]
+        V = block.shape[1]
+        k = min(k, V)
+        top = np.argpartition(block, V - k, axis=1)[:, V - k :]
+        vals = np.take_along_axis(block, top, axis=1)
+        order = vals.argsort(axis=1)[:, ::-1]  # largest first
+        top = np.take_along_axis(top, order, axis=1)
+        scaled = np.take_along_axis(vals, order, axis=1) / max(temperature, 1e-6)
+        cdf = np.exp(_log_softmax(scaled)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([rngs[i].random() for i in sampled])
+        # searchsorted(cdf, u, side="right") row by row
+        draw = (cdf <= u[:, None]).sum(axis=1)
+        picked[sampled] = top[np.arange(len(sampled)), draw]
+    return picked, logp[np.arange(len(picked)), picked]
 
 
 def select_next_token(logits: np.ndarray, strategy, rng) -> int:
-    """Pick the next token id from a logits row under a strategy."""
+    """Pick the next token id from one logits row under a strategy; a
+    one-row call of :func:`select_tokens`."""
     if isinstance(strategy, Greedy):
-        return int(np.argmax(logits))
+        return int(select_tokens(logits[None], [None], 1, 1.0)[0][0])
     if isinstance(strategy, TopK):
-        k = min(strategy.k, len(logits))
-        top = logits.argsort()[: -k - 1 : -1]  # k largest, largest first
-        scaled = logits[top] / max(strategy.temperature, 1e-6)
-        return int(top[_draw(_log_softmax(scaled), rng)])
+        return int(select_tokens(logits[None], [rng], strategy.k, strategy.temperature)[0][0])
     raise TypeError(f"unknown decode strategy {strategy!r}")
 
 
@@ -99,54 +130,59 @@ def _candidate_rng(seed: int, da_index: int, cand_index: int) -> np.random.Gener
     return np.random.default_rng(np.random.SeedSequence((seed, da_index, cand_index)))
 
 
-def _generate_rows(params: ModelParams, v: Vocab, rows, max_new_tokens: int):
-    """Decode many (prefix_ids, strategy, rng) rows in one batched session.
+def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig, first_act: int):
+    """Decode ``cfg.n_candidates`` rows per act prefix in one batched session.
 
-    Each distinct prefix is prefilled once and its caches are copied to
-    every row that shares it.  A row stops at EOS or after
-    ``min(max_new_tokens, max_context - len(prefix))`` tokens, whatever
-    the other rows do.  Finished rows leave the session once they make up
-    a quarter of it: copying the caches on every finish costs more than
-    carrying a few dead rows.
+    Row ``i * n + j`` is candidate j of act ``first_act + i`` of the
+    call: candidate 0 is greedy, the others draw top-k with a generator
+    seeded by (seed, act index, candidate index).  Each distinct prefix
+    is prefilled once and its caches are copied to every row that shares
+    it.  A row stops at EOS or after ``min(max_new_tokens, max_context -
+    len(prefix))`` tokens, whatever the other rows do.  Finished rows
+    leave the session once they make up a quarter of it: copying the
+    caches on every finish costs more than carrying a few dead rows.
 
     Returns per row (token ids without specials, mean token logprob).
     The mean covers every emitted token including the terminating EOS.
     """
-    cfg = params.config
+    mc, n = params.config, cfg.n_candidates
     first_row = {}  # prefix -> its row in the prefill batch
-    prefixes, prefill_row = [], []
-    for prefix, _, _ in rows:
+    unique, act_row = [], []
+    for prefix in prefixes:
         key = tuple(prefix)
         if key not in first_row:
-            if len(prefix) + 1 > cfg.max_context:
+            if len(prefix) + 1 > mc.max_context:
                 raise ContextOverflowError(
                     f"dialog-act prefix of {len(prefix)} tokens leaves no room to "
-                    f"generate within max_context {cfg.max_context}"
+                    f"generate within max_context {mc.max_context}"
                 )
-            first_row[key] = len(prefixes)
-            prefixes.append(prefix)
-        prefill_row.append(first_row[key])
-    prefix_lens = np.array([len(p) for p in prefixes])
+            first_row[key] = len(unique)
+            unique.append(prefix)
+        act_row.append(first_row[key])
+    prefix_lens = np.array([len(p) for p in unique])
     T0 = int(prefix_lens.max())
-    ids = np.full((len(prefixes), T0), v.pad_id, dtype=np.int64)
+    ids = np.full((len(unique), T0), v.pad_id, dtype=np.int64)
     keep = np.zeros(ids.shape, dtype=bool)
     pos = np.zeros(ids.shape, dtype=np.int64)
-    for u, prefix in enumerate(prefixes):
+    for u, prefix in enumerate(unique):
         L = len(prefix)
         ids[u, T0 - L :] = prefix
         keep[u, T0 - L :] = True
         pos[u, T0 - L :] = np.arange(L)
 
+    prefill_row = np.repeat(act_row, n)
     start_pos = prefix_lens[prefill_row]
-    budget = np.minimum(max_new_tokens, cfg.max_context - start_pos)
+    budget = np.minimum(cfg.max_new_tokens, mc.max_context - start_pos)
     # a row's last token is never fed back
-    sess = DecodeSession(params, batch_size=len(prefixes), max_len=T0 + int(budget.max()) - 1)
+    sess = DecodeSession(params, batch_size=len(unique), max_len=T0 + int(budget.max()) - 1)
     logits = sess.append(ids, pos, keep)[prefill_row]
     sess.take(prefill_row)
 
-    B = len(rows)
-    strategies = [r[1] for r in rows]
-    rngs = [r[2] for r in rows]
+    B = len(prefill_row)
+    rngs = [
+        _candidate_rng(cfg.seed, first_act + b // n, b % n) if b % n else None
+        for b in range(B)
+    ]
     tokens = np.zeros((B, int(budget.max())), dtype=np.int64)
     counts = np.zeros(B, dtype=np.int64)
     logprob_sums = np.zeros(B)
@@ -155,14 +191,10 @@ def _generate_rows(params: ModelParams, v: Vocab, rows, max_new_tokens: int):
     for step in range(tokens.shape[1]):
         slots = np.flatnonzero(live)
         live_rows = row[slots]
-        picked = np.array(
-            [
-                select_next_token(logits[s], strategies[b], rngs[b])
-                for s, b in zip(slots.tolist(), live_rows.tolist())
-            ],
-            dtype=np.int64,
+        picked, logp = select_tokens(
+            logits[slots], [rngs[b] for b in live_rows.tolist()], cfg.top_k, cfg.temperature
         )
-        logprob_sums[live_rows] += _log_softmax(logits[slots])[np.arange(len(slots)), picked]
+        logprob_sums[live_rows] += logp
         tokens[live_rows, step] = picked
         counts[live_rows] = step + 1
         live[slots] = (picked != v.eos_id) & (step + 1 < budget[live_rows])
@@ -203,40 +235,31 @@ def generate_candidates(
     acts_list,
     cfg: DecodeConfig,
 ) -> list:
-    """All candidates for many dialog acts, decoded as one batch.
+    """All candidates for many dialog acts, decoded in batches.
 
     Returns one list of ``cfg.n_candidates`` :class:`Candidate` per act.
     Candidate 0 is greedy; the rest are top-k samples whose RNG streams
-    depend only on (seed, act index, candidate index).  Re-running the
-    same call is bitwise deterministic; decoding an act alone reproduces
-    its batched candidates up to float32 accumulation order.
+    depend only on (seed, act index in this call, candidate index).
+    Acts decode in sessions of at most ``MAX_SESSION_ROWS`` candidate
+    rows (at least one act each), in order.  Re-running the same call is
+    bitwise deterministic; an act decoded at the same index in another
+    call, alone or beside other acts, gets the same candidates up to
+    float32 accumulation order.
     """
     acts_list = list(acts_list)
-    if not acts_list:
-        return []
-    rows = []
-    for i, acts in enumerate(acts_list):
-        prefix = encode(v, linearize(acts)) + [v.bos_id]
-        for j in range(cfg.n_candidates):
-            if j == 0:
-                rows.append((prefix, Greedy(), None))
-            else:
-                rows.append(
-                    (
-                        prefix,
-                        TopK(cfg.top_k, cfg.temperature),
-                        _candidate_rng(cfg.seed, i, j),
-                    )
-                )
-    decoded = _generate_rows(params, v, rows, cfg.max_new_tokens)
+    n = cfg.n_candidates
+    per_session = max(1, MAX_SESSION_ROWS // n)
     out = []
-    for i, acts in enumerate(acts_list):
-        cands = []
-        for j in range(cfg.n_candidates):
-            token_ids, mean_lp = decoded[i * cfg.n_candidates + j]
-            text = decode(v, token_ids)
-            cands.append(Candidate(text, mean_lp, slot_error(acts, text).err))
-        out.append(cands)
+    for lo in range(0, len(acts_list), per_session):
+        group = acts_list[lo : lo + per_session]
+        prefixes = [encode(v, linearize(acts)) + [v.bos_id] for acts in group]
+        decoded = _generate_rows(params, v, prefixes, cfg, lo)
+        for i, acts in enumerate(group):
+            cands = []
+            for token_ids, mean_lp in decoded[i * n : (i + 1) * n]:
+                text = decode(v, token_ids)
+                cands.append(Candidate(text, mean_lp, slot_error(acts, text).err))
+            out.append(cands)
     return out
 
 
@@ -251,7 +274,7 @@ def generate_reranked(
 def generate_corpus(
     params: ModelParams, v: Vocab, acts_list, cfg: DecodeConfig
 ) -> list:
-    """Reranked winner for every act, decoded in one batch."""
+    """Reranked winner for every act, decoded as :func:`generate_candidates` does."""
     return [
         cands[pick_best(cands)]
         for cands in generate_candidates(params, v, acts_list, cfg)

@@ -10,6 +10,8 @@ is composed of the generic taped ops, one per step, so its gradients come
 from the per-op backward rules rather than the model's fused kernels.
 The tokenizer trainer recounts every pair of the corpus for each merge,
 and the encoder rescans the whole sequence for each merge it applies.
+The next-token select works on one logits row at a time, with a full
+argsort for top-k.
 """
 
 import math
@@ -19,6 +21,7 @@ import numpy as np
 
 from scgpt import autograd as ag
 from scgpt.bpe import N_BASE, SPECIAL_NAMES, Vocab
+from scgpt.decoding import Greedy, TopK
 from scgpt.errors import CorpusEmptyError
 
 PLACEHOLDERS = {"?", "yes", "no", "dontcare", "true", "false", "none"}
@@ -401,3 +404,32 @@ def encode_reference(v: Vocab, s: str, wrap: str = "none") -> list:
     if wrap == "bos_eos":
         ids = [v.bos_id] + ids + [v.eos_id]
     return ids
+
+
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Float64 log-softmax over the last axis."""
+    shifted = x.astype(np.float64) - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _draw(logp: np.ndarray, rng) -> int:
+    """Index drawn with probabilities exp(logp).
+
+    The arithmetic of ``rng.choice(len(logp), p=np.exp(logp))``, without
+    its argument checks: the same uniform variate gives the same index.
+    """
+    cdf = np.exp(logp).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def select_next_token_reference(logits: np.ndarray, strategy, rng) -> int:
+    """Pick the next token id from a logits row under a strategy."""
+    if isinstance(strategy, Greedy):
+        return int(np.argmax(logits))
+    if isinstance(strategy, TopK):
+        k = min(strategy.k, len(logits))
+        top = logits.argsort()[: -k - 1 : -1]  # k largest, largest first
+        scaled = logits[top] / max(strategy.temperature, 1e-6)
+        return int(top[_draw(_log_softmax(scaled), rng)])
+    raise TypeError(f"unknown decode strategy {strategy!r}")

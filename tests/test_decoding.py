@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scgpt.bpe import encode, train_bpe
 from scgpt.dataset import Corpus, Example
@@ -13,11 +15,14 @@ from scgpt.decoding import (
     generate_reranked,
     pick_best,
     select_next_token,
+    select_tokens,
 )
 from scgpt.dialog_act import act_set, linearize
 from scgpt.errors import ContextOverflowError
 from scgpt.model import ModelConfig, init_params
 from scgpt.training import TrainConfig, run_stage
+
+from oracles import select_next_token_reference
 
 PAIRS = [
     ("ix", "the ix is here"),
@@ -189,6 +194,57 @@ def test_sampled_draw_matches_rng_choice(strategy):
             assert select_next_token(logits, strategy, ours) == _reference_choice(
                 logits, strategy, ref
             )
+
+
+@st.composite
+def select_blocks(draw, tie_free=True):
+    """(logits [n,V] float32, per-row greedy flags, k, temperature)."""
+    V = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 6))
+    if tie_free:
+        value = st.floats(-30, 30, width=32)
+        rows = [draw(st.lists(value, min_size=V, max_size=V, unique=True)) for _ in range(n)]
+    else:
+        rows = [draw(st.lists(st.sampled_from([-1.0, 0.0, 2.0]), min_size=V, max_size=V))
+                for _ in range(n)]
+    greedy = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    k = draw(st.integers(1, V + 3))
+    temperature = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0, 1.7]))
+    return np.array(rows, dtype=np.float32), greedy, k, temperature
+
+
+def _row_rngs(greedy, seed):
+    return [None if g else np.random.default_rng((seed, i)) for i, g in enumerate(greedy)]
+
+
+@given(select_blocks(), st.integers(0, 2**16))
+@settings(max_examples=300, deadline=None)
+def test_whole_batch_select_matches_per_row_oracle(block, seed):
+    logits, greedy, k, temperature = block
+    rngs, ref_rngs = _row_rngs(greedy, seed), _row_rngs(greedy, seed)
+    picked, logp = select_tokens(logits, rngs, k, temperature)
+    for i, row in enumerate(logits):
+        strategy = Greedy() if greedy[i] else TopK(k, temperature)
+        ref = select_next_token_reference(row, strategy, ref_rngs[i])
+        assert picked[i] == ref
+        shifted = row.astype(np.float64) - row.max()
+        assert logp[i] == (shifted - np.log(np.exp(shifted).sum()))[ref]
+        if not greedy[i]:
+            assert rngs[i].bit_generator.state == ref_rngs[i].bit_generator.state
+
+
+@given(select_blocks(tie_free=False), st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_select_with_tied_logits_picks_from_top_k_values(block, seed):
+    logits, greedy, k, temperature = block
+    first, _ = select_tokens(logits, _row_rngs(greedy, seed), k, temperature)
+    again, _ = select_tokens(logits, _row_rngs(greedy, seed), k, temperature)
+    assert (first == again).all()
+    for i, row in enumerate(logits):
+        if greedy[i]:
+            assert first[i] == np.argmax(row)
+        else:
+            assert row[first[i]] >= np.sort(row)[-min(k, len(row))]
 
 
 def test_decode_config_validation():
