@@ -202,9 +202,8 @@ def _attention_bias(keep: np.ndarray, T: int, dtype) -> np.ndarray:
 
 
 def _linear_grads(inp: np.ndarray, w: np.ndarray, g: np.ndarray):
-    """Gradients (of inp, of w, of b) of ``inp @ w + b`` given g."""
-    g2 = g.reshape(-1, g.shape[-1])
-    return (g2 @ w.T).reshape(inp.shape), inp.reshape(-1, inp.shape[-1]).T @ g2, g2.sum(axis=0)
+    """Gradients (of inp, of w, of b) of the 2-D ``inp @ w + b`` given g."""
+    return g @ w.T, inp.T @ g, g.sum(axis=0)
 
 
 def attention_block(x, weights, bias, n_heads: int, cache=None, drop=None):
@@ -216,12 +215,15 @@ def attention_block(x, weights, bias, n_heads: int, cache=None, drop=None):
     lo)`` stores the new keys and values at columns lo..lo+T of the
     [B,H,max_len,dh] buffers and attends over columns 0..lo+T.
     ``drop(shape)`` draws the dropout multipliers of the attention
-    probabilities, then of the output.
+    probabilities, then of the output.  The linear layers see the
+    activations as [B*T,d]: one GEMM each, where a [B,T,d] operand would
+    run as B small ones.
     """
     ln_g, ln_b, wqkv, bqkv, wo, bo = weights
     B, T, d = x.shape
     dh = d // n_heads
-    h, ln_backward = ag.layernorm_kernel(x, ln_g, ln_b)
+    x2 = x.reshape(B * T, d)
+    h, ln_backward = ag.layernorm_kernel(x2, ln_g, ln_b)
     qkv = (h @ wqkv + bqkv).reshape(B, T, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     q, keys, vals = qkv[0], qkv[1], qkv[2]  # [B,H,T,dh]
     lo = 0
@@ -236,12 +238,13 @@ def attention_block(x, weights, bias, n_heads: int, cache=None, drop=None):
     attn, softmax_backward = ag.softmax_kernel(scores)
     attn_mask = drop(attn.shape) if drop else None
     attn_kept = attn if attn_mask is None else attn * attn_mask
-    ctx = (attn_kept @ vals).transpose(0, 2, 1, 3).reshape(B, T, d)
+    ctx = (attn_kept @ vals).transpose(0, 2, 1, 3).reshape(B * T, d)
     o = ctx @ wo
     out_mask = drop(o.shape) if drop else None
-    out = x + o + bo if out_mask is None else x + (o + bo) * out_mask
+    out = x2 + o + bo if out_mask is None else x2 + (o + bo) * out_mask
 
     def backward(g):
+        g = g.reshape(B * T, d)
         go = g if out_mask is None else g * out_mask
         dctx, dwo, dbo = _linear_grads(ctx, wo, go)
         dctx = dctx.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
@@ -251,31 +254,34 @@ def attention_block(x, weights, bias, n_heads: int, cache=None, drop=None):
         dk = (dscores.swapaxes(-1, -2) @ q)[:, :, lo:]
         dv = (attn_kept.swapaxes(-1, -2) @ dctx)[:, :, lo:]
         dqkv = np.stack([dscores @ keys, dk, dv]).transpose(1, 3, 0, 2, 4)
-        dh_, dwqkv, dbqkv = _linear_grads(h, wqkv, dqkv.reshape(B, T, 3 * d))
+        dh_, dwqkv, dbqkv = _linear_grads(h, wqkv, dqkv.reshape(B * T, 3 * d))
         dx, dln_g, dln_b = ln_backward(dh_)
-        return g + dx, dln_g, dln_b, dwqkv, dbqkv, dwo, dbo
+        return (g + dx).reshape(B, T, d), dln_g, dln_b, dwqkv, dbqkv, dwo, dbo
 
-    return out, backward
+    return out.reshape(B, T, d), backward
 
 
 def mlp_block(x, weights, drop=None):
     """``x + mlp(gelu(ln2(x)))`` on raw arrays, ``weights`` as named by
     ``MLP_WEIGHTS``; otherwise like :func:`attention_block`."""
     ln_g, ln_b, w1, b1, w2, b2 = weights
-    h, ln_backward = ag.layernorm_kernel(x, ln_g, ln_b)
+    shape = x.shape
+    x2 = x.reshape(-1, shape[-1])
+    h, ln_backward = ag.layernorm_kernel(x2, ln_g, ln_b)
     a, gelu_backward = ag.gelu_kernel(h @ w1 + b1)
     o = a @ w2
     out_mask = drop(o.shape) if drop else None
-    out = x + o + b2 if out_mask is None else x + (o + b2) * out_mask
+    out = x2 + o + b2 if out_mask is None else x2 + (o + b2) * out_mask
 
     def backward(g):
+        g = g.reshape(x2.shape)
         go = g if out_mask is None else g * out_mask
         da, dw2, db2 = _linear_grads(a, w2, go)
         dh_, dw1, db1 = _linear_grads(h, w1, gelu_backward(da)[0])
         dx, dln_g, dln_b = ln_backward(dh_)
-        return g + dx, dln_g, dln_b, dw1, db1, dw2, db2
+        return (g + dx).reshape(shape), dln_g, dln_b, dw1, db1, dw2, db2
 
-    return out, backward
+    return out.reshape(shape), backward
 
 
 def _taped(op: str, kernel, x: Tensor, weights, *args, **kwargs) -> Tensor:
