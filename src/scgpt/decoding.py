@@ -6,14 +6,17 @@ candidate is scored by slot error rate and the winner is the lowest-ERR
 candidate, ties broken by higher mean token log-probability, then by
 candidate index.
 
-All candidates for all acts decode together in one batch with cached
-attention keys/values, which keeps per-step work to a few wide matrix
-products.  Each distinct act prefix is prefilled once, left-padded with
-per-row position offsets, and its caches are copied to that act's
-candidate rows.  Finished rows leave the batch once they make up a
-quarter of it.  Every row has its own budget,
-``min(max_new_tokens, max_context - prefix length)``, so an act's
-candidates do not depend on the acts that share its batch.
+The candidates of many acts decode together in batches of at most
+``MAX_SESSION_ROWS`` rows, with cached attention keys/values, so one
+step is a few whole-batch array operations: the model's linear layers
+run as 2-D GEMMs over the rows, and :func:`select_tokens` picks every
+row's next token at once.  Each distinct act prefix is prefilled once,
+left-padded with per-row position offsets, and its caches are copied to
+that act's candidate rows.  Finished rows leave the batch once they make
+up a quarter of it.  Every row has its own budget,
+``min(max_new_tokens, max_context - prefix length)``, and its own RNG
+stream, so an act's candidates do not depend on the acts that share its
+batch, only on its index in the call.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scgpt import decoding
 from scgpt.bpe import encode, train_bpe
 from scgpt.dataset import Corpus, Example
 from scgpt.decoding import (
@@ -19,7 +20,7 @@ from scgpt.decoding import (
 )
 from scgpt.dialog_act import act_set, linearize
 from scgpt.errors import ContextOverflowError
-from scgpt.model import ModelConfig, init_params
+from scgpt.model import DecodeSession, ModelConfig, init_params
 from scgpt.training import TrainConfig, run_stage
 
 from oracles import select_next_token_reference
@@ -143,6 +144,39 @@ def test_act_decodes_alike_alone_and_beside_a_long_act(overfit):
     batched = generate_candidates(params, vocab, [short, long], dc)[0]
     assert [c.text for c in batched] == [c.text for c in solo]
     for a, b in zip(solo, batched):
+        assert abs(a.token_logprob_mean - b.token_logprob_mean) < 1e-5
+
+
+def test_long_act_lists_decode_in_bounded_sessions(overfit, monkeypatch):
+    params, vocab, corpus = overfit
+    sessions = []  # the largest row count of each session built
+
+    class Recording(DecodeSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sessions.append(self.B)
+
+        def take(self, index):
+            super().take(index)
+            sessions[-1] = max(sessions[-1], self.B)
+
+    monkeypatch.setattr(decoding, "DecodeSession", Recording)
+    # a 40-act call with five candidates is one session
+    cfg = DecodeConfig(n_candidates=5, max_new_tokens=2, seed=1)
+    generate_candidates(params, vocab, [ex.acts for ex in corpus] * 10, cfg)
+    assert sessions == [200]
+
+    acts_list = [ex.acts for ex in corpus] * 2
+    cfg = DecodeConfig(n_candidates=3, max_new_tokens=24, seed=6)
+    whole = generate_candidates(params, vocab, acts_list, cfg)
+    monkeypatch.setattr(decoding, "MAX_SESSION_ROWS", 7)  # two acts a session
+    sessions.clear()
+    grouped = generate_candidates(params, vocab, acts_list, cfg)
+    assert sessions == [6, 6, 6, 6]
+    assert grouped[:2] == generate_candidates(params, vocab, acts_list[:2], cfg)
+    # sampled streams stay keyed by each act's index in the whole call
+    for a, b in zip(sum(whole, []), sum(grouped, [])):
+        assert (a.text, a.err) == (b.text, b.err)
         assert abs(a.token_logprob_mean - b.token_logprob_mean) < 1e-5
 
 
