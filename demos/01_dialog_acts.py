@@ -29,8 +29,8 @@ def main() -> None:
 
     print("\n== canonical key (order-insensitive identity) ==")
     shuffled = act_set("inform", [("area", "centre"), ("name", "curry garden"), ("food", "indian")])
-    print("key         :", canonicalize(acts).key)
-    print("same key    :", canonicalize(acts).key == canonicalize(shuffled).key)
+    print("key         :", canonicalize(acts))
+    print("same key    :", canonicalize(acts) == canonicalize(shuffled))
 
     print("\n== value matching in surface text ==")
     text = "curry garden serves indian food in the centre of town"

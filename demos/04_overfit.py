@@ -35,7 +35,7 @@ PAIRS = [
 
 
 def main() -> None:
-    corpus = Corpus(tuple(Example(a, r, "toy") for a, r in PAIRS), "toy")
+    corpus = Corpus(tuple(Example(a, r, "toy") for a, r in PAIRS))
     vocab = train_bpe([linearize(a) for a, _ in PAIRS] + [r for _, r in PAIRS],
                       target_vocab_size=320)
     mc = ModelConfig(vocab_size=vocab.size, n_layers=2, n_heads=2, d_model=32,

@@ -22,12 +22,12 @@ def main() -> None:
     print(f"train {len(train.examples)} examples / test {len(test.examples)} examples\n")
 
     for domain in ("restaurant", "taxi"):
-        pick = lambda c: Corpus(tuple(ex for ex in c if ex.domain == domain), domain)
+        pick = lambda c: Corpus(tuple(ex for ex in c if ex.domain == domain))
         print(render_stats(stats(pick(train), pick(test)), title=domain))
         print()
 
-    train_keys = {canonicalize(ex.acts).key for ex in train}
-    test_keys = {canonicalize(ex.acts).key for ex in test}
+    train_keys = {canonicalize(ex.acts) for ex in train}
+    test_keys = {canonicalize(ex.acts) for ex in test}
     print(f"shared canonical DAs across splits: {len(train_keys & test_keys)}")
 
 

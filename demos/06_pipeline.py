@@ -42,7 +42,7 @@ def main() -> None:
 
     museum = generate([builtin_grammar("museum")], n_per_domain=1200, seed=3)
     few, rest = build_fewshot(museum, {"museum": 8}, seed=0)
-    held = Corpus(rest.examples[:8], "museum-test")
+    held = Corpus(rest.examples[:8])
     print(f"\nfinetuning on {len(few.examples)} museum examples; "
           f"{len(rest.examples)} unseen DAs remain for testing")
 

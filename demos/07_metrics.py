@@ -37,7 +37,7 @@ def main() -> None:
         print(f"  {corpus_bleu(cand, refs):.4f} <- {cand}")
 
     print("\n== entity F1 ==")
-    train = Corpus((Example(acts, cases[0], "toy"),), "toy-train")
+    train = Corpus((Example(acts, cases[0], "toy"),))
     extract = make_entity_extractor(train)
     cand = ["curry garden has indian dishes for 7 pounds"]
     gold = ["curry garden serves indian food"]
@@ -49,7 +49,7 @@ def main() -> None:
     test = Corpus((
         Example(acts, cases[0], "toy"),
         Example(act_set("inform", [("name", "curry garden")]), "curry garden", "toy"),
-    ), "toy-test")
+    ))
     seen, unseen = seen_unseen_split(train, test)
     print(f"  {len(seen)} test acts share a canonical DA with training, "
           f"{len(unseen)} are novel")

@@ -89,12 +89,6 @@ class Vocab:
         """One shared int per token id, so encoded lists share them."""
         return tuple(range(len(self.id_to_token)))
 
-    def encode(self, s: str, wrap: str = "none") -> list:
-        return encode(self, s, wrap)
-
-    def decode(self, ids) -> str:
-        return decode(self, ids)
-
 
 def _pair_counts(seqs, weights) -> Counter:
     """Adjacent pairs of the sequences, overlaps included, each sequence
@@ -176,14 +170,12 @@ def _code_points(s: str) -> str:
     return s.encode("utf-8").decode("latin-1")
 
 
-def encode(v: Vocab, s: str, wrap: str = "none") -> list:
-    """Tokenize a string; ``wrap="bos_eos"`` adds the sequence delimiters.
+def encode(v: Vocab, s: str) -> list:
+    """Tokenize a string into token ids, without special tokens.
 
     Merges apply in learned order, each rewriting every occurrence left
     to right, so encode(train corpus) reproduces the training segmentation.
     """
-    if wrap not in ("none", "bos_eos"):
-        raise ValueError(f"wrap must be 'none' or 'bos_eos', got {wrap!r}")
     seq = _code_points(s)
     ranks = v._merge_ranks
     no_merge = len(v.merges)
@@ -193,10 +185,7 @@ def encode(v: Vocab, s: str, wrap: str = "none") -> list:
             break
         a, b = v.merges[r]
         seq = seq.replace(chr(a) + chr(b), chr(N_BASE + r))
-    ids = list(map(v._token_ids.__getitem__, map(ord, seq)))
-    if wrap == "bos_eos":
-        ids = [v.bos_id] + ids + [v.eos_id]
-    return ids
+    return list(map(v._token_ids.__getitem__, map(ord, seq)))
 
 
 def decode(v: Vocab, ids) -> str:
@@ -226,8 +215,11 @@ def save_vocab(v: Vocab, path) -> None:
 
 
 def load_vocab(path) -> Vocab:
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not ASCII text ({e.reason} at byte {e.start})") from None
     if not lines:
         raise UnknownFormatError(f"{path}: empty vocabulary file")
     header = lines[0].split()
@@ -266,7 +258,13 @@ def load_vocab(path) -> Vocab:
         parts = ln.split()
         if len(parts) != 3 or parts[0] != "SPECIAL" or parts[1] not in SPECIAL_NAMES:
             raise ParseError(f"{path}: malformed special line {ln!r}")
-        specials[parts[1]] = int(parts[2])
+        try:
+            specials[parts[1]] = int(parts[2])
+        except ValueError:
+            raise ParseError(f"{path}: bad special id in {ln!r}") from None
     if set(specials) != set(SPECIAL_NAMES):
         raise ParseError(f"{path}: missing special token declarations")
-    return Vocab(tuple(id_to_token), tuple(merges), specials)
+    try:
+        return Vocab(tuple(id_to_token), tuple(merges), specials)
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from None

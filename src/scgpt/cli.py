@@ -24,6 +24,7 @@ def _set_thread_env():
 _set_thread_env()
 
 import argparse
+import functools
 import json
 import tempfile
 import time
@@ -39,6 +40,7 @@ from .dataset import (
     stats,
     write_jsonl,
 )
+from .decoding import generate_corpus, generate_reranked
 from .dialog_act import linearize, parse_linearized
 from .errors import ConfigMismatchError, ScgptError, UsageError
 from .manifest import RunManifest, load_manifest, sha256_file
@@ -91,17 +93,30 @@ def _start_manifest(args, inputs, default_path):
     return man, path
 
 
+def _load_model(path, vocab):
+    """A checkpoint, refused unless its vocabulary is the tokenizer's size."""
+    params = load_checkpoint(path)
+    if params.config.vocab_size != vocab.size:
+        raise ConfigMismatchError(
+            f"checkpoint vocab_size {params.config.vocab_size} != "
+            f"tokenizer size {vocab.size}"
+        )
+    return params
+
+
 def _init_or_resume(rc, vocab, args):
     """Fresh parameters, or a checkpoint when --ckpt is given."""
     if getattr(args, "ckpt", None):
-        params = load_checkpoint(args.ckpt)
-        if params.config.vocab_size != vocab.size:
-            raise ConfigMismatchError(
-                f"checkpoint vocab_size {params.config.vocab_size} != "
-                f"tokenizer size {vocab.size}"
-            )
-        return params
+        return _load_model(args.ckpt, vocab)
     return init_params(rc.model_config(vocab.size), seed=args.seed)
+
+
+def _ingest(path, domain=None):
+    """A corpus file, kept to one domain's examples when --domain is given."""
+    corpus = ingest(path)
+    if domain is None:
+        return corpus
+    return Corpus(tuple(ex for ex in corpus if ex.domain == domain))
 
 
 def _train_command(args, stage, data):
@@ -134,12 +149,7 @@ def cmd_pretrain_da(args):
 
 
 def cmd_finetune(args):
-    corpus = ingest(args.corpus)
-    if args.domain is not None:
-        corpus = Corpus(
-            tuple(ex for ex in corpus if ex.domain == args.domain), corpus.name
-        )
-    return _train_command(args, "finetune", corpus)
+    return _train_command(args, "finetune", _ingest(args.corpus, args.domain))
 
 
 def cmd_train_bpe(args):
@@ -215,8 +225,6 @@ def cmd_stats(args):
 
 def _interactive_generate(params, vocab, dc):
     """Read one linearized dialog act per line; echo one realization."""
-    from .decoding import generate_reranked
-
     for raw in sys.stdin:
         line = raw.strip()
         if not line:
@@ -232,18 +240,11 @@ def _interactive_generate(params, vocab, dc):
 
 
 def cmd_generate(args):
-    from .decoding import generate_corpus, generate_reranked
-
     rc = _load_rc(args)
     vocab = _vocab_for(rc)
     if args.ckpt is None:
         raise UsageError("generate needs --ckpt")
-    params = load_checkpoint(args.ckpt)
-    if params.config.vocab_size != vocab.size:
-        raise ConfigMismatchError(
-            f"checkpoint vocab_size {params.config.vocab_size} != "
-            f"tokenizer size {vocab.size}"
-        )
+    params = _load_model(args.ckpt, vocab)
     dc = rc.decode_config(
         seed=args.seed,
         n_candidates=args.n_candidates,
@@ -258,11 +259,7 @@ def cmd_generate(args):
     if args.da is not None:
         out_lines = [generate_reranked(params, vocab, parse_linearized(args.da), dc).text]
     elif args.corpus is not None:
-        corpus = ingest(args.corpus)
-        if args.domain is not None:
-            corpus = Corpus(
-                tuple(ex for ex in corpus if ex.domain == args.domain), corpus.name
-            )
+        corpus = _ingest(args.corpus, args.domain)
         winners = generate_corpus(params, vocab, [ex.acts for ex in corpus], dc)
         out_lines = [c.text for c in winners]
     else:
@@ -300,13 +297,25 @@ _OUT_FLAGS = ("--out", "--out-dir", "--manifest")
 
 
 def _redirect_argv(argv, out_dir):
-    """Point every output flag of a recorded argv into out_dir."""
+    """Point every output flag of a recorded argv into out_dir.
+
+    A flag is either ``--out PATH`` or ``--out=PATH``; the parser takes no
+    abbreviated flags, so no other spelling can name an output.
+    """
+    def moved(path):
+        return os.path.join(out_dir, os.path.basename(path))
+
     new = list(argv)
     seen_manifest = False
-    for i, tok in enumerate(new[:-1]):
-        if tok in _OUT_FLAGS:
-            new[i + 1] = os.path.join(out_dir, os.path.basename(new[i + 1]))
-            seen_manifest = seen_manifest or tok == "--manifest"
+    for i, tok in enumerate(argv):
+        flag, eq, value = tok.partition("=")
+        if flag not in _OUT_FLAGS:
+            continue
+        if eq:
+            new[i] = f"{flag}={moved(value)}"
+        elif i + 1 < len(argv):
+            new[i + 1] = moved(argv[i + 1])
+        seen_manifest = seen_manifest or flag == "--manifest"
     if not seen_manifest:
         new += ["--manifest", os.path.join(out_dir, "replay.manifest.json")]
     return new
@@ -348,18 +357,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="scgpt",
         description="dialog-act conditioned response generation, end to end",
+        allow_abbrev=False,
     )
     p.add_argument("--version", action="version", version=f"scgpt {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
+    # replay rewrites output flags by their full names (_redirect_argv)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    s = sub.add_parser("train-bpe", help="learn a byte-pair vocabulary")
+    s = add("train-bpe", help="learn a byte-pair vocabulary")
     s.add_argument("--corpus", required=True, help=".jsonl corpus or plain text")
     s.add_argument("--target-size", type=int, default=512)
     s.add_argument("--out", required=True)
     _add_common(s)
     s.set_defaults(func=cmd_train_bpe)
 
-    s = sub.add_parser("synth", help="generate a synthetic dialog-act corpus")
+    s = add("synth", help="generate a synthetic dialog-act corpus")
     s.add_argument("--domains", help="comma-separated builtin grammar names "
                    f"(builtins: {', '.join(PRETRAIN_GRAMMARS + HELDOUT_GRAMMARS)})")
     s.add_argument("--grammar", action="append", help="grammar file (repeatable)")
@@ -368,39 +380,39 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, "seed")
     s.set_defaults(func=cmd_synth)
 
-    s = sub.add_parser("build-fewshot", help="carve few-shot train/test splits")
+    s = add("build-fewshot", help="carve few-shot train/test splits")
     s.add_argument("--corpus", required=True)
     s.add_argument("--out-dir", required=True)
     s.add_argument("--k", type=int, help="override examples kept per domain")
     _add_common(s, "seed")
     s.set_defaults(func=cmd_build_fewshot)
 
-    s = sub.add_parser("stats", help="table of corpus statistics")
+    s = add("stats", help="table of corpus statistics")
     s.add_argument("--train", required=True)
     s.add_argument("--test", required=True)
     _add_common(s)
     s.set_defaults(func=cmd_stats)
 
-    s = sub.add_parser("pretrain-plain", help="language-model pretraining on text")
+    s = add("pretrain-plain", help="language-model pretraining on text")
     s.add_argument("--corpus", required=True, help="plain text, one line per example")
     s.add_argument("--out", required=True)
     _add_common(s, "config", "seed")
     s.set_defaults(func=cmd_pretrain_plain)
 
-    s = sub.add_parser("pretrain-da", help="dialog-act conditioned pretraining")
+    s = add("pretrain-da", help="dialog-act conditioned pretraining")
     s.add_argument("--corpus", required=True, help=".jsonl dialog-act corpus")
     s.add_argument("--out", required=True)
     _add_common(s, "config", "seed", "ckpt")
     s.set_defaults(func=cmd_pretrain_da)
 
-    s = sub.add_parser("finetune", help="few-shot fine-tuning on one domain")
+    s = add("finetune", help="few-shot fine-tuning on one domain")
     s.add_argument("--corpus", required=True, help=".jsonl dialog-act corpus")
     s.add_argument("--domain", help="keep only this domain's examples")
     s.add_argument("--out", required=True)
     _add_common(s, "config", "seed", "ckpt")
     s.set_defaults(func=cmd_finetune)
 
-    s = sub.add_parser("generate", help="realize dialog acts as responses")
+    s = add("generate", help="realize dialog acts as responses")
     s.add_argument("--da", help="one linearized dialog act")
     s.add_argument("--corpus", help=".jsonl corpus of dialog acts")
     s.add_argument("--domain", help="keep only this domain's examples")
@@ -410,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s, "config", "seed", "ckpt")
     s.set_defaults(func=cmd_generate)
 
-    s = sub.add_parser("evaluate", help="score generations against references")
+    s = add("evaluate", help="score generations against references")
     s.add_argument("--gens", required=True, help="one generated response per line")
     s.add_argument("--test", required=True)
     s.add_argument("--train", required=True, help="training corpus for the seen/unseen split")
@@ -418,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.set_defaults(func=cmd_evaluate)
 
-    s = sub.add_parser("replay", help="re-run a manifest and verify output hashes")
+    s = add("replay", help="re-run a manifest and verify output hashes")
     s.add_argument("manifest_path")
     s.add_argument("--out-dir", help="where replayed artifacts go (default: temp dir)")
     s.set_defaults(func=cmd_replay)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dialog_act import DialogAct, DialogActSet, SlotValuePair, canonicalize
-from .errors import EmptyTestError, InsufficientGroupsError, ParseError, UnknownFormatError
+from .errors import EmptyTestError, InsufficientGroupsError, ParseError
 
 #: Per-domain few-shot sizes used when no explicit map is given.
 DEFAULT_K = 50
@@ -44,7 +44,6 @@ class Example:
 @dataclass(frozen=True)
 class Corpus:
     examples: tuple = ()
-    name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "examples", tuple(self.examples))
@@ -91,16 +90,14 @@ def _example_from_obj(obj: dict, lineno: int, path) -> Example:
                 SlotValuePair(need(s, "name", "slot"), need(s, "value", "slot"))
                 for s in slots
             )
-            acts.append(DialogAct(intent, pairs, domain=str(domain)))
+            acts.append(DialogAct(intent, pairs))
         except ValueError as e:
             raise ParseError(f"{path}:{lineno}: {e}") from None
     return Example(DialogActSet(tuple(acts)), str(response), str(domain))
 
 
-def ingest(path, format: str = "jsonl_v1", name: str = "") -> Corpus:
-    """Load a corpus file; parse failures name the offending line."""
-    if format != "jsonl_v1":
-        raise UnknownFormatError(f"unknown corpus format {format!r}")
+def ingest(path) -> Corpus:
+    """Load a jsonl_v1 corpus file; parse failures name the offending line."""
     examples = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -113,7 +110,7 @@ def ingest(path, format: str = "jsonl_v1", name: str = "") -> Corpus:
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}:{lineno}: expected a JSON object")
             examples.append(_example_from_obj(obj, lineno, path))
-    return Corpus(tuple(examples), name=name or str(path))
+    return Corpus(tuple(examples))
 
 
 def write_jsonl(corpus: Corpus, path) -> None:
@@ -153,7 +150,7 @@ def build_fewshot(source: Corpus, k_per_domain: dict, seed: int):
     # first utterance per (domain, canonical key)
     groups = {}
     for ex in source:
-        key = (ex.domain, canonicalize(ex.acts).key)
+        key = (ex.domain, canonicalize(ex.acts))
         groups.setdefault(key, ex)
 
     # canonical keys spanning domains are ambiguous; drop them
@@ -180,14 +177,11 @@ def build_fewshot(source: Corpus, k_per_domain: dict, seed: int):
         chosen = {domain_keys[i] for i in picked}
         for key in domain_keys:
             (train if key in chosen else test).append(groups[(domain, key)])
-    return (
-        Corpus(tuple(train), name=f"{source.name}/train"),
-        Corpus(tuple(test), name=f"{source.name}/test"),
-    )
+    return Corpus(tuple(train)), Corpus(tuple(test))
 
 
 def _distinct_keys(corpus: Corpus) -> set:
-    return {canonicalize(ex.acts).key for ex in corpus}
+    return {canonicalize(ex.acts) for ex in corpus}
 
 
 def overlap_pct(train: Corpus, test: Corpus) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import AmbiguousSlotError, MalformedInputError, UnknownSlotError
@@ -36,8 +36,6 @@ RESERVED_CHARS = frozenset("()=,;[]")
 #: Values that mark binary/request slots rather than surface text.  They are
 #: never substituted by delexicalization and never counted by slot_error.
 NON_LEXICAL_VALUES = frozenset({"?", "yes", "no", "dontcare", "true", "false", "none"})
-
-_STRUCTURAL_TOKENS = frozenset({"(", ")", ";", "="})
 
 
 def is_lexical_value(value: str) -> bool:
@@ -91,7 +89,6 @@ class DialogAct:
 
     intent: str
     pairs: tuple = ()
-    domain: str | None = None
 
     def __post_init__(self):
         _check_name("intent", self.intent)
@@ -120,16 +117,9 @@ class DialogActSet:
         return tuple(p for act in self.acts for p in act.pairs)
 
 
-def act_set(intent: str, pairs: Iterable[PairLike] = (), domain: str | None = None) -> DialogActSet:
+def act_set(intent: str, pairs: Iterable[PairLike] = ()) -> DialogActSet:
     """Convenience constructor for the common single-act case."""
-    return DialogActSet((DialogAct(intent, tuple(pairs), domain),))
-
-
-@dataclass(frozen=True)
-class CanonicalDA:
-    """Delexicalised canonical form: intents with sorted slot names, no values."""
-
-    key: str
+    return DialogActSet((DialogAct(intent, tuple(pairs)),))
 
 
 def linearize(acts: DialogActSet) -> str:
@@ -157,8 +147,7 @@ def parse_linearized(s: str) -> DialogActSet:
     """Parse a control-code string back into a :class:`DialogActSet`.
 
     Raises :class:`MalformedInputError` naming the first offending token
-    position.  The domain tag is not part of the surface form, so parsed
-    acts carry ``domain=None``.
+    position.
     """
     tokens = s.split()
     n = len(tokens)
@@ -213,16 +202,16 @@ def parse_linearized(s: str) -> DialogActSet:
     return DialogActSet(tuple(acts))
 
 
-def canonicalize(acts: DialogActSet) -> CanonicalDA:
+def canonicalize(acts: DialogActSet) -> str:
     """Delexicalised canonical key: values erased, slots sorted, acts sorted.
 
-    Identical act sets modulo slot order and slot values map to the same key.
+    Identical act sets modulo slot order and slot values map to the same
+    key, e.g. ``confirm(area,name)`` or ``inform(time)|request(stars)``.
     """
     rendered = sorted(
         (act.intent, tuple(sorted(act.slot_names()))) for act in acts.acts
     )
-    key = "|".join(f"{intent}({','.join(slots)})" for intent, slots in rendered)
-    return CanonicalDA(key)
+    return "|".join(f"{intent}({','.join(slots)})" for intent, slots in rendered)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -298,16 +287,14 @@ def edit_act(acts: DialogActSet, op: EditOp) -> DialogActSet:
     """
     if isinstance(op, InsertSlot):
         first = acts.acts[0]
-        new_first = DialogAct(
-            first.intent, first.pairs + (SlotValuePair(op.slot, op.value),), first.domain
-        )
+        new_first = DialogAct(first.intent, first.pairs + (SlotValuePair(op.slot, op.value),))
         return DialogActSet((new_first,) + acts.acts[1:])
 
     if isinstance(op, DeleteSlot):
         idx = _single_act_with_slot(acts, op.slot)
         act = acts.acts[idx]
         kept = tuple(p for p in act.pairs if p.name != op.slot)
-        new_act = DialogAct(act.intent, kept, act.domain)
+        new_act = DialogAct(act.intent, kept)
         return DialogActSet(acts.acts[:idx] + (new_act,) + acts.acts[idx + 1:])
 
     if isinstance(op, SubstituteValue):
@@ -317,7 +304,7 @@ def edit_act(acts: DialogActSet, op: EditOp) -> DialogActSet:
             SlotValuePair(p.name, op.new_value) if p.name == op.slot else p
             for p in act.pairs
         )
-        new_act = DialogAct(act.intent, swapped, act.domain)
+        new_act = DialogAct(act.intent, swapped)
         return DialogActSet(acts.acts[:idx] + (new_act,) + acts.acts[idx + 1:])
 
     raise TypeError(f"unknown edit op {op!r}")

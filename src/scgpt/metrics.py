@@ -176,13 +176,10 @@ def entity_f1(candidates, references, entity_extractor) -> float:
 
 def seen_unseen_split(train: Corpus, test: Corpus):
     """Partition test examples by whether their canonical act occurs in train."""
-    train_keys = {canonicalize(ex.acts).key for ex in train}
-    seen = [ex for ex in test if canonicalize(ex.acts).key in train_keys]
-    unseen = [ex for ex in test if canonicalize(ex.acts).key not in train_keys]
-    return (
-        Corpus(tuple(seen), name=f"{test.name}/seen"),
-        Corpus(tuple(unseen), name=f"{test.name}/unseen"),
-    )
+    train_keys = {canonicalize(ex.acts) for ex in train}
+    seen = [ex for ex in test if canonicalize(ex.acts) in train_keys]
+    unseen = [ex for ex in test if canonicalize(ex.acts) not in train_keys]
+    return Corpus(tuple(seen)), Corpus(tuple(unseen))
 
 
 @dataclass(frozen=True)

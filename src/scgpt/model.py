@@ -21,7 +21,8 @@ a trailing newline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 import numpy as np
 
@@ -333,7 +334,6 @@ def nll_loss(
 
 
 CKPT_MAGIC = "SCGPT-CKPT v1"
-_CONFIG_FIELDS = ("vocab_size", "n_layers", "n_heads", "d_model", "d_ff", "max_context", "dropout")
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -341,7 +341,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     cfg = params.config
     with open(path, "wb") as f:
         f.write((CKPT_MAGIC + "\n").encode("ascii"))
-        cfg_line = " ".join(f"{k}={getattr(cfg, k)}" for k in _CONFIG_FIELDS)
+        cfg_line = " ".join(f"{k}={v}" for k, v in asdict(cfg).items())
         f.write((cfg_line + "\n").encode("ascii"))
         for name, tensor in params.named():
             arr = np.ascontiguousarray(tensor.data, dtype="<f4")
@@ -356,14 +356,25 @@ def load_checkpoint(path) -> ModelParams:
     with open(path, "rb") as f:
         if f.readline().decode("ascii", "replace").strip() != CKPT_MAGIC:
             raise UnknownFormatError(f"{path}: not a {CKPT_MAGIC} checkpoint")
-        fields = {}
+        types = get_type_hints(ModelConfig)
+        values = {}
         for item in f.readline().decode("ascii", "replace").split():
             k, _, v = item.partition("=")
-            fields[k] = float(v) if k == "dropout" else int(v)
-        missing = set(_CONFIG_FIELDS) - set(fields)
+            if k not in types:
+                raise ConfigMismatchError(f"{path}: unknown config field {k!r}")
+            try:
+                values[k] = types[k](v)
+            except ValueError:
+                raise ConfigMismatchError(
+                    f"{path}: {k} needs a {types[k].__name__}, got {v!r}"
+                ) from None
+        missing = set(types) - set(values)
         if missing:
             raise ConfigMismatchError(f"{path}: config line missing {sorted(missing)}")
-        cfg = ModelConfig(**fields)
+        try:
+            cfg = ModelConfig(**values)
+        except ValueError as e:
+            raise ConfigMismatchError(f"{path}: {e}") from None
         expected = _param_shapes(cfg)
         tensors = {}
         for name, shape in expected.items():
@@ -372,10 +383,11 @@ def load_checkpoint(path) -> ModelParams:
                 raise ConfigMismatchError(
                     f"{path}: expected tensor {name!r}, found {meta[:1] or 'EOF'}"
                 )
-            got_shape = tuple(int(s) for s in meta[1:])
-            if got_shape != shape:
+            dims = [str(d) for d in shape]
+            if meta[1:] != dims:
                 raise ConfigMismatchError(
-                    f"{path}: tensor {name} has shape {got_shape}, config implies {shape}"
+                    f"{path}: tensor {name} has shape {' '.join(meta[1:])!r}, "
+                    f"config implies {' '.join(dims)!r}"
                 )
             n = int(np.prod(shape, dtype=np.int64))
             raw = f.read(4 * n)

@@ -17,62 +17,66 @@ config can drive many seeded runs.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 from .decoding import DecodeConfig
 from .errors import ParseError
 from .model import ModelConfig
 from .training import TrainConfig, default_train_config
 
-_MODEL_KEYS = {
-    "n_layers": int,
-    "n_heads": int,
-    "d_model": int,
-    "d_ff": int,
-    "max_context": int,
-    "dropout": float,
-}
-_TRAIN_KEYS = {
-    "start_lr": float,
-    "weight_decay": float,
-    "batch_size": int,
-    "max_epochs": int,
-    "early_stop_patience": int,
-    "val_fraction": float,
-    "grad_clip": float,
-}
-_DECODE_KEYS = {
-    "n_candidates": int,
-    "max_new_tokens": int,
-    "top_k": int,
-    "temperature": float,
+
+def _settable(cls, *fixed) -> dict:
+    """Name -> type of the dataclass fields a config file may set."""
+    types = get_type_hints(cls)
+    return {f.name: types[f.name] for f in fields(cls) if f.name not in fixed}
+
+
+# vocab_size comes from the tokenizer, stage from the command, and the
+# seed from --seed, so none of them is a config key.
+_KEYS = {
+    "model": _settable(ModelConfig, "vocab_size"),
+    "train": _settable(TrainConfig, "stage", "seed"),
+    "decode": _settable(DecodeConfig, "seed"),
 }
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed config: overrides layered onto each stage's defaults."""
+    """Parsed config: overrides layered onto each stage's defaults.
+
+    An override that a stage's dataclass rejects (``model.n_layers = 0``,
+    ``decode.top_k = 0``, ...) raises :class:`ParseError` naming
+    ``source``, the config file.
+    """
 
     vocab: str | None = None
     model: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
     decode: dict = field(default_factory=dict)
+    source: str = field(default="<string>", compare=False)
+
+    def _build(self, make, **kw):
+        try:
+            return make(**kw)
+        except ValueError as e:
+            raise ParseError(f"{self.source}: {e}") from None
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(vocab_size=vocab_size, **self.model)
+        return self._build(ModelConfig, vocab_size=vocab_size, **self.model)
 
     def train_config(self, stage: str, seed: int = 0) -> TrainConfig:
-        return default_train_config(stage, seed=seed, **self.train)
+        return self._build(default_train_config, stage=stage, seed=seed, **self.train)
 
     def decode_config(self, seed: int = 0, **overrides) -> DecodeConfig:
         kw = dict(self.decode, seed=seed)
         kw.update({k: v for k, v in overrides.items() if v is not None})
-        return DecodeConfig(**kw)
+        return self._build(DecodeConfig, **kw)
 
 
 def parse_config(text: str, source: str = "<string>") -> RunConfig:
     vocab = None
-    sections = {"model": {}, "train": {}, "decode": {}}
+    sections = {section: {} for section in _KEYS}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -85,7 +89,7 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
             vocab = value
             continue
         section, _, name = key.partition(".")
-        types = {"model": _MODEL_KEYS, "train": _TRAIN_KEYS, "decode": _DECODE_KEYS}.get(section)
+        types = _KEYS.get(section)
         if types is None or name not in types:
             raise ParseError(f"{source}:{lineno}: unknown config key {key!r}")
         try:
@@ -94,7 +98,7 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
             raise ParseError(
                 f"{source}:{lineno}: {key} needs a {types[name].__name__}, got {value!r}"
             ) from None
-    return RunConfig(vocab=vocab, **sections)
+    return RunConfig(vocab=vocab, source=source, **sections)
 
 
 def load_config(path) -> RunConfig:
@@ -103,5 +107,5 @@ def load_config(path) -> RunConfig:
         rc = parse_config(fh.read(), source=str(path))
     if rc.vocab is not None and not os.path.isabs(rc.vocab):
         anchored = os.path.join(os.path.dirname(os.path.abspath(path)), rc.vocab)
-        rc = RunConfig(os.path.normpath(anchored), rc.model, rc.train, rc.decode)
+        rc = replace(rc, vocab=os.path.normpath(anchored))
     return rc

@@ -312,7 +312,7 @@ def render(grammar: DomainGrammar, template: Template, values: dict) -> Example:
     pairs = [(s, values[s]) for s in template.required]
     pairs += [(s, values[s]) for s in template.optional if s in values]
     pairs += list(template.fixed)
-    return Example(act_set(template.intent, pairs, grammar.domain), text, grammar.domain)
+    return Example(act_set(template.intent, pairs), text, grammar.domain)
 
 
 def _domain_rng(seed: int, domain: str) -> np.random.Generator:
@@ -351,7 +351,7 @@ def generate(grammars, n_per_domain: int, seed: int = 0) -> Corpus:
     for g in grammars:
         rng = _domain_rng(seed, g.domain)
         examples.extend(_sample_example(g, rng) for _ in range(n_per_domain))
-    return Corpus(tuple(examples), name=f"synthetic-{seed}")
+    return Corpus(tuple(examples))
 
 
 _COPY_SYLLABLES = ("ba", "re", "mo", "ku", "zi", "ta", "lo", "ven",
@@ -372,18 +372,6 @@ _COPY_SHAPES = (
       "bringing [item] { out of [crate] } shortly .",
       "checked [item] { against [mark] } and all was fine .")),
 )
-
-
-def _coined_values(rng, n: int) -> list:
-    """n distinct two-word values built from nonsense syllables."""
-    values = set()
-    while len(values) < n:
-        words = []
-        for _ in range(2):
-            k = int(rng.integers(2, 4))
-            words.append("".join(rng.choice(_COPY_SYLLABLES) for _ in range(k)))
-        values.add(" ".join(words))
-    return sorted(values)
 
 
 _VALUE_UNITS = ("euros", "dollars", "pounds", "minutes", "hours", "miles",
@@ -423,10 +411,14 @@ def _varied_value(rng, n_words=None) -> str:
         tail = pick(_CONSONANTS) if rng.random() < 0.5 else ""
         return "".join(pick(_CONSONANTS) + pick(_VOWELS) for _ in range(k)) + tail
 
+    def syllables():
+        k = int(rng.integers(2, 4))
+        return "".join(rng.choice(_COPY_SYLLABLES) for _ in range(k))
+
     while True:
         shape = int(rng.integers(6))
         if shape == 0:
-            value = _coined_values(rng, 1)[0]
+            value = f"{syllables()} {syllables()}"
         elif shape == 1:
             phrase = f"{pick(_plain_words())} {pick(_plain_words())}"
             value = f"the {phrase}" if rng.random() < 0.3 else phrase
@@ -545,8 +537,8 @@ def inject_coined_values(corpus: Corpus, fraction: float, seed: int = 0) -> Corp
                         value = coined
                         touched = True
                 pairs.append(SlotValuePair(p.name, value))
-            acts.append(DialogAct(act.intent, tuple(pairs), act.domain))
+            acts.append(DialogAct(act.intent, tuple(pairs)))
         out.append(
             Example(DialogActSet(tuple(acts)), response, ex.domain) if touched else ex
         )
-    return Corpus(tuple(out), name=f"{corpus.name}-coined{seed}")
+    return Corpus(tuple(out))

@@ -229,7 +229,7 @@ def parse_reference_file(path):
             name, eq, value = item.partition("=")
             value = value.strip().strip("'\"")
             pairs.append(SlotValuePair(name.strip(), value if eq else "?"))
-        return DialogActSet((DialogAct(head.strip(), tuple(pairs), "restaurant"),))
+        return DialogActSet((DialogAct(head.strip(), tuple(pairs)),))
 
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
@@ -242,7 +242,7 @@ def parse_reference_file(path):
     for line in lines:
         fields = [f.strip() for f in line.split(" & ")]
         examples.append(Example(parse_da(fields[0]), fields[1], "restaurant"))
-    return Corpus(tuple(examples), name=path)
+    return Corpus(tuple(examples))
 
 
 # older aliases kept for the per-module metric tests

@@ -291,7 +291,7 @@ class Transfer:
         base = generate(builtin_grammars(PRETRAIN_GRAMMARS), PRE_N_BASE, seed=11)
         base = inject_coined_values(base, PRE_COINED, seed=13)
         copy_rich = generate(copy_task_grammars(), PRE_N_COPY, seed=12)
-        self.pre_corpus = Corpus(base.examples + copy_rich.examples, "pretrain-mix")
+        self.pre_corpus = Corpus(base.examples + copy_rich.examples)
         # the tokenizer learns from unrewritten ordinary-domain text: fresh
         # values would spend its merges on strings that never recur
         natural = generate(builtin_grammars(PRETRAIN_GRAMMARS), VOCAB_N_BASE, seed=11)
@@ -311,7 +311,7 @@ class Transfer:
 
         taxi = generate([builtin_grammar("taxi")], n_per_domain=2000, seed=23)
         self.train8, rest = build_fewshot(taxi, {"taxi": 8}, seed=0)
-        self.test100 = Corpus(rest.examples[:100], "taxi-test")
+        self.test100 = Corpus(rest.examples[:100])
         self.train16, _ = build_fewshot(taxi, {"taxi": 16}, seed=1)
         self._cache = {}
         self.setup_seconds = time.perf_counter() - started
@@ -506,7 +506,7 @@ def test_metric_oracles():
     f1_ok = entity_f1(cands, refs, extractor) == oracles.entity_f1_oracle(cands, refs, inventory)
 
     source = generate(builtin_grammars(("restaurant",)), 60, seed=2)
-    train = Corpus(source.examples[:30], "train")
+    train = Corpus(source.examples[:30])
     seen, unseen = seen_unseen_split(train, source)
     oracle_seen, oracle_unseen = oracles.seen_unseen_oracle(train, source)
     split_ok = (
@@ -535,8 +535,8 @@ def test_fewshot_protocol():
 
     disjoint = True
     for domain in k_map:
-        train_keys = {canonicalize(ex.acts).key for ex in train if ex.domain == domain}
-        test_keys = {canonicalize(ex.acts).key for ex in test if ex.domain == domain}
+        train_keys = {canonicalize(ex.acts) for ex in train if ex.domain == domain}
+        test_keys = {canonicalize(ex.acts) for ex in test if ex.domain == domain}
         disjoint &= not (train_keys & test_keys)
         oracle_train = {oracles.structural_key(ex.acts) for ex in train if ex.domain == domain}
         oracle_test = {oracles.structural_key(ex.acts) for ex in test if ex.domain == domain}
@@ -548,8 +548,8 @@ def test_fewshot_protocol():
         return 100.0 * len(b_keys & a_keys) / len(b_keys)
 
     built_ok = overlap_pct(train, test) == 0.0 == brute_overlap(train, test)
-    slice_a = Corpus(source.examples[:500], "a")
-    slice_b = Corpus(source.examples[300:900], "b")
+    slice_a = Corpus(source.examples[:500])
+    slice_b = Corpus(source.examples[300:900])
     sliced_ok = overlap_pct(slice_a, slice_b) == brute_overlap(slice_a, slice_b)
 
     verdict(

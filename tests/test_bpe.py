@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,9 +65,9 @@ def test_special_ids_sit_after_tokens():
     assert v.size == 260
 
 
-def test_encode_empty_with_wrap():
+def test_encode_empty():
     v = train_bpe(["ab", "ab"], target_vocab_size=260)
-    assert encode(v, "", wrap="bos_eos") == [v.bos_id, v.eos_id]
+    assert encode(v, "") == []
     assert decode(v, [v.bos_id, v.eos_id]) == ""
 
 
@@ -103,7 +105,7 @@ def test_decode_invalid_id():
 
 def test_decode_skips_specials_inside_sequence():
     v = train_bpe(["ab", "ab"], target_vocab_size=260)
-    ids = encode(v, "ab", wrap="bos_eos")
+    ids = [v.bos_id] + encode(v, "ab") + [v.eos_id]
     assert decode(v, ids) == "ab"
 
 
@@ -137,12 +139,30 @@ def test_load_rejects_bad_header(tmp_path):
         load_vocab(p)
 
 
+@pytest.mark.parametrize(
+    "merges,specials",
+    [
+        ([], ("257", "258", "x")),  # not an int
+        ([], ("257", "258", "\u00ff")),  # not ASCII
+        ([], ("257", "258", "258")),  # duplicated
+        ([], ("257", "258", "3")),  # inside the token ids
+        (["61 62", "61 62"], ("258", "259", "260")),  # one token merged twice
+    ],
+)
+def test_load_rejects_corrupt_vocab(tmp_path, merges, specials):
+    p = tmp_path / "bad.txt"
+    lines = [f"BPEVOCAB v1 256 {len(merges)}", *merges]
+    lines += [f"SPECIAL {n} {i}" for n, i in zip(("BOS", "EOS", "PAD"), specials)]
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=re.escape(str(p))):
+        load_vocab(p)
+
+
 @given(st.text(max_size=60))
 @settings(max_examples=200)
 def test_property_round_trip(s):
     v = train_bpe(["the cat sat on the mat"] * 2, target_vocab_size=266)
     assert decode(v, encode(v, s)) == s
-    assert decode(v, encode(v, s, wrap="bos_eos")) == s
 
 
 @given(st.lists(st.text(alphabet="abcd ", min_size=1, max_size=20), min_size=1, max_size=6))
@@ -184,7 +204,6 @@ def test_property_matches_full_recount_oracle(corpus, target, others):
     if isinstance(v, Vocab):
         for s in corpus + others:
             assert encode(v, s) == encode_reference(v, s)
-            assert encode(v, s, wrap="bos_eos") == encode_reference(v, s, wrap="bos_eos")
 
 
 @pytest.mark.parametrize("per_domain,target", [(15, 384), (50, 448)])

@@ -271,6 +271,61 @@ def test_replay_flags_drift(pipeline, tmp_path, capsys):
     assert "changed since" in capsys.readouterr().err
 
 
+def test_replay_redirects_equals_form_and_refuses_abbreviations(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    assert run(["synth", "--domains", "taxi", "--n-per-domain", 5,
+                f"--out={out}"]) == 0
+    man_path = tmp_path / "c.jsonl.manifest.json"
+    recorded = load_manifest(man_path).outputs[str(out)]
+    out.write_text("original\n")
+    rep = tmp_path / "rep"
+    assert run(["replay", man_path, "--out-dir", rep]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+    assert out.read_text() == "original\n"
+    assert sha256_file(rep / "c.jsonl") == recorded
+    # no output flag can hide behind a prefix, in a new run or a replay
+    with pytest.raises(SystemExit) as exc:
+        run(["synth", "--domains", "taxi", "--ou", out])
+    assert exc.value.code == 2
+    doc = json.loads(man_path.read_text())
+    doc["argv"] = [tok if tok != f"--out={out}" else "--ou" for tok in doc["argv"]]
+    doc["argv"].append(str(out))
+    man_path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        run(["replay", man_path, "--out-dir", tmp_path / "rep2"])
+    assert exc.value.code == 2
+    assert out.read_text() == "original\n"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "setting,command",
+    [
+        ("model.n_layers = 0", "pretrain-plain"),
+        ("train.batch_size = 0", "pretrain-plain"),
+        ("decode.top_k = 0", "generate"),
+        ("", "generate --n-candidates 0"),
+    ],
+)
+def test_invalid_config_values_exit_2(pipeline, tmp_path, capsys, setting, command):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CONFIG.replace("vocab = vocab.bpe", f"vocab = {pipeline}/vocab.bpe")
+                   + setting + "\n")
+    text = tmp_path / "plain.txt"
+    text.write_text("the tram runs along the river .\n")
+    name, *flags = command.split()
+    if name == "pretrain-plain":
+        flags += ["--corpus", text, "--out", tmp_path / "x.ckpt"]
+    else:
+        flags += ["--ckpt", pipeline / "da.ckpt", "--da", "bye ( )",
+                  "--manifest", tmp_path / "m.json"]
+    capsys.readouterr()
+    assert run([name, "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ")
+    assert "Traceback" not in err
+
+
 def test_module_entrypoint():
     out = subprocess.run([sys.executable, "-m", "scgpt", "--version"],
                          capture_output=True, text=True)

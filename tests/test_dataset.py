@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +15,12 @@ from scgpt.dataset import (
     stats,
     write_jsonl,
 )
-from scgpt.dialog_act import act_set, canonicalize
-from scgpt.errors import EmptyTestError, InsufficientGroupsError, ParseError, UnknownFormatError
+from scgpt.dialog_act import act_set, canonicalize, parse_linearized
+from scgpt.errors import EmptyTestError, InsufficientGroupsError, ParseError
 
 
 def _ex(intent, pairs, response, domain="alpha"):
-    return Example(act_set(intent, pairs, domain=domain), response, domain)
+    return Example(act_set(intent, pairs), response, domain)
 
 
 def _write(path, objs):
@@ -66,13 +67,6 @@ def test_ingest_empty_file_is_valid(tmp_path):
     assert len(ingest(p)) == 0
 
 
-def test_ingest_unknown_format(tmp_path):
-    p = tmp_path / "c.jsonl"
-    p.write_text("")
-    with pytest.raises(UnknownFormatError):
-        ingest(p, format="csv")
-
-
 def test_write_ingest_round_trip(tmp_path):
     corpus = Corpus(
         (
@@ -105,8 +99,8 @@ def _grouped_corpus():
 def test_build_fewshot_partitions_groups():
     train, test = build_fewshot(_grouped_corpus(), {"alpha": 2}, seed=0)
     assert len(train) == 2 and len(test) == 1
-    train_keys = {canonicalize(e.acts).key for e in train}
-    test_keys = {canonicalize(e.acts).key for e in test}
+    train_keys = {canonicalize(e.acts) for e in train}
+    test_keys = {canonicalize(e.acts) for e in test}
     assert not train_keys & test_keys
     # beta was not requested, so it appears nowhere
     assert all(e.domain == "alpha" for e in list(train) + list(test))
@@ -204,3 +198,16 @@ def test_render_stats_labels():
         "# Testing Instances",
     ]:
         assert label in text
+
+
+def test_readme_corpus_example_ingests(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Corpus format (`jsonl_v1`)", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "readme.jsonl"
+    p.write_text(json.dumps(json.loads(block)) + "\n")
+    (ex,) = ingest(p)
+    assert ex.domain == "restaurant"
+    assert ex.response == "curry garden serves indian food ."
+    # an ingested act equals the same act parsed from its linearized form
+    assert ex.acts == parse_linearized("inform ( name = curry garden ; food = indian )")

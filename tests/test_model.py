@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,26 @@ def test_checkpoint_rejects_truncation(tmp_path, vocab):
     data = p.read_bytes()
     p.write_bytes(data[: len(data) - 50])
     with pytest.raises(ConfigMismatchError):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        (b"n_layers=1", b"n_layers=x"),  # not an int
+        (b"dropout=0.0", b"dropout=0.0 colour=red"),  # unknown field
+        (b"n_layers=1", b"n_layers=0"),  # refused by ModelConfig
+        (b" dropout=0.0", b""),  # missing field
+        (b"layers.0.ln1.gain 8", b"layers.0.ln1.gain x"),  # bad tensor shape
+    ],
+)
+def test_checkpoint_rejects_corrupt_metadata(tmp_path, vocab, old, new):
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(tiny_config(vocab), seed=6), p)
+    data = p.read_bytes()
+    assert data.count(old) == 1
+    p.write_bytes(data.replace(old, new))
+    with pytest.raises(ConfigMismatchError, match=re.escape(str(p))):
         load_checkpoint(p)
 
 

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 
 import pytest
 
 from scgpt.errors import ParseError, UnknownFormatError
 from scgpt.manifest import RunManifest, load_manifest, sha256_file
+from scgpt import runconfig
 from scgpt.runconfig import RunConfig, load_config, parse_config
 
 CFG = """
@@ -129,3 +131,54 @@ def test_load_manifest_rejects_junk(tmp_path):
     p.write_text(json.dumps({"format": "scgpt-manifest v1"}))
     with pytest.raises(ParseError, match="incomplete"):
         load_manifest(p)
+
+
+# Every key a config file may set, with its type; the seed comes from
+# --seed, the stage from the command and the vocabulary size from the
+# tokenizer.
+SCHEMA = {
+    "model": {"n_layers": int, "n_heads": int, "d_model": int, "d_ff": int,
+              "max_context": int, "dropout": float},
+    "train": {"start_lr": float, "weight_decay": float, "batch_size": int,
+              "max_epochs": int, "early_stop_patience": int, "val_fraction": float,
+              "grad_clip": float},
+    "decode": {"n_candidates": int, "max_new_tokens": int, "top_k": int,
+               "temperature": float},
+}
+
+
+def test_config_schema_is_pinned():
+    assert runconfig._KEYS == SCHEMA
+    assert sum(len(keys) for keys in SCHEMA.values()) == 17
+    for section, keys in SCHEMA.items():
+        for name, kind in keys.items():
+            rc = parse_config(f"{section}.{name} = 3")
+            assert type(getattr(rc, section)[name]) is kind
+            if kind is int:
+                with pytest.raises(ParseError, match=f"{section}.{name} needs a int"):
+                    parse_config(f"{section}.{name} = 0.5")
+
+
+@pytest.mark.parametrize(
+    "key", ["model.vocab_size", "train.stage", "train.seed", "decode.seed"]
+)
+def test_fixed_fields_are_not_config_keys(key):
+    with pytest.raises(ParseError, match=f"unknown config key '{key}'"):
+        parse_config(f"{key} = 1", source="cfg")
+
+
+@pytest.mark.parametrize(
+    "line,build",
+    [
+        ("model.n_layers = 0", lambda rc: rc.model_config(vocab_size=300)),
+        ("model.d_model = 30", lambda rc: rc.model_config(vocab_size=300)),
+        ("train.batch_size = 0", lambda rc: rc.train_config("plain")),
+        ("decode.top_k = 0", lambda rc: rc.decode_config()),
+        ("", lambda rc: rc.decode_config(n_candidates=0)),
+    ],
+)
+def test_invalid_values_raise_parse_error_naming_file(tmp_path, line, build):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(cfg))}: "):
+        build(load_config(cfg))

@@ -176,8 +176,8 @@ def test_heldout_intents_disjoint_from_pretraining():
 def test_heldout_keys_disjoint_from_pretraining():
     pre = generate(builtin_grammars(PRETRAIN_GRAMMARS), 80, seed=0)
     held = generate(builtin_grammars(HELDOUT_GRAMMARS), 80, seed=0)
-    pre_keys = {canonicalize(ex.acts).key for ex in pre}
-    held_keys = {canonicalize(ex.acts).key for ex in held}
+    pre_keys = {canonicalize(ex.acts) for ex in pre}
+    held_keys = {canonicalize(ex.acts) for ex in held}
     assert not pre_keys.intersection(held_keys)
 
 
@@ -208,7 +208,7 @@ def test_builtin_key_richness():
     corpus = generate(builtin_grammars(("restaurant", "taxi")), 4000, seed=1)
     keys = {}
     for ex in corpus:
-        keys.setdefault(ex.domain, set()).add(canonicalize(ex.acts).key)
+        keys.setdefault(ex.domain, set()).add(canonicalize(ex.acts))
     assert len(keys["restaurant"]) >= 51
     assert len(keys["taxi"]) >= 108
 
@@ -296,7 +296,7 @@ def test_inject_varied_values_keep_zero_slot_error():
 def test_inject_never_coins_a_value_containing_another():
     # "minutes" is a unit of the quantity shape, so unchecked draws for the
     # name would often contain it ("12 minutes") and break the slot counts
-    acts = act_set("inform", [("name", "bridge house"), ("wait", "minutes")], "hotel")
+    acts = act_set("inform", [("name", "bridge house"), ("wait", "minutes")])
     source = Corpus((Example(acts, "bridge house is a few minutes away", "hotel"),) * 400)
     for ex in inject_coined_values(source, 1.0, seed=0):
         assert slot_error(ex.acts, ex.response).err == 0.0
