@@ -36,6 +36,7 @@ from .dataset import (
     build_fewshot,
     default_k_map,
     ingest,
+    read_lines,
     render_stats,
     stats,
     write_jsonl,
@@ -70,8 +71,7 @@ def _vocab_for(rc):
 
 
 def _read_lines(path):
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    return [line.rstrip("\n") for line in read_lines(path)]
 
 
 def _write_lines(path, lines):
@@ -88,9 +88,7 @@ def _start_manifest(args, inputs, default_path):
         config_path=getattr(args, "config", None),
     )
     man.add_inputs(*inputs)
-    path = args.manifest or default_path
-    man.write(path)
-    return man, path
+    return man, args.manifest or default_path
 
 
 def _load_model(path, vocab):

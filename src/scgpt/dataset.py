@@ -96,20 +96,29 @@ def _example_from_obj(obj: dict, lineno: int, path) -> Example:
     return Example(DialogActSet(tuple(acts)), str(response), str(domain))
 
 
+def read_lines(path) -> list:
+    """A UTF-8 text file's lines, newlines kept; a file that is not UTF-8
+    raises :class:`ParseError` naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return list(f)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def ingest(path) -> Corpus:
     """Load a jsonl_v1 corpus file; parse failures name the offending line."""
     examples = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}:{lineno}: expected a JSON object")
-            examples.append(_example_from_obj(obj, lineno, path))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}:{lineno}: expected a JSON object")
+        examples.append(_example_from_obj(obj, lineno, path))
     return Corpus(tuple(examples))
 
 

@@ -1,7 +1,8 @@
 """Run manifests: enough provenance to re-run a command bit-identically.
 
-Every command writes a manifest before producing artifacts, then fills
-in output hashes when it finishes.  Replaying a manifest re-executes
+Every command hashes its inputs before it runs and writes its manifest,
+with the output hashes, only when it finishes, so a failed run leaves
+none.  Replaying a manifest re-executes
 the recorded argv with outputs redirected and compares hashes, which
 holds exactly in single-threaded mode.
 """
@@ -13,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
+from .dataset import read_lines
 from .errors import ParseError, UnknownFormatError
 
 FORMAT_TAG = "scgpt-manifest v1"
@@ -90,11 +92,10 @@ class RunManifest:
 
 
 def load_manifest(path) -> RunManifest:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: not valid JSON ({e})") from None
+    try:
+        doc = json.loads("".join(read_lines(path)))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise UnknownFormatError(f"{path}: missing format tag {FORMAT_TAG!r}")
     doc = {k: v for k, v in doc.items() if k != "format"}

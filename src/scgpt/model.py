@@ -9,9 +9,19 @@ output head tied to the token embedding.
 
 Each block's two sublayers are written once, as numpy kernels
 (:func:`attention_block`, :func:`mlp_block`) that return their output
-and a hand-written backward.  Training (:func:`forward_logits`) records
-each kernel call as one tape entry; :class:`DecodeSession` runs the same
-kernels with its key/value caches.
+and a hand-written backward.  The taped forwards record each kernel
+call as one tape entry; :class:`DecodeSession` runs the same kernels
+with its key/value caches.
+
+The training loss (:func:`nll_loss`) computes real tokens only.  It
+packs the non-PAD slots of a right-padded [B,T] batch into one [N,d]
+array of rows; the embeddings, layer norms, linear layers, MLP and
+residuals run on those N rows, and only attention runs on the padded
+[B,H,T,T] grid, which :func:`attention_block` scatters its queries, keys
+and values onto and gathers its context back from.  The final layer
+norm, the tied head and the cross-entropy run on the M loss rows alone,
+as one kernel (:func:`head_loss`).  :func:`forward_logits` keeps the
+dense [B,T] layout and returns logits at every slot.
 
 Checkpoint format: the text header line ``SCGPT-CKPT v1``, one
 ``key=value`` config line, then per tensor a ``name dim0 dim1 ...``
@@ -207,7 +217,21 @@ def _linear_grads(inp: np.ndarray, w: np.ndarray, g: np.ndarray):
     return g @ w.T, inp.T @ g, g.sum(axis=0)
 
 
-def attention_block(x, weights, bias, n_heads: int, cache=None, drop=None):
+def _scatter(rows: np.ndarray, index, n: int) -> np.ndarray:
+    """[n,k] zeros with ``rows`` [N,k] at ``index``; ``rows`` itself
+    when index is None."""
+    if index is None:
+        return rows
+    out = np.zeros((n, rows.shape[1]), dtype=rows.dtype)
+    out[index] = rows
+    return out
+
+
+def _gather(rows: np.ndarray, index) -> np.ndarray:
+    return rows if index is None else rows[index]
+
+
+def attention_block(x, weights, bias, n_heads: int, cache=None, drop=None, index=None):
     """``x + attn(ln1(x))`` on raw arrays; returns (out, backward), where
     ``backward(g)`` gives the gradients of x and of each weight.
 
@@ -219,13 +243,21 @@ def attention_block(x, weights, bias, n_heads: int, cache=None, drop=None):
     probabilities, then of the output.  The linear layers see the
     activations as [B*T,d]: one GEMM each, where a [B,T,d] operand would
     run as B small ones.
+
+    With ``index``, ``x`` holds only the real tokens: row i of x [N,d]
+    is slot ``index[i]`` of the flattened [B,T] grid that ``bias``
+    [B,1,T,S] spans.  The linear layers run on the N rows; queries, keys
+    and values are scattered onto the grid (zeros at the other slots,
+    which the bias must mask as keys) and the context is gathered back.
     """
     ln_g, ln_b, wqkv, bqkv, wo, bo = weights
-    B, T, d = x.shape
+    d = x.shape[-1]
+    B, T = x.shape[:2] if index is None else (bias.shape[0], bias.shape[2])
     dh = d // n_heads
-    x2 = x.reshape(B * T, d)
+    x2 = x.reshape(-1, d)
     h, ln_backward = ag.layernorm_kernel(x2, ln_g, ln_b)
-    qkv = (h @ wqkv + bqkv).reshape(B, T, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    qkv = _scatter(h @ wqkv + bqkv, index, B * T)
+    qkv = qkv.reshape(B, T, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
     q, keys, vals = qkv[0], qkv[1], qkv[2]  # [B,H,T,dh]
     lo = 0
     if cache is not None:
@@ -239,32 +271,34 @@ def attention_block(x, weights, bias, n_heads: int, cache=None, drop=None):
     attn, softmax_backward = ag.softmax_kernel(scores)
     attn_mask = drop(attn.shape) if drop else None
     attn_kept = attn if attn_mask is None else attn * attn_mask
-    ctx = (attn_kept @ vals).transpose(0, 2, 1, 3).reshape(B * T, d)
+    ctx = _gather((attn_kept @ vals).transpose(0, 2, 1, 3).reshape(B * T, d), index)
     o = ctx @ wo
     out_mask = drop(o.shape) if drop else None
     out = x2 + o + bo if out_mask is None else x2 + (o + bo) * out_mask
 
     def backward(g):
-        g = g.reshape(B * T, d)
+        g = g.reshape(x2.shape)
         go = g if out_mask is None else g * out_mask
         dctx, dwo, dbo = _linear_grads(ctx, wo, go)
-        dctx = dctx.reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
+        dctx = _scatter(dctx, index, B * T).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
         dattn = dctx @ vals.swapaxes(-1, -2)
         dscores = softmax_backward(dattn if attn_mask is None else dattn * attn_mask)[0] * scale
         # gradients reach only the new columns' keys and values
         dk = (dscores.swapaxes(-1, -2) @ q)[:, :, lo:]
         dv = (attn_kept.swapaxes(-1, -2) @ dctx)[:, :, lo:]
         dqkv = np.stack([dscores @ keys, dk, dv]).transpose(1, 3, 0, 2, 4)
-        dh_, dwqkv, dbqkv = _linear_grads(h, wqkv, dqkv.reshape(B * T, 3 * d))
+        dqkv = _gather(dqkv.reshape(B * T, 3 * d), index)
+        dh_, dwqkv, dbqkv = _linear_grads(h, wqkv, dqkv)
         dx, dln_g, dln_b = ln_backward(dh_)
-        return (g + dx).reshape(B, T, d), dln_g, dln_b, dwqkv, dbqkv, dwo, dbo
+        return (g + dx).reshape(x.shape), dln_g, dln_b, dwqkv, dbqkv, dwo, dbo
 
-    return out.reshape(B, T, d), backward
+    return out.reshape(x.shape), backward
 
 
 def mlp_block(x, weights, drop=None):
     """``x + mlp(gelu(ln2(x)))`` on raw arrays, ``weights`` as named by
-    ``MLP_WEIGHTS``; otherwise like :func:`attention_block`."""
+    ``MLP_WEIGHTS``; otherwise like :func:`attention_block`.  Token-wise,
+    so ``x`` may be [B,T,d] or packed rows [N,d]."""
     ln_g, ln_b, w1, b1, w2, b2 = weights
     shape = x.shape
     x2 = x.reshape(-1, shape[-1])
@@ -290,6 +324,52 @@ def _taped(op: str, kernel, x: Tensor, weights, *args, **kwargs) -> Tensor:
     return ag.emit(op, (x, *weights), *out_backward)
 
 
+def head_loss(x, weights, rows, targets):
+    """Mean cross-entropy of the tied head at chosen rows of x [N,d]; returns
+    (loss, backward) like the block kernels.
+
+    ``weights`` are (lnf.gain, lnf.bias, tok_emb).  Only the M rows
+    ``rows`` go through the final layer norm and ``h @ tok_emb.T``, and
+    row ``rows[j]`` is scored against token ``targets[j]``.
+    """
+    ln_g, ln_b, emb = weights
+    h, ln_backward = ag.layernorm_kernel(x[rows], ln_g, ln_b)
+    logits = h @ emb.T
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = np.arange(len(rows)), targets
+    loss = np.asarray(-logp[picked].sum() / len(rows))
+
+    def backward(g):
+        dlogits = np.exp(logp)
+        dlogits[picked] -= 1.0
+        dlogits *= g / len(rows)
+        dh, demb = dlogits @ emb, dlogits.T @ h
+        dx_rows, dln_g, dln_b = ln_backward(dh)
+        dx = np.zeros_like(x)
+        dx[rows] = dx_rows
+        return dx, dln_g, dln_b, demb
+
+    return loss, backward
+
+
+def _blocks(params: ModelParams, ids, positions, bias, drop, index=None) -> Tensor:
+    """Embeddings and every block, each kernel call one tape entry."""
+    cfg = params.config
+    x = ag.add(
+        ag.embed_lookup(params["tok_emb"], ids),
+        ag.embed_lookup(params["pos_emb"], positions),
+    )
+    if drop:
+        x = ag.mul(x, ag.constant(drop(x.shape)))
+    for i in range(cfg.n_layers):
+        attn_w, mlp_w = _layer_weights(params.tensors, i)
+        x = _taped("attention", attention_block, x, attn_w, bias, cfg.n_heads,
+                   drop=drop, index=index)
+        x = _taped("mlp", mlp_block, x, mlp_w, drop=drop)
+    return x
+
+
 def forward_logits(
     params: ModelParams,
     ids: np.ndarray,
@@ -299,24 +379,16 @@ def forward_logits(
     """Run the transformer; returns pre-softmax logits [B,T,vocab].
 
     ``rng`` enables dropout (training); None runs deterministically.  Each
-    sublayer kernel is one tape entry.
+    sublayer kernel is one tape entry.  Every slot, PAD included, goes
+    through every layer: the dense layout, against which tests hold the
+    packed :func:`nll_loss`.
     """
-    cfg = params.config
     T = ids.shape[1]
     dtype = params["tok_emb"].data.dtype
-    p_drop = cfg.dropout if rng is not None else 0.0
+    p_drop = params.config.dropout if rng is not None else 0.0
     drop = (lambda shape: ag.dropout_mask(shape, p_drop, rng, dtype)) if p_drop else None
-    x = ag.add(
-        ag.embed_lookup(params["tok_emb"], ids),
-        ag.embed_lookup(params["pos_emb"], np.broadcast_to(np.arange(T), ids.shape)),
-    )
-    x = ag.dropout(x, p_drop, rng)
-    bias = _attention_bias(keep, T, dtype)
-    for i in range(cfg.n_layers):
-        attn_w, mlp_w = _layer_weights(params.tensors, i)
-        x = _taped("attention", attention_block, x, attn_w, bias, cfg.n_heads, drop=drop)
-        x = _taped("mlp", mlp_block, x, mlp_w, drop=drop)
-
+    positions = np.broadcast_to(np.arange(T), ids.shape)
+    x = _blocks(params, ids, positions, _attention_bias(keep, T, dtype), drop)
     x = ag.layernorm(x, params["lnf.gain"], params["lnf.bias"])
     return ag.matmul(x, ag.transpose(params["tok_emb"], (1, 0)))
 
@@ -324,13 +396,32 @@ def forward_logits(
 def nll_loss(
     params: ModelParams, batch, rng: np.random.Generator | None = None
 ) -> Tensor:
-    """Mean masked next-token negative log-likelihood over a batch."""
-    pad_id = params.config.vocab_size - 1
-    ids, mask, keep = pad_batch(batch, pad_id)
-    logits = forward_logits(params, ids, keep, rng=rng)
+    """Mean masked next-token negative log-likelihood over a batch.
+
+    Runs on packed rows (see the module docstring).  Dropout masks are
+    drawn at the dense layout's shapes and in its order, and row masks
+    kept at the real slots, so the loss equals :func:`forward_logits`
+    with ``ag.cross_entropy_masked`` up to float rounding.
+    """
+    ids, mask, keep = pad_batch(batch, params.config.vocab_size - 1)
+    B, T = ids.shape
+    slots = np.flatnonzero(keep)  # real tokens, flat in [B,T]
+    loss_slots = np.flatnonzero(mask)
     targets = np.roll(ids, -1, axis=1)
     targets[:, -1] = 0
-    return ag.cross_entropy_masked(logits, targets, mask)
+    dtype = params["tok_emb"].data.dtype
+    p_drop = params.config.dropout if rng is not None else 0.0
+
+    def drop(shape):
+        if len(shape) > 2:  # attention probabilities, on the padded grid
+            return ag.dropout_mask(shape, p_drop, rng, dtype)
+        return ag.dropout_mask((B * T, shape[1]), p_drop, rng, dtype)[slots]
+
+    x = _blocks(params, ids.ravel()[slots], slots % T, _attention_bias(keep, T, dtype),
+                drop if p_drop else None, index=slots)
+    head_w = [params["lnf.gain"], params["lnf.bias"], params["tok_emb"]]
+    rows = np.searchsorted(slots, loss_slots)
+    return _taped("head", head_loss, x, head_w, rows, targets.ravel()[loss_slots])
 
 
 CKPT_MAGIC = "SCGPT-CKPT v1"

@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass, field, fields, replace
 from typing import get_type_hints
 
+from .dataset import read_lines
 from .decoding import DecodeConfig
 from .errors import ParseError
 from .model import ModelConfig
@@ -103,8 +104,7 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Parse a config file; a relative vocab path is anchored at the file."""
-    with open(path, encoding="utf-8") as fh:
-        rc = parse_config(fh.read(), source=str(path))
+    rc = parse_config("".join(read_lines(path)), source=str(path))
     if rc.vocab is not None and not os.path.isabs(rc.vocab):
         anchored = os.path.join(os.path.dirname(os.path.abspath(path)), rc.vocab)
         rc = replace(rc, vocab=os.path.normpath(anchored))

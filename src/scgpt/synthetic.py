@@ -34,7 +34,7 @@ from importlib import resources
 
 import numpy as np
 
-from .dataset import Corpus, Example
+from .dataset import Corpus, Example, read_lines
 from .dialog_act import (
     NON_LEXICAL_VALUES,
     RESERVED_CHARS,
@@ -264,8 +264,7 @@ def parse_grammar(text: str, source: str = "<string>") -> DomainGrammar:
 
 
 def load_grammar(path) -> DomainGrammar:
-    with open(path, encoding="utf-8") as fh:
-        return parse_grammar(fh.read(), source=str(path))
+    return parse_grammar("".join(read_lines(path)), source=str(path))
 
 
 def builtin_grammar(name: str) -> DomainGrammar:

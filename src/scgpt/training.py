@@ -192,6 +192,11 @@ def run_stage(cfg: TrainConfig, data, params: ModelParams, vocab: Vocab):
     ``params.config.max_context`` is skipped, in every stage.  Each epoch
     record of the log reports the number skipped under ``"skipped"``;
     ``CorpusEmptyError`` is raised when no example fits.
+
+    An epoch record also holds ``epoch``, ``train_loss`` (mean NLL per
+    masked position over its steps), ``val_loss``, the last step's
+    ``lr`` and ``grad_norm``: the mean over its steps of the global
+    gradient norm before clipping.
     """
     examples, skipped = _build_examples(cfg, data, vocab, params.config.max_context)
     if not examples:
@@ -223,6 +228,7 @@ def run_stage(cfg: TrainConfig, data, params: ModelParams, vocab: Vocab):
         perm = rng.permutation(len(train))
         epoch_sum = 0.0
         epoch_n = 0
+        norm_sum = 0.0
         lr = 0.0
         for batch in _batches([train[i] for i in perm], cfg.batch_size):
             lr = lr_at(state.step, total_steps, cfg.start_lr)
@@ -230,7 +236,7 @@ def run_stage(cfg: TrainConfig, data, params: ModelParams, vocab: Vocab):
                 loss = nll_loss(params, batch, rng=drop_rng if params.config.dropout else None)
                 ag.backward(loss)
             grads = {n: t.grad for n, t in params.named()}
-            clip_global_norm(grads, cfg.grad_clip)
+            norm_sum += clip_global_norm(grads, cfg.grad_clip)
             adamw_step(params, grads, state, lr, cfg.weight_decay)
             n = sum(sum(ex.loss_mask) for ex in batch)
             epoch_sum += float(loss.data) * n
@@ -242,6 +248,7 @@ def run_stage(cfg: TrainConfig, data, params: ModelParams, vocab: Vocab):
                 "train_loss": epoch_sum / max(epoch_n, 1),
                 "val_loss": val_loss,
                 "lr": lr,
+                "grad_norm": norm_sum / steps_per_epoch,
                 "skipped": skipped,
             }
         )

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -77,7 +78,7 @@ def test_pretrain_artifacts(pipeline):
     records = [json.loads(ln) for ln in
                (pipeline / "da.ckpt.log").read_text().splitlines()]
     assert len(records) == 2
-    assert set(records[0]) == {"epoch", "train_loss", "val_loss", "lr", "skipped"}
+    assert set(records[0]) == {"epoch", "train_loss", "val_loss", "lr", "grad_norm", "skipped"}
     man = load_manifest(pipeline / "da.ckpt.manifest.json")
     assert man.config_text == CONFIG
     assert str(pipeline / "da.ckpt") in man.outputs
@@ -324,6 +325,39 @@ def test_invalid_config_values_exit_2(pipeline, tmp_path, capsys, setting, comma
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: ")
     assert "Traceback" not in err
+    # a failed run leaves no manifest behind
+    assert not (tmp_path / "x.ckpt.manifest.json").exists()
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("bad", ["corpus", "config", "train", "grammar", "manifest"])
+def test_non_utf8_input_exits_2(pipeline, tmp_path, capsys, bad):
+    paths = {name: tmp_path / f"{name}.txt"
+             for name in ("corpus", "config", "train", "grammar", "manifest")}
+    paths["corpus"].write_text("the tram runs along the river .\n")
+    paths["config"].write_text(CONFIG.replace("vocab = vocab.bpe",
+                                              f"vocab = {pipeline}/vocab.bpe"))
+    shutil.copy(pipeline / "corpus.jsonl", paths["train"])
+    paths["grammar"].write_text((resources.files("scgpt") / "grammars" / "taxi.gram").read_text())
+    shutil.copy(pipeline / "vocab.bpe.manifest.json", paths["manifest"])
+    paths[bad].write_bytes(paths[bad].read_bytes() + b"caf\xff\n")
+    man = tmp_path / "m.json"
+    pretrain = ["pretrain-plain", "--config", paths["config"], "--corpus", paths["corpus"],
+                "--out", tmp_path / "x.ckpt", "--manifest", man]
+    argv = {
+        "corpus": pretrain,
+        "config": pretrain,
+        "train": ["stats", "--train", paths["train"], "--test", pipeline / "corpus.jsonl",
+                  "--manifest", man],
+        "grammar": ["synth", "--grammar", paths["grammar"], "--out", tmp_path / "c.jsonl",
+                    "--manifest", man],
+        "manifest": ["replay", paths["manifest"], "--out-dir", tmp_path / "r"],
+    }[bad]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {paths[bad]}: not UTF-8 text")
+    assert not man.exists()
 
 
 def test_module_entrypoint():

@@ -212,6 +212,76 @@ def test_gradient_check_with_dropout():
     assert max(worst.values()) < 1e-3, worst
 
 
+def dense_nll_loss(params, batch, rng=None):
+    """The loss on the dense layout: logits at every slot, then the mask."""
+    ids, mask, keep = pad_batch(batch, params.config.vocab_size - 1)
+    targets = np.roll(ids, -1, axis=1)
+    targets[:, -1] = 0
+    return ag.cross_entropy_masked(forward_logits(params, ids, keep, rng=rng), targets, mask)
+
+
+def loss_and_grads(loss_fn, params, batch, seed=None):
+    rng = None if seed is None else np.random.default_rng(seed)
+    with Tape():
+        loss = loss_fn(params, batch, rng=rng)
+        backward(loss)
+    return float(loss.data), {n: t.grad for n, t in params.named()}
+
+
+def mixed_batch(vocab_size, lengths, seed, last=0):
+    """Random examples of the given lengths with random loss masks.
+
+    ``last`` is every mask's last entry.  The built examples have 0
+    there; a 1 asks for a target past the end, PAD in a padded row and
+    the placeholder 0 in the longest.
+    """
+    rng = np.random.default_rng(seed)
+    batch = []
+    for L in lengths:
+        ids = tuple(int(i) for i in rng.integers(0, vocab_size - 1, L))
+        mask = rng.integers(0, 2, L)
+        mask[rng.integers(0, L - 1)] = 1
+        mask[-1] = last
+        batch.append(LinearizedExample(ids, tuple(int(m) for m in mask)))
+    return batch
+
+
+PACKED_TOL = {np.float32: 1e-5, np.float64: 1e-10}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+def test_packed_loss_matches_dense(dtype, dropout):
+    cfg = ModelConfig(vocab_size=41, n_layers=2, n_heads=2, d_model=16, d_ff=32,
+                      max_context=40, dropout=dropout)
+    batch = mixed_batch(cfg.vocab_size, (5, 23, 9, 2, 31), seed=0, last=1)
+    seed = 3 if dropout else None  # the same generator seed on both layouts
+    packed = loss_and_grads(nll_loss, init_params(cfg, seed=1, dtype=dtype), batch, seed)
+    dense = loss_and_grads(dense_nll_loss, init_params(cfg, seed=1, dtype=dtype), batch, seed)
+    assert packed[0] == pytest.approx(dense[0], rel=PACKED_TOL[dtype])
+    worst = {n: rel_error(packed[1][n], dense[1][n]) for n in dense[1]}
+    assert max(worst.values()) < PACKED_TOL[dtype], worst
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_batch_invariant(dtype):
+    # each example's summed loss and gradients are the same alone as padded
+    # beside longer examples; the batch loss is their mean per loss position
+    cfg = ModelConfig(vocab_size=41, n_layers=2, n_heads=2, d_model=16, d_ff=32,
+                      max_context=40, dropout=0.0)
+    params = init_params(cfg, seed=2, dtype=dtype)
+    batch = mixed_batch(cfg.vocab_size, (4, 27, 13), seed=1)
+    counts = [sum(ex.loss_mask) for ex in batch]
+    loss, grads = loss_and_grads(nll_loss, params, batch)
+    alone = [loss_and_grads(nll_loss, params, [ex]) for ex in batch]
+    total = sum(counts)
+    assert loss * total == pytest.approx(
+        sum(n * l for n, (l, _) in zip(counts, alone)), rel=PACKED_TOL[dtype])
+    for name, g in grads.items():
+        summed = sum(n * gs[name] for n, (_, gs) in zip(counts, alone))
+        assert rel_error(g * total, summed) < PACKED_TOL[dtype], name
+
+
 def test_checkpoint_round_trip(tmp_path, vocab):
     params = init_params(tiny_config(vocab), seed=5)
     path = tmp_path / "model.ckpt"

@@ -157,7 +157,11 @@ def test_run_stage_plain_takes_text(setup):
         lines, params, vocab,
     )
     assert len(log) == 2
-    assert all(set(r) == {"epoch", "train_loss", "val_loss", "lr", "skipped"} for r in log)
+    assert all(
+        set(r) == {"epoch", "train_loss", "val_loss", "lr", "grad_norm", "skipped"}
+        for r in log
+    )
+    assert all(r["grad_norm"] > 0 for r in log)
 
 
 def _over_length_text(cfg):
