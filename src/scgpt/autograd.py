@@ -7,6 +7,9 @@ embedding lookup, dropout, and masked cross-entropy.
 
 GELU, softmax and layer norm are also kernels on raw arrays returning
 ``(out, backward)``; :func:`emit` records such a kernel as one op.
+:func:`log_softmax` is a kernel without a backward: its callers, the
+cross-entropies and the decode select, need only its output or write a
+simpler backward of their own.
 
 Ops run in whatever float width their inputs carry; training uses 32-bit
 and gradient checking builds 64-bit tensors.  Every op verifies its
@@ -183,6 +186,12 @@ def softmax_kernel(x: np.ndarray):
     return out, backward
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Row-stable log-softmax over the last axis, in the width of x."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def softmax_lastdim(a: Tensor) -> Tensor:
     """Row-stable softmax along the last axis."""
     return emit("softmax_lastdim", (a,), *softmax_kernel(a.data))
@@ -315,9 +324,7 @@ def cross_entropy_masked(logits: Tensor, targets: np.ndarray, mask: np.ndarray) 
             f"targets {targets.shape}, mask {mask.shape}"
         )
     x = logits.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logz
+    logp = log_softmax(x)
     idx = np.indices(targets.shape)
     picked = logp[(*idx, targets)]
     denom = mask.sum()
@@ -337,11 +344,11 @@ def cross_entropy_masked(logits: Tensor, targets: np.ndarray, mask: np.ndarray) 
     return emit("cross_entropy_masked", (logits,), out, backward)
 
 
-def backward(loss: Tensor) -> dict:
+def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss through the active tape.
 
-    Returns a map from each requires_grad :class:`Tensor` reached to its
-    gradient array, and also stores it on ``tensor.grad``.
+    Stores on ``tensor.grad`` the gradient of each requires_grad
+    :class:`Tensor` reached.
     """
     if _active_tape is None:
         raise RuntimeError("backward requires an active Tape")
@@ -363,8 +370,5 @@ def backward(loss: Tensor) -> dict:
             else:
                 grads[id(parent)] = pg
             seen[id(parent)] = parent
-    final = {}
     for tid, tensor in seen.items():
         tensor.grad = grads[tid]
-        final[tensor] = grads[tid]
-    return final

@@ -38,6 +38,8 @@ from .errors import (
 
 N_BASE = 256
 SPECIAL_NAMES = ("BOS", "EOS", "PAD")
+#: The smallest ``target_vocab_size``: every byte, one merge, the specials.
+MIN_TARGET_SIZE = N_BASE + 1 + len(SPECIAL_NAMES)
 
 
 @dataclass(frozen=True)
@@ -119,9 +121,9 @@ def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
     if not corpus:
         raise CorpusEmptyError("cannot train a tokenizer on an empty corpus")
     n_specials = len(SPECIAL_NAMES)
-    if target_vocab_size <= N_BASE + n_specials:
+    if target_vocab_size < MIN_TARGET_SIZE:
         raise ValueError(
-            f"target_vocab_size must exceed {N_BASE + n_specials}, got {target_vocab_size}"
+            f"target_vocab_size must exceed {MIN_TARGET_SIZE - 1}, got {target_vocab_size}"
         )
 
     id_to_token = [bytes([i]) for i in range(N_BASE)]
@@ -215,9 +217,11 @@ def save_vocab(v: Vocab, path) -> None:
 
 
 def load_vocab(path) -> Vocab:
+    with open(path, "rb") as f:
+        raw = f.read()
     try:
-        with open(path, "r", encoding="ascii") as f:
-            lines = [ln.rstrip("\n") for ln in f if ln.strip()]
+        # decoded whole, so the error offset is the file's
+        lines = [ln for ln in raw.decode("ascii").splitlines() if ln.strip()]
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not ASCII text ({e.reason} at byte {e.start})") from None
     if not lines:

@@ -30,7 +30,7 @@ import tempfile
 import time
 
 from . import __version__
-from .bpe import load_vocab, save_vocab, train_bpe
+from .bpe import MIN_TARGET_SIZE, load_vocab, save_vocab, train_bpe
 from .dataset import (
     Corpus,
     build_fewshot,
@@ -130,10 +130,9 @@ def _train_command(args, stage, data):
     _write_lines(log_path, [json.dumps(rec, sort_keys=True) for rec in log])
     man.finish(args.out, log_path)
     man.write(man_path)
-    last = log[-1] if log else {}
     print(f"saved {args.out} after {len(log)} epochs "
-          f"(val_loss {last.get('val_loss', float('nan')):.4f}, "
-          f"skipped {last.get('skipped', 0)} over-length)")
+          f"(val_loss {log[-1]['val_loss']:.4f}, "
+          f"skipped {log[-1]['skipped']} over-length)")
     return 0
 
 
@@ -341,11 +340,25 @@ def cmd_replay(args):
     return 1 if bad else 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(sub, *flags):
     if "config" in flags:
         sub.add_argument("--config", help="run config file (key = value lines)")
     if "seed" in flags:
-        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--seed", type=_int_at_least(0), default=0)
     if "ckpt" in flags:
         sub.add_argument("--ckpt", help="checkpoint to start from")
     sub.add_argument("--manifest", help="where to write the run manifest")
@@ -364,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add("train-bpe", help="learn a byte-pair vocabulary")
     s.add_argument("--corpus", required=True, help=".jsonl corpus or plain text")
-    s.add_argument("--target-size", type=int, default=512)
+    s.add_argument("--target-size", type=_int_at_least(MIN_TARGET_SIZE), default=512)
     s.add_argument("--out", required=True)
     _add_common(s)
     s.set_defaults(func=cmd_train_bpe)
@@ -373,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--domains", help="comma-separated builtin grammar names "
                    f"(builtins: {', '.join(PRETRAIN_GRAMMARS + HELDOUT_GRAMMARS)})")
     s.add_argument("--grammar", action="append", help="grammar file (repeatable)")
-    s.add_argument("--n-per-domain", type=int, default=200)
+    s.add_argument("--n-per-domain", type=_int_at_least(1), default=200)
     s.add_argument("--out", required=True)
     _add_common(s, "seed")
     s.set_defaults(func=cmd_synth)
@@ -381,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = add("build-fewshot", help="carve few-shot train/test splits")
     s.add_argument("--corpus", required=True)
     s.add_argument("--out-dir", required=True)
-    s.add_argument("--k", type=int, help="override examples kept per domain")
+    s.add_argument("--k", type=_int_at_least(0), help="override examples kept per domain")
     _add_common(s, "seed")
     s.set_defaults(func=cmd_build_fewshot)
 

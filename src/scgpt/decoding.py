@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autograd import log_softmax
 from .bpe import Vocab, decode, encode
 from .dialog_act import DialogActSet, linearize
 from .errors import ContextOverflowError
@@ -75,12 +76,6 @@ class Candidate:
     err: float
 
 
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    """Float64 log-softmax over the last axis."""
-    shifted = x.astype(np.float64) - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def select_tokens(logits: np.ndarray, rngs, k: int, temperature: float):
     """Next token id of every row of ``logits`` [n,V], and its log-prob.
 
@@ -98,7 +93,7 @@ def select_tokens(logits: np.ndarray, rngs, k: int, temperature: float):
     largest values, though not always the index a full ``argsort`` would
     have ordered there.
     """
-    logp = _log_softmax(logits)
+    logp = log_softmax(logits.astype(np.float64))
     picked = logits.argmax(axis=-1)
     sampled = [i for i, rng in enumerate(rngs) if rng is not None]
     if sampled:
@@ -110,7 +105,7 @@ def select_tokens(logits: np.ndarray, rngs, k: int, temperature: float):
         order = vals.argsort(axis=1)[:, ::-1]  # largest first
         top = np.take_along_axis(top, order, axis=1)
         scaled = np.take_along_axis(vals, order, axis=1) / max(temperature, 1e-6)
-        cdf = np.exp(_log_softmax(scaled)).cumsum(axis=1)
+        cdf = np.exp(log_softmax(scaled.astype(np.float64))).cumsum(axis=1)
         cdf /= cdf[:, -1:]
         u = np.array([rngs[i].random() for i in sampled])
         # searchsorted(cdf, u, side="right") row by row

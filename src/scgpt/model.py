@@ -9,19 +9,20 @@ output head tied to the token embedding.
 
 Each block's two sublayers are written once, as numpy kernels
 (:func:`attention_block`, :func:`mlp_block`) that return their output
-and a hand-written backward.  The taped forwards record each kernel
-call as one tape entry; :class:`DecodeSession` runs the same kernels
-with its key/value caches.
+and a hand-written backward.  The model has one forward per job, and
+both run these kernels: the taped training loss (:func:`nll_loss`)
+records each kernel call as one tape entry, and :class:`DecodeSession`
+runs them untaped with its key/value caches.  Tests hold both to a
+reference forward composed of the generic taped ops, one per step.
 
-The training loss (:func:`nll_loss`) computes real tokens only.  It
-packs the non-PAD slots of a right-padded [B,T] batch into one [N,d]
-array of rows; the embeddings, layer norms, linear layers, MLP and
-residuals run on those N rows, and only attention runs on the padded
-[B,H,T,T] grid, which :func:`attention_block` scatters its queries, keys
-and values onto and gathers its context back from.  The final layer
-norm, the tied head and the cross-entropy run on the M loss rows alone,
-as one kernel (:func:`head_loss`).  :func:`forward_logits` keeps the
-dense [B,T] layout and returns logits at every slot.
+The training loss computes real tokens only.  It packs the non-PAD
+slots of a right-padded [B,T] batch into one [N,d] array of rows; the
+embeddings, layer norms, linear layers, MLP and residuals run on those
+N rows, and only attention runs on the padded [B,H,T,T] grid, which
+:func:`attention_block` scatters its queries, keys and values onto and
+gathers its context back from.  The final layer norm, the tied head and
+the cross-entropy run on the M loss rows alone, as one kernel
+(:func:`head_loss`).
 
 Checkpoint format: the text header line ``SCGPT-CKPT v1``, one
 ``key=value`` config line, then per tensor a ``name dim0 dim1 ...``
@@ -124,17 +125,6 @@ def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParam
             data = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
         tensors[name] = ag.param(data)
     return ModelParams(cfg, tensors)
-
-
-def zero_params(cfg: ModelConfig, dtype=np.float32) -> ModelParams:
-    """All-zero parameters (gains included); the model is exactly uniform."""
-    return ModelParams(
-        cfg,
-        {
-            name: ag.param(np.zeros(shape, dtype=dtype))
-            for name, shape in _param_shapes(cfg).items()
-        },
-    )
 
 
 @dataclass(frozen=True)
@@ -334,9 +324,7 @@ def head_loss(x, weights, rows, targets):
     """
     ln_g, ln_b, emb = weights
     h, ln_backward = ag.layernorm_kernel(x[rows], ln_g, ln_b)
-    logits = h @ emb.T
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logp = ag.log_softmax(h @ emb.T)
     picked = np.arange(len(rows)), targets
     loss = np.asarray(-logp[picked].sum() / len(rows))
 
@@ -353,72 +341,46 @@ def head_loss(x, weights, rows, targets):
     return loss, backward
 
 
-def _blocks(params: ModelParams, ids, positions, bias, drop, index=None) -> Tensor:
-    """Embeddings and every block, each kernel call one tape entry."""
-    cfg = params.config
-    x = ag.add(
-        ag.embed_lookup(params["tok_emb"], ids),
-        ag.embed_lookup(params["pos_emb"], positions),
-    )
-    if drop:
-        x = ag.mul(x, ag.constant(drop(x.shape)))
-    for i in range(cfg.n_layers):
-        attn_w, mlp_w = _layer_weights(params.tensors, i)
-        x = _taped("attention", attention_block, x, attn_w, bias, cfg.n_heads,
-                   drop=drop, index=index)
-        x = _taped("mlp", mlp_block, x, mlp_w, drop=drop)
-    return x
-
-
-def forward_logits(
-    params: ModelParams,
-    ids: np.ndarray,
-    keep: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Run the transformer; returns pre-softmax logits [B,T,vocab].
-
-    ``rng`` enables dropout (training); None runs deterministically.  Each
-    sublayer kernel is one tape entry.  Every slot, PAD included, goes
-    through every layer: the dense layout, against which tests hold the
-    packed :func:`nll_loss`.
-    """
-    T = ids.shape[1]
-    dtype = params["tok_emb"].data.dtype
-    p_drop = params.config.dropout if rng is not None else 0.0
-    drop = (lambda shape: ag.dropout_mask(shape, p_drop, rng, dtype)) if p_drop else None
-    positions = np.broadcast_to(np.arange(T), ids.shape)
-    x = _blocks(params, ids, positions, _attention_bias(keep, T, dtype), drop)
-    x = ag.layernorm(x, params["lnf.gain"], params["lnf.bias"])
-    return ag.matmul(x, ag.transpose(params["tok_emb"], (1, 0)))
-
-
 def nll_loss(
     params: ModelParams, batch, rng: np.random.Generator | None = None
 ) -> Tensor:
     """Mean masked next-token negative log-likelihood over a batch.
 
-    Runs on packed rows (see the module docstring).  Dropout masks are
-    drawn at the dense layout's shapes and in its order, and row masks
-    kept at the real slots, so the loss equals :func:`forward_logits`
-    with ``ag.cross_entropy_masked`` up to float rounding.
+    Runs on packed rows (see the module docstring), each kernel call one
+    tape entry.  ``rng`` enables dropout (training); None runs
+    deterministically.  Dropout masks are drawn at the padded [B,T]
+    shapes, in the order embeddings, then per layer attention
+    probabilities, attention output and MLP output, and row masks are
+    kept at the real slots.
     """
-    ids, mask, keep = pad_batch(batch, params.config.vocab_size - 1)
+    cfg = params.config
+    ids, mask, keep = pad_batch(batch, cfg.vocab_size - 1)
     B, T = ids.shape
     slots = np.flatnonzero(keep)  # real tokens, flat in [B,T]
     loss_slots = np.flatnonzero(mask)
     targets = np.roll(ids, -1, axis=1)
     targets[:, -1] = 0
     dtype = params["tok_emb"].data.dtype
-    p_drop = params.config.dropout if rng is not None else 0.0
+    p_drop = cfg.dropout if rng is not None else 0.0
 
     def drop(shape):
         if len(shape) > 2:  # attention probabilities, on the padded grid
             return ag.dropout_mask(shape, p_drop, rng, dtype)
         return ag.dropout_mask((B * T, shape[1]), p_drop, rng, dtype)[slots]
 
-    x = _blocks(params, ids.ravel()[slots], slots % T, _attention_bias(keep, T, dtype),
-                drop if p_drop else None, index=slots)
+    drop = drop if p_drop else None
+    bias = _attention_bias(keep, T, dtype)
+    x = ag.add(
+        ag.embed_lookup(params["tok_emb"], ids.ravel()[slots]),
+        ag.embed_lookup(params["pos_emb"], slots % T),
+    )
+    if drop:
+        x = ag.mul(x, ag.constant(drop(x.shape)))
+    for i in range(cfg.n_layers):
+        attn_w, mlp_w = _layer_weights(params.tensors, i)
+        x = _taped("attention", attention_block, x, attn_w, bias, cfg.n_heads,
+                   drop=drop, index=slots)
+        x = _taped("mlp", mlp_block, x, mlp_w, drop=drop)
     head_w = [params["lnf.gain"], params["lnf.bias"], params["tok_emb"]]
     rows = np.searchsorted(slots, loss_slots)
     return _taped("head", head_loss, x, head_w, rows, targets.ravel()[loss_slots])
@@ -492,11 +454,11 @@ def load_checkpoint(path) -> ModelParams:
 class DecodeSession:
     """Incremental batched decoding with per-layer key/value caches.
 
-    Runs the same sublayer kernels as :func:`forward_logits`, on raw
-    float32 numpy without a tape, writing each new column's keys and
-    values into the caches.  Rows may be left-padded: pass per-row
-    position indices and mark PAD slots in the key mask.  Logits match a
-    full re-forward to within float32 noise.
+    Runs the same sublayer kernels as :func:`nll_loss`, on raw float32
+    numpy without a tape and on the dense [B,T] layout, writing each new
+    column's keys and values into the caches.  Rows may be left-padded:
+    pass per-row position indices and mark PAD slots in the key mask.
+    Logits match a full re-forward to within float32 noise.
 
     All rows share the ``max_len`` buffer columns, so left-padded rows
     with their own step budgets may need more columns than

@@ -78,9 +78,6 @@ class DomainGrammar:
                 return values
         raise KeyError(slot)
 
-    def intents(self) -> tuple:
-        return tuple(sorted({t.intent for t in self.templates}))
-
 
 def _fail(source: str, lineno: int, msg: str):
     raise GrammarValidationError(f"{source}:{lineno}: {msg}")

@@ -46,8 +46,12 @@ class TrainConfig:
             raise ValueError(f"stage must be one of {STAGES}, got {self.stage!r}")
         if self.start_lr <= 0:
             raise ValueError("start_lr must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        for name in ("batch_size", "max_epochs", "early_stop_patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("weight_decay", "grad_clip"):  # grad_clip 0: no clipping
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in [0, 1)")
 
@@ -81,7 +85,7 @@ def adamw_step(
     state: OptimizerState,
     lr: float,
     weight_decay: float = 0.01,
-) -> tuple:
+) -> None:
     """One Adam update with decoupled weight decay, in place.
 
     p <- p - lr * m_hat / (sqrt(v_hat) + eps) - lr * weight_decay * p
@@ -106,7 +110,6 @@ def adamw_step(
         v += (1.0 - ADAM_BETA2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         tensor.data = tensor.data - lr * update - lr * weight_decay * tensor.data
-    return params, state
 
 
 def lr_at(step: int, total_steps: int, start_lr: float) -> float:

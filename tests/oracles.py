@@ -406,12 +406,6 @@ def encode_reference(v: Vocab, s: str, wrap: str = "none") -> list:
     return ids
 
 
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    """Float64 log-softmax over the last axis."""
-    shifted = x.astype(np.float64) - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
 def _draw(logp: np.ndarray, rng) -> int:
     """Index drawn with probabilities exp(logp).
 
@@ -431,5 +425,5 @@ def select_next_token_reference(logits: np.ndarray, strategy, rng) -> int:
         k = min(strategy.k, len(logits))
         top = logits.argsort()[: -k - 1 : -1]  # k largest, largest first
         scaled = logits[top] / max(strategy.temperature, 1e-6)
-        return int(top[_draw(_log_softmax(scaled), rng)])
+        return int(top[_draw(ag.log_softmax(scaled.astype(np.float64)), rng)])
     raise TypeError(f"unknown decode strategy {strategy!r}")

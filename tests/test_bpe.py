@@ -139,6 +139,14 @@ def test_load_rejects_bad_header(tmp_path):
         load_vocab(p)
 
 
+def test_load_reports_the_files_byte_offset(tmp_path):
+    # past the text decoder's first chunk, the offset is still the file's
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"a" * 19_999 + b"\n\xff")
+    with pytest.raises(ParseError, match="at byte 20000"):
+        load_vocab(p)
+
+
 @pytest.mark.parametrize(
     "merges,specials",
     [

@@ -246,6 +246,26 @@ def test_argparse_usage_exit(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--n-per-domain", "0", "--out", "{d}/c.jsonl"],
+        ["synth", "--seed", "-1", "--out", "{d}/c.jsonl"],
+        ["build-fewshot", "--k", "-1", "--corpus", "{corpus}", "--out-dir", "{d}/few"],
+        ["train-bpe", "--target-size", "100", "--corpus", "{corpus}", "--out", "{d}/v.bpe"],
+    ],
+)
+def test_out_of_range_int_flag_exits_2(pipeline, tmp_path, capsys, argv):
+    argv = [a.format(d=tmp_path, corpus=pipeline / "corpus.jsonl") for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {argv[1]}: must be at least" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []  # no output, no manifest
+
+
 def test_replay_reproduces_training(pipeline, tmp_path, capsys):
     out_dir = tmp_path / "replayed"
     assert run(["replay", pipeline / "da.ckpt.manifest.json",
@@ -304,6 +324,7 @@ def test_replay_redirects_equals_form_and_refuses_abbreviations(tmp_path, capsys
     [
         ("model.n_layers = 0", "pretrain-plain"),
         ("train.batch_size = 0", "pretrain-plain"),
+        ("train.max_epochs = 0", "pretrain-plain"),
         ("decode.top_k = 0", "generate"),
         ("", "generate --n-candidates 0"),
     ],

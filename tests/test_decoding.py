@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scgpt import decoding
+from scgpt.autograd import log_softmax
 from scgpt.bpe import encode, train_bpe
 from scgpt.dataset import Corpus, Example
 from scgpt.decoding import (
@@ -208,13 +209,9 @@ def test_select_next_token_strategies():
 
 def _reference_choice(logits, strategy, rng):
     # the draw as rng.choice made it, which fixes every sampled RNG stream
-    def log_softmax(row):
-        shifted = row.astype(np.float64) - row.max()
-        return shifted - np.log(np.exp(shifted).sum())
-
     k = min(strategy.k, len(logits))
     top = np.argsort(logits)[::-1][:k]
-    logp = log_softmax(logits[top] / max(strategy.temperature, 1e-6))
+    logp = log_softmax((logits[top] / max(strategy.temperature, 1e-6)).astype(np.float64))
     return int(top[rng.choice(k, p=np.exp(logp))])
 
 
@@ -261,8 +258,7 @@ def test_whole_batch_select_matches_per_row_oracle(block, seed):
         strategy = Greedy() if greedy[i] else TopK(k, temperature)
         ref = select_next_token_reference(row, strategy, ref_rngs[i])
         assert picked[i] == ref
-        shifted = row.astype(np.float64) - row.max()
-        assert logp[i] == (shifted - np.log(np.exp(shifted).sum()))[ref]
+        assert logp[i] == log_softmax(row.astype(np.float64))[ref]
         if not greedy[i]:
             assert rngs[i].bit_generator.state == ref_rngs[i].bit_generator.state
 

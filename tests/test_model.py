@@ -14,13 +14,11 @@ from scgpt.model import (
     ModelConfig,
     build_example,
     build_plain_example,
-    forward_logits,
     init_params,
     load_checkpoint,
     nll_loss,
     pad_batch,
     save_checkpoint,
-    zero_params,
 )
 
 from gradcheck import fd_gradient, rel_error
@@ -41,10 +39,15 @@ def tiny_config(vocab, **kw):
     return ModelConfig(**defaults)
 
 
-def probs(params, batch):
-    """Next-token distributions [B,T,vocab] of a right-padded batch."""
-    ids, _, keep = pad_batch(batch, params.config.vocab_size - 1)
-    return ag.softmax_lastdim(forward_logits(params, ids, keep)).data
+def one_position(ids, t):
+    """``ids`` as an example whose loss is position t's prediction alone."""
+    return LinearizedExample(tuple(ids), tuple(int(s == t) for s in range(len(ids))))
+
+
+def position_loss(params, ids, t):
+    """``nll_loss`` of ``one_position(ids, t)``: minus the log-probability
+    of ``ids[t+1]`` given ``ids[:t+1]``."""
+    return float(nll_loss(params, [one_position(ids, t)]).data)
 
 
 def test_config_validation():
@@ -94,30 +97,40 @@ def test_linearized_example_validation():
 
 def test_zero_params_uniform(vocab):
     cfg = tiny_config(vocab)
-    params = zero_params(cfg)
+    params = init_params(cfg)
+    for _, t in params.named():
+        t.data[...] = 0.0
     ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
-    assert np.allclose(probs(params, [ex]), 1.0 / cfg.vocab_size)
+    for t in range(len(ex.ids) - 1):
+        assert abs(position_loss(params, ex.ids, t) - np.log(cfg.vocab_size)) < 1e-5
     loss = nll_loss(params, [ex])
     assert abs(float(loss.data) - np.log(cfg.vocab_size)) < 1e-5
 
 
 def test_forward_rows_are_distributions(vocab):
+    # the probabilities of every possible next token at one position sum to 1
     params = init_params(tiny_config(vocab), seed=0)
     ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
-    assert np.abs(probs(params, [ex]).sum(axis=-1) - 1.0).max() < 1e-6
+    for t in (0, len(ex.ids) - 2):
+        context = list(ex.ids[: t + 1])
+        total = sum(np.exp(-position_loss(params, context + [j], t))
+                    for j in range(vocab.size))
+        assert abs(total - 1.0) < 1e-6
 
 
 def test_causality(vocab):
+    # mutating ids[j] leaves the predictions before position j-1 alone (that
+    # one predicts ids[j]) and moves those from j on; the last position's
+    # target is the placeholder 0
     params = init_params(tiny_config(vocab), seed=1)
-    ids = np.arange(10)[None, :] % 50
-    keep = np.ones((1, 10), dtype=bool)
-    base = forward_logits(params, ids, keep).data
+    ids = list(range(10))
+    base = [position_loss(params, ids, t) for t in range(10)]
     for j in [4, 7, 9]:
-        mutated = ids.copy()
-        mutated[0, j] = (mutated[0, j] + 17) % 50
-        out = forward_logits(params, mutated, keep).data
-        assert np.allclose(out[0, :j], base[0, :j], atol=1e-6)
-        assert not np.allclose(out[0, j:], base[0, j:], atol=1e-6)
+        mutated = list(ids)
+        mutated[j] = (mutated[j] + 17) % 50
+        out = [position_loss(params, mutated, t) for t in range(10)]
+        assert np.allclose(out[: j - 1], base[: j - 1], atol=1e-6)
+        assert not np.allclose(out[j:], base[j:], atol=1e-6)
 
 
 def test_loss_invariant_to_masked_out_labels(vocab):
@@ -128,7 +141,7 @@ def test_loss_invariant_to_masked_out_labels(vocab):
     ids_arr, mask, keep = pad_batch([ex], vocab.pad_id)
     targets = np.roll(ids_arr, -1, axis=1)
     targets[:, -1] = 0
-    logits = forward_logits(params, ids_arr, keep)
+    logits = forward_logits_reference(params, ids_arr, keep)
     ref = float(ag.cross_entropy_masked(logits, targets, mask).data)
     flipped = targets.copy()
     changed = 0
@@ -142,13 +155,18 @@ def test_loss_invariant_to_masked_out_labels(vocab):
 
 
 def test_padding_equivalence(vocab):
+    # each position's loss of a short example is the same alone as padded
+    # beside a longer one
     params = init_params(tiny_config(vocab), seed=3)
-    short = build_example(act_set("bye"), "bye", vocab)
-    long = build_example(act_set("inform", [("name", "hilton")]), "the hilton is here", vocab)
-    solo = probs(params, [short])
-    packed = probs(params, [short, long])
-    L = len(short.ids)
-    assert np.abs(packed[0, :L] - solo[0, :L]).max() < 1e-5
+    short = build_example(act_set("bye"), "bye", vocab).ids
+    long = build_example(act_set("inform", [("name", "hilton")]), "the hilton is here",
+                         vocab).ids
+    t_long = len(long) - 2
+    long_alone = position_loss(params, long, t_long)
+    for t in range(len(short) - 1):
+        batch = [one_position(short, t), one_position(long, t_long)]
+        both = 2 * float(nll_loss(params, batch).data)
+        assert abs(both - long_alone - position_loss(params, short, t)) < 1e-5
 
 
 def test_e2e_gradient_check(vocab):
@@ -166,28 +184,6 @@ def test_e2e_gradient_check(vocab):
         fd = fd_gradient(loss_value, tensor.data)
         worst[name] = rel_error(tensor.grad, fd)
     assert max(worst.values()) < 1e-3, worst
-
-
-def test_forward_matches_per_op_oracle():
-    # the fused kernels against the per-op taped forward, dropout drawn alike
-    cfg = ModelConfig(vocab_size=23, n_layers=2, n_heads=2, d_model=8, d_ff=16,
-                      max_context=12, dropout=0.3)
-    params = init_params(cfg, seed=11, dtype=np.float64)
-    ids = np.random.default_rng(0).integers(0, cfg.vocab_size, (3, 9))
-    keep = np.arange(9) >= 9 - np.array([[7], [4], [9]])  # left-padded rows
-    weights = ag.constant(np.random.default_rng(1).standard_normal((3, 9, cfg.vocab_size)))
-    for seed in (None, 5):
-        runs = []
-        for forward in (forward_logits, forward_logits_reference):
-            rng = None if seed is None else np.random.default_rng(seed)
-            with Tape():
-                logits = forward(params, ids, keep, rng=rng)
-                backward(ag.sum_all(ag.mul(logits, weights)))
-            runs.append((logits.data, {n: t.grad for n, t in params.named()}))
-        (ours, ours_g), (ref, ref_g) = runs
-        assert np.abs(ours - ref).max() < 1e-12
-        worst = {n: rel_error(ours_g[n], ref_g[n]) for n in ref_g}
-        assert max(worst.values()) < 1e-10, worst
 
 
 def test_gradient_check_with_dropout():
@@ -213,11 +209,13 @@ def test_gradient_check_with_dropout():
 
 
 def dense_nll_loss(params, batch, rng=None):
-    """The loss on the dense layout: logits at every slot, then the mask."""
+    """The loss on the per-op reference forward: logits at every slot, then
+    the mask."""
     ids, mask, keep = pad_batch(batch, params.config.vocab_size - 1)
     targets = np.roll(ids, -1, axis=1)
     targets[:, -1] = 0
-    return ag.cross_entropy_masked(forward_logits(params, ids, keep, rng=rng), targets, mask)
+    logits = forward_logits_reference(params, ids, keep, rng=rng)
+    return ag.cross_entropy_masked(logits, targets, mask)
 
 
 def loss_and_grads(loss_fn, params, batch, seed=None):
@@ -252,6 +250,8 @@ PACKED_TOL = {np.float32: 1e-5, np.float64: 1e-10}
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 def test_packed_loss_matches_dense(dtype, dropout):
+    # the fused, packed kernels against the per-op taped forward on the
+    # padded grid, dropout drawn alike
     cfg = ModelConfig(vocab_size=41, n_layers=2, n_heads=2, d_model=16, d_ff=32,
                       max_context=40, dropout=dropout)
     batch = mixed_batch(cfg.vocab_size, (5, 23, 9, 2, 31), seed=0, last=1)
@@ -336,7 +336,7 @@ def test_decode_session_matches_full_forward(vocab):
     ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
     ids = np.array([ex.ids])
     keep = np.ones_like(ids, dtype=bool)
-    full = forward_logits(params, ids, keep).data
+    full = forward_logits_reference(params, ids, keep).data
 
     sess = DecodeSession(params, batch_size=1, max_len=len(ex.ids))
     T0 = len(ex.ids) - 3
@@ -371,7 +371,7 @@ def test_decode_session_left_padding(vocab):
     batched = sess.append(ids, pos, keep)
 
     for row, ex in enumerate([a, b]):
-        solo = forward_logits(
+        solo = forward_logits_reference(
             params,
             np.array([ex.ids]),
             np.ones((1, len(ex.ids)), dtype=bool),

@@ -35,7 +35,7 @@ DEMO = """
 def test_parse_demo_grammar():
     g = _grammar(DEMO)
     assert g.domain == "demo"
-    assert g.intents() == ("ask", "show")
+    assert {t.intent for t in g.templates} == {"ask", "show"}
     assert g.lexicon("b") == ("left side", "right side")
     show = g.templates[0]
     assert show.required == ("a",)
@@ -166,11 +166,9 @@ def test_builtin_grammars_load_and_validate():
 
 
 def test_heldout_intents_disjoint_from_pretraining():
-    pre = set()
-    for g in builtin_grammars(PRETRAIN_GRAMMARS):
-        pre.update(g.intents())
-    for g in builtin_grammars(HELDOUT_GRAMMARS):
-        assert not pre.intersection(g.intents())
+    pre = {t.intent for g in builtin_grammars(PRETRAIN_GRAMMARS) for t in g.templates}
+    held = {t.intent for g in builtin_grammars(HELDOUT_GRAMMARS) for t in g.templates}
+    assert held and not pre & held
 
 
 def test_heldout_keys_disjoint_from_pretraining():
