@@ -263,6 +263,24 @@ def test_packed_loss_matches_dense(dtype, dropout):
     assert max(worst.values()) < PACKED_TOL[dtype], worst
 
 
+def test_forward_matches_per_op_oracle():
+    # the fused kernels against the per-op taped forward, dropout drawn
+    # alike, with a loss at every position so the head sees every row
+    cfg = ModelConfig(vocab_size=23, n_layers=2, n_heads=2, d_model=8, d_ff=16,
+                      max_context=12, dropout=0.3)
+    ids = np.random.default_rng(0).integers(0, cfg.vocab_size - 1, (3, 9))
+    batch = [LinearizedExample(tuple(int(i) for i in row[:L]), (1,) * L)
+             for row, L in zip(ids, (7, 4, 9))]
+    for seed in (None, 5):
+        ours, ours_g = loss_and_grads(nll_loss, init_params(cfg, seed=11, dtype=np.float64),
+                                      batch, seed)
+        ref, ref_g = loss_and_grads(dense_nll_loss,
+                                    init_params(cfg, seed=11, dtype=np.float64), batch, seed)
+        assert ours == pytest.approx(ref, rel=1e-12)
+        worst = {n: rel_error(ours_g[n], ref_g[n]) for n in ref_g}
+        assert max(worst.values()) < 1e-10, worst
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_loss_batch_invariant(dtype):
     # each example's summed loss and gradients are the same alone as padded
