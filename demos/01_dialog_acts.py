@@ -9,7 +9,6 @@ from scgpt.dialog_act import (
     SubstituteValue,
     act_set,
     canonicalize,
-    delexicalize,
     edit_act,
     linearize,
     match_count,
@@ -36,7 +35,6 @@ def main() -> None:
     text = "curry garden serves indian food in the centre of town"
     for slot in acts.all_pairs():
         print(f"  {slot.name:5s} -> {match_count(slot.value, text)} occurrence(s)")
-    print("delexicalized:", delexicalize(text, acts))
 
     print("\n== structured edits ==")
     for op in (

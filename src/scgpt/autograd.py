@@ -360,7 +360,6 @@ def backward(loss: Tensor) -> None:
         g = grads.get(id(out))
         if g is None:
             continue
-        out.grad = g
         parent_grads = rule(g)
         for parent, pg in zip(parents, parent_grads):
             if pg is None or not parent.requires_grad:

@@ -242,11 +242,7 @@ def cmd_generate(args):
     if args.ckpt is None:
         raise UsageError("generate needs --ckpt")
     params = _load_model(args.ckpt, vocab)
-    dc = rc.decode_config(
-        seed=args.seed,
-        n_candidates=args.n_candidates,
-        max_new_tokens=args.max_new_tokens,
-    )
+    dc = rc.decode_config(seed=args.seed)
     inputs = [args.config, rc.vocab, args.ckpt]
     if args.corpus:
         inputs.append(args.corpus)
@@ -428,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--corpus", help=".jsonl corpus of dialog acts")
     s.add_argument("--domain", help="keep only this domain's examples")
     s.add_argument("--out", help="write one response per line here")
-    s.add_argument("--n-candidates", type=int)
-    s.add_argument("--max-new-tokens", type=int)
     _add_common(s, "config", "seed", "ckpt")
     s.set_defaults(func=cmd_generate)
 

@@ -71,20 +71,28 @@ class DatasetStats:
 
 
 def _example_from_obj(obj: dict, lineno: int, path) -> Example:
-    def need(container, key, where):
+    def fail(message):
+        raise ParseError(f"{path}:{lineno}: {message}") from None
+
+    def need(container, key, where, kind=str):
         if key not in container:
-            raise ParseError(f"{path}:{lineno}: missing {key!r} in {where}")
-        return container[key]
+            fail(f"missing {key!r} in {where}")
+        value = container[key]
+        if not isinstance(value, kind):
+            fail(f"{key!r} in {where} must be a {kind.__name__}, got {value!r}")
+        if kind is list and not all(isinstance(x, dict) for x in value):
+            fail(f"every item of {key!r} in {where} must be an object")
+        return value
 
     domain = need(obj, "domain", "example")
     response = need(obj, "response", "example")
-    acts_field = need(obj, "acts", "example")
-    if not isinstance(acts_field, list) or not acts_field:
-        raise ParseError(f"{path}:{lineno}: 'acts' must be a non-empty list")
+    acts_field = need(obj, "acts", "example", list)
+    if not acts_field:
+        fail("'acts' must be a non-empty list")
     acts = []
     for a in acts_field:
         intent = need(a, "intent", "act")
-        slots = a.get("slots", [])
+        slots = need(a, "slots", "act", list) if "slots" in a else []
         try:
             pairs = tuple(
                 SlotValuePair(need(s, "name", "slot"), need(s, "value", "slot"))
@@ -92,8 +100,8 @@ def _example_from_obj(obj: dict, lineno: int, path) -> Example:
             )
             acts.append(DialogAct(intent, pairs))
         except ValueError as e:
-            raise ParseError(f"{path}:{lineno}: {e}") from None
-    return Example(DialogActSet(tuple(acts)), str(response), str(domain))
+            fail(e)
+    return Example(DialogActSet(tuple(acts)), response, domain)
 
 
 def read_lines(path) -> list:

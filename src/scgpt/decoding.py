@@ -40,17 +40,6 @@ MAX_SESSION_ROWS = 256
 
 
 @dataclass(frozen=True)
-class Greedy:
-    pass
-
-
-@dataclass(frozen=True)
-class TopK:
-    k: int = 20
-    temperature: float = 1.0
-
-
-@dataclass(frozen=True)
 class DecodeConfig:
     n_candidates: int = 5
     max_new_tokens: int = 128
@@ -114,14 +103,15 @@ def select_tokens(logits: np.ndarray, rngs, k: int, temperature: float):
     return picked, logp[np.arange(len(picked)), picked]
 
 
-def select_next_token(logits: np.ndarray, strategy, rng) -> int:
-    """Pick the next token id from one logits row under a strategy; a
-    one-row call of :func:`select_tokens`."""
-    if isinstance(strategy, Greedy):
-        return int(select_tokens(logits[None], [None], 1, 1.0)[0][0])
-    if isinstance(strategy, TopK):
-        return int(select_tokens(logits[None], [rng], strategy.k, strategy.temperature)[0][0])
-    raise TypeError(f"unknown decode strategy {strategy!r}")
+def select_next_token(logits: np.ndarray, rng, k: int, temperature: float) -> int:
+    """Next token id of one logits row: a one-row :func:`select_tokens`,
+    greedy when ``rng`` is None.
+
+    Decoding calls :func:`select_tokens` directly.  This name stays as
+    the lookup site that ``perfbench/tracer.py`` wraps, until the package
+    records its own spans (ROADMAP item 1).
+    """
+    return int(select_tokens(logits[None], [rng], k, temperature)[0][0])
 
 
 def _candidate_rng(seed: int, da_index: int, cand_index: int) -> np.random.Generator:

@@ -7,7 +7,7 @@ A dialog act bundles an intent with slot-value pairs, e.g.
   (:func:`linearize`) and its inverse (:func:`parse_linearized`),
 * the delexicalised canonical key used for grouping, overlap statistics
   and seen/unseen splits (:func:`canonicalize`),
-* value delexicalization of utterances (:func:`delexicalize`),
+* word-boundary counting of slot values in text (:func:`match_count`),
 * slot editing used by robustness probes (:func:`edit_act`).
 
 Everything here is a pure function over immutable values.
@@ -34,7 +34,7 @@ from .errors import AmbiguousSlotError, MalformedInputError, UnknownSlotError
 RESERVED_CHARS = frozenset("()=,;[]")
 
 #: Values that mark binary/request slots rather than surface text.  They are
-#: never substituted by delexicalization and never counted by slot_error.
+#: never counted by slot_error or by the entity extractor.
 NON_LEXICAL_VALUES = frozenset({"?", "yes", "no", "dontcare", "true", "false", "none"})
 
 
@@ -154,9 +154,7 @@ def parse_linearized(s: str) -> DialogActSet:
 
     def fail(i: int, expected: str):
         found = tokens[i] if i < n else "end of input"
-        raise MalformedInputError(
-            f"expected {expected} at token {i}, found {found!r}", token_index=i
-        )
+        raise MalformedInputError(f"expected {expected} at token {i}, found {found!r}")
 
     i = 0
     acts = []
@@ -198,7 +196,7 @@ def parse_linearized(s: str) -> DialogActSet:
                 break
         acts.append(DialogAct(intent, tuple(pairs)))
     if not acts:
-        raise MalformedInputError("empty dialog act string", token_index=0)
+        raise MalformedInputError("empty dialog act string")
     return DialogActSet(tuple(acts))
 
 
@@ -216,8 +214,8 @@ def canonicalize(acts: DialogActSet) -> str:
 
 @functools.lru_cache(maxsize=4096)
 def _boundary_pattern(value: str) -> re.Pattern:
-    # Word-boundary match that also refuses to touch text inside [...]
-    # placeholders, which keeps repeated delexicalization idempotent.
+    # Word-boundary match that also refuses a value glued to "[" or "]",
+    # so text inside [slot] placeholders never counts as a value.
     return re.compile(
         r"(?<![\w\[])" + re.escape(value) + r"(?![\w\]])", re.IGNORECASE
     )
@@ -226,24 +224,6 @@ def _boundary_pattern(value: str) -> re.Pattern:
 def match_count(value: str, text: str) -> int:
     """Non-overlapping, case-insensitive, word-boundary occurrence count."""
     return len(_boundary_pattern(value).findall(text))
-
-
-def delexicalize(utterance: str, acts: DialogActSet) -> str:
-    """Replace lexical slot values in the utterance with ``[slot]`` markers.
-
-    Matching is case-insensitive and word-boundary aware, longest value
-    first with length ties broken by slot name; placeholder values
-    ("?", "yes", ...) are never substituted.  Values absent from the
-    utterance are silently skipped, and the operation is idempotent.
-    """
-    targets = [
-        (p.value, p.name) for p in acts.all_pairs() if is_lexical_value(p.value)
-    ]
-    targets.sort(key=lambda t: (-len(t[0]), t[1]))
-    out = utterance
-    for value, name in targets:
-        out = _boundary_pattern(value).sub(f"[{name}]", out)
-    return out
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,8 @@ class UsageError(ScgptError):
 
 
 class MalformedInputError(UsageError):
-    """Unparseable linearized dialog act string.
-
-    ``token_index`` is the 0-based position of the first offending token.
-    """
-
-    def __init__(self, message: str, token_index: int | None = None):
-        super().__init__(message)
-        self.token_index = token_index
+    """Unparseable linearized dialog act string; the message names the
+    0-based position of the first offending token ("at token i")."""
 
 
 class UnknownSlotError(ScgptError):

@@ -9,6 +9,7 @@ holds exactly in single-threaded mode.
 
 import hashlib
 import json
+import os
 import subprocess
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -33,12 +34,15 @@ def _now() -> str:
 
 
 def git_describe() -> str | None:
+    """The commit of the checkout this package runs from, or None when it
+    is not in a git checkout or git cannot tell in time."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return None
     return out.stdout.strip() or None
 

@@ -6,8 +6,7 @@ counts, per distinct value, how many required occurrences are missing
 from the realization (p) and how many surplus occurrences appear (q);
 ERR = (p+q)/M with M the number of lexical pairs.  Placeholder values
 ("?", "yes", "no", "dontcare", "true", "false", "none") have no surface
-form and are excluded from M; the excluded slot names are recorded on
-the report for audit.
+form and are excluded from M.
 """
 
 from __future__ import annotations
@@ -35,14 +34,12 @@ class SlotErrorReport:
     """Slot accounting for one realization.
 
     M counts lexical slot-value pairs; p is the total shortfall and q the
-    total surplus of value occurrences; omitted lists slot names whose
-    placeholder values were excluded from M.
+    total surplus of value occurrences.
     """
 
     M: int
     p: int
     q: int
-    omitted: tuple = ()
 
     @property
     def err(self) -> float:
@@ -57,16 +54,14 @@ def slot_error(acts: DialogActSet, text: str) -> SlotErrorReport:
     and max(0, found - r) to q, so ERR is zero exactly when every lexical
     value appears exactly as often as the act requires.
     """
-    pairs = acts.all_pairs()
-    lexical = [p for p in pairs if is_lexical_value(p.value)]
+    lexical = [p for p in acts.all_pairs() if is_lexical_value(p.value)]
     required = Counter(p.value.lower() for p in lexical)
     missing = surplus = 0
     for value, r in required.items():
         found = match_count(value, text)
         missing += max(0, r - found)
         surplus += max(0, found - r)
-    omitted = tuple(p.name for p in pairs if not is_lexical_value(p.value))
-    return SlotErrorReport(M=len(lexical), p=missing, q=surplus, omitted=omitted)
+    return SlotErrorReport(M=len(lexical), p=missing, q=surplus)
 
 
 def _ngrams(tokens: list, n: int) -> Counter:
@@ -120,18 +115,17 @@ def corpus_bleu(candidates, references) -> float:
     return bp * math.exp(log_sum)
 
 
-def make_entity_extractor(*corpora: Corpus):
+def make_entity_extractor(corpus: Corpus):
     """Build the default entity extractor from corpus dialog acts.
 
-    The inventory is every distinct lexical slot value in the given
-    corpora (lowercased).  The extractor returns a multiset counting
-    word-boundary occurrences of each inventory value plus every number
-    token in the text.
+    The inventory is every distinct lexical slot value in the corpus
+    (lowercased).  The extractor returns a multiset counting word-boundary
+    occurrences of each inventory value plus every number token in the
+    text.
     """
     inventory = sorted(
         {
             p.value.lower()
-            for corpus in corpora
             for ex in corpus
             for p in ex.acts.all_pairs()
             if is_lexical_value(p.value)
@@ -174,11 +168,17 @@ def entity_f1(candidates, references, entity_extractor) -> float:
     return 1.0 if denom == 0 else 2 * tp / denom
 
 
+def _seen_flags(train: Corpus, test: Corpus) -> list:
+    """Per test example, whether its canonical act occurs in train."""
+    train_keys = {canonicalize(ex.acts) for ex in train}
+    return [canonicalize(ex.acts) in train_keys for ex in test]
+
+
 def seen_unseen_split(train: Corpus, test: Corpus):
     """Partition test examples by whether their canonical act occurs in train."""
-    train_keys = {canonicalize(ex.acts) for ex in train}
-    seen = [ex for ex in test if canonicalize(ex.acts) in train_keys]
-    unseen = [ex for ex in test if canonicalize(ex.acts) not in train_keys]
+    flags = _seen_flags(train, test)
+    seen = [ex for ex, s in zip(test, flags) if s]
+    unseen = [ex for ex, s in zip(test, flags) if not s]
     return Corpus(tuple(seen)), Corpus(tuple(unseen))
 
 
@@ -198,13 +198,12 @@ class EvalReport:
     err_unseen: float
 
 
-def _subset_scores(examples, cand_by_id):
-    if not examples:
+def _subset_scores(pairs):
+    """BLEU and mean ERR over (example, candidate) pairs."""
+    if not pairs:
         return 0.0, 0.0
-    cands = [cand_by_id[id(ex)] for ex in examples]
-    refs = [[ex.response] for ex in examples]
-    bleu = corpus_bleu(cands, refs)
-    err = sum(slot_error(ex.acts, c).err for ex, c in zip(examples, cands)) / len(examples)
+    bleu = corpus_bleu([c for _, c in pairs], [[ex.response] for ex, _ in pairs])
+    err = sum(slot_error(ex.acts, c).err for ex, c in pairs) / len(pairs)
     return bleu, err
 
 
@@ -220,11 +219,13 @@ def evaluate(train: Corpus, test: Corpus, candidates, domain: str = "") -> EvalR
         raise LengthMismatchError(
             f"{len(candidates)} candidates vs {len(test)} test examples"
         )
-    cand_by_id = {id(ex): c for ex, c in zip(test, candidates)}
-    seen, unseen = seen_unseen_split(train, test)
-    bleu, err = _subset_scores(list(test), cand_by_id)
-    bleu_seen, err_seen = _subset_scores(list(seen), cand_by_id)
-    bleu_unseen, err_unseen = _subset_scores(list(unseen), cand_by_id)
+    pairs = list(zip(test, candidates))
+    flags = _seen_flags(train, test)
+    seen = [pc for pc, s in zip(pairs, flags) if s]
+    unseen = [pc for pc, s in zip(pairs, flags) if not s]
+    bleu, err = _subset_scores(pairs)
+    bleu_seen, err_seen = _subset_scores(seen)
+    bleu_unseen, err_unseen = _subset_scores(unseen)
     extractor = make_entity_extractor(test)
     f1 = entity_f1(list(candidates), [ex.response for ex in test], extractor)
     return EvalReport(

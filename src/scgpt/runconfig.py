@@ -69,10 +69,8 @@ class RunConfig:
     def train_config(self, stage: str, seed: int = 0) -> TrainConfig:
         return self._build(default_train_config, stage=stage, seed=seed, **self.train)
 
-    def decode_config(self, seed: int = 0, **overrides) -> DecodeConfig:
-        kw = dict(self.decode, seed=seed)
-        kw.update({k: v for k, v in overrides.items() if v is not None})
-        return self._build(DecodeConfig, **kw)
+    def decode_config(self, seed: int = 0) -> DecodeConfig:
+        return self._build(DecodeConfig, seed=seed, **self.decode)
 
 
 def parse_config(text: str, source: str = "<string>") -> RunConfig:

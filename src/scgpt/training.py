@@ -84,7 +84,7 @@ def adamw_step(
     grads: dict,
     state: OptimizerState,
     lr: float,
-    weight_decay: float = 0.01,
+    weight_decay: float,
 ) -> None:
     """One Adam update with decoupled weight decay, in place.
 
@@ -95,9 +95,7 @@ def adamw_step(
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, tensor in params.named():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(tensor.data)
+        g = grads[name]
         if g.shape != tensor.data.shape:
             raise ShapeMismatchError(
                 f"gradient for {name} has shape {g.shape}, parameter {tensor.data.shape}"
@@ -171,7 +169,7 @@ def _masked_nll_total(params, batch):
     return loss * n, n
 
 
-def evaluate_loss(params: ModelParams, examples, batch_size: int = 8) -> float:
+def evaluate_loss(params: ModelParams, examples, batch_size: int) -> float:
     """Dropout-free mean NLL per masked position over a whole set."""
     total = 0.0
     count = 0

@@ -21,7 +21,6 @@ import numpy as np
 
 from scgpt import autograd as ag
 from scgpt.bpe import N_BASE, SPECIAL_NAMES, Vocab
-from scgpt.decoding import Greedy, TopK
 from scgpt.errors import CorpusEmptyError
 
 PLACEHOLDERS = {"?", "yes", "no", "dontcare", "true", "false", "none"}
@@ -417,13 +416,12 @@ def _draw(logp: np.ndarray, rng) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def select_next_token_reference(logits: np.ndarray, strategy, rng) -> int:
-    """Pick the next token id from a logits row under a strategy."""
-    if isinstance(strategy, Greedy):
+def select_next_token_reference(logits: np.ndarray, rng, k: int, temperature: float) -> int:
+    """Pick the next token id from a logits row: the argmax when ``rng``
+    is None, else a draw from the k largest logits over ``temperature``."""
+    if rng is None:
         return int(np.argmax(logits))
-    if isinstance(strategy, TopK):
-        k = min(strategy.k, len(logits))
-        top = logits.argsort()[: -k - 1 : -1]  # k largest, largest first
-        scaled = logits[top] / max(strategy.temperature, 1e-6)
-        return int(top[_draw(ag.log_softmax(scaled.astype(np.float64)), rng)])
-    raise TypeError(f"unknown decode strategy {strategy!r}")
+    k = min(k, len(logits))
+    top = logits.argsort()[: -k - 1 : -1]  # k largest, largest first
+    scaled = logits[top] / max(temperature, 1e-6)
+    return int(top[_draw(ag.log_softmax(scaled.astype(np.float64)), rng)])

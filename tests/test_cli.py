@@ -134,7 +134,6 @@ def test_generate_corpus_mode(pipeline, tmp_path):
     assert run(["generate", "--config", pipeline / "run.cfg",
                 "--ckpt", pipeline / "da.ckpt",
                 "--corpus", pipeline / "corpus.jsonl", "--domain", "taxi",
-                "--n-candidates", 1, "--max-new-tokens", 12,
                 "--out", gens]) == 0
     n_taxi = sum(1 for ex in ingest(pipeline / "corpus.jsonl")
                  if ex.domain == "taxi")
@@ -214,6 +213,19 @@ def test_missing_file_exits_2(pipeline, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert run(["pretrain-da", "--corpus", pipeline / "corpus.jsonl",
                 "--out", tmp_path / "x.ckpt"]) == 2  # no --config
+
+
+def test_badly_typed_corpus_exits_2(tmp_path, capsys):
+    good = {"domain": "taxi", "response": "bye", "acts": [{"intent": "bye"}]}
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    train.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, acts=[5])) + "\n")
+    test.write_text(json.dumps(good) + "\n")
+    assert run(["stats", "--train", train, "--test", test,
+                "--manifest", tmp_path / "m.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {train}:2: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_vocab_size_mismatch_exits_2(pipeline, tmp_path):
@@ -326,7 +338,7 @@ def test_replay_redirects_equals_form_and_refuses_abbreviations(tmp_path, capsys
         ("train.batch_size = 0", "pretrain-plain"),
         ("train.max_epochs = 0", "pretrain-plain"),
         ("decode.top_k = 0", "generate"),
-        ("", "generate --n-candidates 0"),
+        ("decode.n_candidates = 0", "generate"),
     ],
 )
 def test_invalid_config_values_exit_2(pipeline, tmp_path, capsys, setting, command):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,31 @@ def test_ingest_missing_field_names_line(tmp_path):
     del bad["response"]
     _write(p, [_obj(), bad])
     with pytest.raises(ParseError, match=":2"):
+        ingest(p)
+
+
+@pytest.mark.parametrize(
+    "where,key,value",
+    [
+        ((), "domain", None),
+        ((), "response", 7),
+        ((), "acts", [5]),
+        (("acts", 0), "intent", 5),
+        (("acts", 0), "slots", "name"),
+        (("acts", 0), "slots", [["name", "ix"]]),
+        (("acts", 0, "slots", 0), "name", None),
+        (("acts", 0, "slots", 0), "value", 3),
+    ],
+)
+def test_ingest_rejects_badly_typed_fields(tmp_path, where, key, value):
+    bad = _obj()
+    target = bad
+    for step in where:
+        target = target[step]
+    target[key] = value
+    p = tmp_path / "c.jsonl"
+    _write(p, [_obj(), bad])
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(p))}:2: "):
         ingest(p)
 
 

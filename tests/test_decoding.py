@@ -10,8 +10,6 @@ from scgpt.dataset import Corpus, Example
 from scgpt.decoding import (
     Candidate,
     DecodeConfig,
-    Greedy,
-    TopK,
     generate_candidates,
     generate_corpus,
     generate_reranked,
@@ -202,28 +200,29 @@ def test_context_overflow(overfit):
 def test_select_next_token_strategies():
     rng = np.random.default_rng(0)
     logits = np.array([0.0, 5.0, 1.0, 4.9])
-    assert select_next_token(logits, Greedy(), None) == 1
-    picks = {select_next_token(logits, TopK(2, 1.0), rng) for _ in range(50)}
+    assert select_next_token(logits, None, 2, 1.0) == 1
+    picks = {select_next_token(logits, rng, 2, 1.0) for _ in range(50)}
     assert picks <= {1, 3}  # only the two largest logits are reachable
 
 
-def _reference_choice(logits, strategy, rng):
+def _reference_choice(logits, rng, k, temperature):
     # the draw as rng.choice made it, which fixes every sampled RNG stream
-    k = min(strategy.k, len(logits))
+    k = min(k, len(logits))
     top = np.argsort(logits)[::-1][:k]
-    logp = log_softmax((logits[top] / max(strategy.temperature, 1e-6)).astype(np.float64))
+    logp = log_softmax((logits[top] / max(temperature, 1e-6)).astype(np.float64))
     return int(top[rng.choice(k, p=np.exp(logp))])
 
 
-@pytest.mark.parametrize("strategy", [TopK(1), TopK(5, 0.7), TopK(20), TopK(100, 1.3)])
+# (k, temperature) pairs
+@pytest.mark.parametrize("strategy", [(1, 1.0), (5, 0.7), (20, 1.0), (100, 1.3)])
 def test_sampled_draw_matches_rng_choice(strategy):
     rows = np.random.default_rng(99)
     for seed in range(30):
         logits = (rows.standard_normal(64) * 3).astype(np.float32)
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(20):
-            assert select_next_token(logits, strategy, ours) == _reference_choice(
-                logits, strategy, ref
+            assert select_next_token(logits, ours, *strategy) == _reference_choice(
+                logits, ref, *strategy
             )
 
 
@@ -255,8 +254,7 @@ def test_whole_batch_select_matches_per_row_oracle(block, seed):
     rngs, ref_rngs = _row_rngs(greedy, seed), _row_rngs(greedy, seed)
     picked, logp = select_tokens(logits, rngs, k, temperature)
     for i, row in enumerate(logits):
-        strategy = Greedy() if greedy[i] else TopK(k, temperature)
-        ref = select_next_token_reference(row, strategy, ref_rngs[i])
+        ref = select_next_token_reference(row, ref_rngs[i], k, temperature)
         assert picked[i] == ref
         assert logp[i] == log_softmax(row.astype(np.float64))[ref]
         if not greedy[i]:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from scgpt.dialog_act import (
@@ -11,7 +11,6 @@ from scgpt.dialog_act import (
     SubstituteValue,
     act_set,
     canonicalize,
-    delexicalize,
     edit_act,
     is_lexical_value,
     linearize,
@@ -52,7 +51,7 @@ def test_parse_round_trips_examples():
 def test_parse_missing_equals_reports_token_index():
     with pytest.raises(MalformedInputError) as exc:
         parse_linearized("inform ( name Hilton )")
-    assert exc.value.token_index == 3
+    assert "at token 3," in str(exc.value)
 
 
 def test_parse_rejects_garbage():
@@ -97,32 +96,11 @@ def test_canonical_ignores_values_and_order():
     assert canonicalize(a) == canonicalize(b)
 
 
-def test_delexicalize_basic():
-    acts = act_set("inform", [("name", "Hilton"), ("area", "center")])
-    out = delexicalize("the hilton is in the center", acts)
-    assert out == "the [name] is in the [area]"
-
-
-def test_delexicalize_word_boundaries():
-    acts = act_set("inform", [("area", "center")])
-    assert delexicalize("centerville is in the center", acts) == "centerville is in the [area]"
-
-
-def test_delexicalize_skips_non_lexical():
-    acts = act_set("request", [("stars", "?"), ("parking", "yes")])
-    text = "do you need parking ? yes or no"
-    assert delexicalize(text, acts) == text
-
-
-def test_delexicalize_longest_first():
-    acts = act_set("inform", [("food", "modern european"), ("style", "european")])
-    out = delexicalize("a modern european place", acts)
-    assert out == "a [food] place"
-
-
 def test_match_count_case_and_boundary():
     assert match_count("center", "Center of the center, centered") == 2
     assert match_count("5", "rated 5 , not 55") == 1
+    # a value glued to a bracket, as in a [slot] placeholder, does not count
+    assert match_count("area", "[area] [area area] area") == 1
 
 
 def test_is_lexical_value():
@@ -181,13 +159,6 @@ def test_property_canonical_stable_under_pair_shuffle(acts):
         )
     )
     assert canonicalize(flipped) == canonicalize(acts)
-
-
-@given(_act_sets, st.text(alphabet="abcdefgh XY[]", max_size=40))
-@settings(max_examples=60)
-def test_property_delexicalize_idempotent(acts, text):
-    once = delexicalize(text, acts)
-    assert delexicalize(once, acts) == once
 
 
 @given(_act_sets)

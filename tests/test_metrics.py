@@ -48,7 +48,8 @@ def test_slot_error_excludes_placeholders():
     acts = _acts(("name", "Hilton"), ("stars", "?"), ("parking", "yes"))
     r = slot_error(acts, "the hilton has parking")
     assert r.M == 1 and r.err == 0.0
-    assert set(r.omitted) == {"stars", "parking"}
+    # a placeholder in the text is neither a match nor a surplus
+    assert slot_error(acts, "yes , the hilton ? yes").err == 0.0
 
 
 def test_slot_error_empty_act():
@@ -219,6 +220,15 @@ def test_evaluate_perfect_candidates():
     assert (report.n_seen, report.n_unseen) == (1, 1)
     text = render_report(report)
     assert "bleu_unseen" in text and "domain" in text
+
+
+def test_evaluate_pairs_candidates_by_position():
+    ex = Example(act_set("inform", [("name", "hilton")]), "the hilton is here", "d")
+    twin = Example(ex.acts, ex.response, ex.domain)  # equal, but another object
+    cands = ["the hilton is here", "no hotel named"]
+    same_object = evaluate(Corpus(()), Corpus((ex, ex)), cands)
+    assert same_object == evaluate(Corpus(()), Corpus((ex, twin)), cands)
+    assert same_object.err == same_object.err_unseen == 0.5
 
 
 def test_evaluate_length_mismatch():

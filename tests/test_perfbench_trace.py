@@ -15,7 +15,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["offline_corpus", "train_da", "prepare_corpus"])
+@pytest.mark.parametrize(
+    "workload", ["online_reranked", "offline_corpus", "train_da", "prepare_corpus"]
+)
 def test_traced_run_passes_its_checks(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

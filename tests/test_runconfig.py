@@ -1,11 +1,16 @@
 import hashlib
 import json
 import re
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
+import scgpt
+from scgpt import manifest
 from scgpt.errors import ParseError, UnknownFormatError
-from scgpt.manifest import RunManifest, load_manifest, sha256_file
+from scgpt.manifest import RunManifest, git_describe, load_manifest, sha256_file
 from scgpt import runconfig
 from scgpt.runconfig import RunConfig, load_config, parse_config
 
@@ -44,13 +49,6 @@ def test_defaults_fill_unset_keys():
     assert rc.train_config("finetune").max_epochs == 5
     assert rc.train_config("da_pretrain").start_lr == 5e-5
     assert rc.decode_config().n_candidates == 5
-
-
-def test_decode_overrides_skip_none():
-    rc = parse_config("decode.n_candidates = 3")
-    dc = rc.decode_config(seed=1, n_candidates=None, max_new_tokens=10)
-    assert dc.n_candidates == 3
-    assert dc.max_new_tokens == 10
 
 
 @pytest.mark.parametrize(
@@ -117,6 +115,32 @@ def test_manifest_snapshot_config(tmp_path):
     assert man.config_path == str(cfg)
 
 
+@pytest.mark.skipif(shutil.which("git") is None, reason="git not on PATH")
+def test_git_describe_names_the_package_checkout(tmp_path, monkeypatch):
+    def git(*args, cwd):
+        return subprocess.run(["git", *args], cwd=cwd, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    git("init", "-q", cwd=tmp_path)
+    git("-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+        "--allow-empty", "-m", "other", cwd=tmp_path)
+    other = git("describe", "--always", "--dirty", cwd=tmp_path)
+    package_dir = Path(scgpt.__file__).parent
+    expected = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=package_dir,
+                              capture_output=True, text=True).stdout.strip() or None
+    monkeypatch.chdir(tmp_path)
+    assert git_describe() == expected
+    assert git_describe() != other
+
+
+def test_git_describe_timeout_is_none(monkeypatch):
+    def hang(cmd, **kw):
+        raise subprocess.TimeoutExpired(cmd, kw["timeout"])
+
+    monkeypatch.setattr(manifest.subprocess, "run", hang)
+    assert git_describe() is None
+
+
 def test_load_manifest_rejects_junk(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{ not json")
@@ -174,7 +198,7 @@ def test_fixed_fields_are_not_config_keys(key):
         ("model.d_model = 30", lambda rc: rc.model_config(vocab_size=300)),
         ("train.batch_size = 0", lambda rc: rc.train_config("plain")),
         ("decode.top_k = 0", lambda rc: rc.decode_config()),
-        ("", lambda rc: rc.decode_config(n_candidates=0)),
+        ("decode.n_candidates = 0", lambda rc: rc.decode_config()),
     ],
 )
 def test_invalid_values_raise_parse_error_naming_file(tmp_path, line, build):

@@ -87,7 +87,7 @@ def test_adamw_shape_mismatch():
     params = _scalar_params(1.0)
     state = OptimizerState.for_params(params)
     with pytest.raises(ShapeMismatchError):
-        adamw_step(params, {"w": np.zeros(3)}, state, lr=0.1)
+        adamw_step(params, {"w": np.zeros(3)}, state, lr=0.1, weight_decay=0.0)
 
 
 def test_lr_schedule():
@@ -214,9 +214,9 @@ def test_run_stage_overfits_small_corpus(setup):
     from scgpt.model import build_example
 
     examples = [build_example(ex.acts, ex.response, vocab, cfg.max_context) for ex in corpus]
-    examples_loss_before = evaluate_loss(params, examples)
+    examples_loss_before = evaluate_loss(params, examples, tc.batch_size)
     params, log = run_stage(tc, corpus, params, vocab)
-    after = evaluate_loss(params, examples)
+    after = evaluate_loss(params, examples, tc.batch_size)
     assert after < examples_loss_before * 0.05
     assert after < 0.05
 
