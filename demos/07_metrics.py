@@ -51,8 +51,8 @@ def main() -> None:
         Example(act_set("inform", [("name", "curry garden")]), "curry garden", "toy"),
     ))
     seen, unseen = seen_unseen_split(train, test)
-    print(f"  {len(seen)} test acts share a canonical DA with training, "
-          f"{len(unseen)} are novel")
+    print(f"  test acts {seen} share a canonical DA with training, "
+          f"{unseen} are novel")
 
 
 if __name__ == "__main__":

@@ -1,20 +1,22 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Just enough machinery for a small transformer: a :class:`Tensor` wrapper,
-a :class:`Tape` recording forward operations, and backward rules for
-matmul, broadcasting add/mul, GELU, softmax, layer normalization,
-embedding lookup, dropout, and masked cross-entropy.
+Just enough machinery for the model's taped loss: a :class:`Tensor`
+wrapper, a :class:`Tape` recording forward operations, :func:`emit`,
+which records a kernel's output and backward as one op, and
+:func:`backward`, which replays the tape in reverse.
 
-GELU, softmax and layer norm are also kernels on raw arrays returning
-``(out, backward)``; :func:`emit` records such a kernel as one op.
-:func:`log_softmax` is a kernel without a backward: its callers, the
-cross-entropies and the decode select, need only its output or write a
-simpler backward of their own.
+The kernels that the model's blocks, its loss and the decode select
+share live here too.  GELU, softmax and layer norm run on raw arrays and
+return ``(out, backward)``.  :func:`log_softmax` has no backward: its
+callers, the head's cross-entropy and the decode select, need only its
+output or write a simpler backward of their own.  :func:`dropout_mask`
+draws the inverted-dropout multipliers.
 
-Ops run in whatever float width their inputs carry; training uses 32-bit
-and gradient checking builds 64-bit tensors.  Every op verifies its
-output is finite and raises :class:`NumericFaultError` otherwise, which
-is why attention masking uses a large negative constant rather than -inf.
+Kernels run in whatever float width their inputs carry; training uses
+32-bit and gradient checking builds 64-bit tensors.  :func:`emit`
+verifies each output is finite and raises :class:`NumericFaultError`
+otherwise, which is why attention masking uses a large negative
+constant rather than -inf.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import NonScalarLossError, NumericFaultError, RangeError, ShapeMismatchError
+from .errors import NonScalarLossError, NumericFaultError
 
 _active_tape = None
 
@@ -64,20 +66,12 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def param(data) -> Tensor:
     return Tensor(data, requires_grad=True)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
 
 
 def emit(op: str, parents, out_data: np.ndarray, backward) -> Tensor:
@@ -90,67 +84,6 @@ def emit(op: str, parents, out_data: np.ndarray, backward) -> Tensor:
     if _active_tape is not None and out.requires_grad:
         _active_tape._records.append((out, parents, backward))
     return out
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to the shape it was broadcast from."""
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product with numpy broadcasting over leading dims."""
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
-        raise ShapeMismatchError(f"matmul of {a.data.shape} and {b.data.shape}")
-    out = a.data @ b.data
-
-    def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
-        return ga, gb
-
-    return emit("matmul", (a, b), out, backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data + b.data
-    except ValueError:
-        raise ShapeMismatchError(f"add of {a.data.shape} and {b.data.shape}") from None
-
-    def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return emit("add", (a, b), out, backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeMismatchError(f"mul of {a.data.shape} and {b.data.shape}") from None
-
-    def backward(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
-
-    return emit("mul", (a, b), out, backward)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    out = a.data * s
-
-    def backward(g):
-        return (g * s,)
-
-    return emit("scale", (a,), out, backward)
 
 
 GELU_C = math.sqrt(2.0 / math.pi)
@@ -169,11 +102,6 @@ def gelu_kernel(x: np.ndarray):
     return out, backward
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU activation, tanh approximation."""
-    return emit("gelu", (a,), *gelu_kernel(a.data))
-
-
 def softmax_kernel(x: np.ndarray):
     """Row-stable softmax over the last axis; returns (out, backward)."""
     out = np.exp(x - x.max(axis=-1, keepdims=True))
@@ -190,11 +118,6 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     """Row-stable log-softmax over the last axis, in the width of x."""
     shifted = x - x.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def softmax_lastdim(a: Tensor) -> Tensor:
-    """Row-stable softmax along the last axis."""
-    return emit("softmax_lastdim", (a,), *softmax_kernel(a.data))
 
 
 LAYERNORM_EPS = 1e-5
@@ -219,129 +142,9 @@ def layernorm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return out, backward
 
 
-def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance, then affine."""
-    d = a.data.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ShapeMismatchError(
-            f"layernorm affine shapes {gain.data.shape}/{bias.data.shape} "
-            f"for feature dim {d}"
-        )
-    return emit("layernorm", (a, gain, bias), *layernorm_kernel(a.data, gain.data, bias.data))
-
-
-def embed_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of an embedding table by integer id array."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise RangeError(
-            f"ids outside [0, {table.data.shape[0]}) passed to embed_lookup"
-        )
-    out = table.data[ids]
-
-    def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
-
-    return emit("embed_lookup", (table,), out, backward)
-
-
 def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
     """Inverted-dropout multiplier: 0 with probability p, else 1/(1-p)."""
     return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
-
-
-def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; identity when p == 0."""
-    if not 0.0 <= p < 1.0:
-        raise RangeError(f"dropout rate must be in [0, 1), got {p}")
-    if p == 0.0:
-        return a
-    keep = dropout_mask(a.data.shape, p, rng, a.data.dtype)
-    out = a.data * keep
-
-    def backward(g):
-        return (g * keep,)
-
-    return emit("dropout", (a,), out, backward)
-
-
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    out = a.data.reshape(shape)
-
-    def backward(g):
-        return (g.reshape(a.data.shape),)
-
-    return emit("reshape", (a,), out, backward)
-
-
-def transpose(a: Tensor, axes: tuple) -> Tensor:
-    out = a.data.transpose(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        return (g.transpose(inverse),)
-
-    return emit("transpose", (a,), out, backward)
-
-
-def take_index(a: Tensor, index: int) -> Tensor:
-    """Select one slice along the leading axis, dropping that axis."""
-    if not 0 <= index < a.data.shape[0]:
-        raise RangeError(f"index {index} out of range for axis of {a.data.shape[0]}")
-    out = a.data[index]
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[index] = g
-        return (ga,)
-
-    return emit("take_index", (a,), out, backward)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
-
-    def backward(g):
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return emit("sum_all", (a,), out, backward)
-
-
-def cross_entropy_masked(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood over positions where mask is 1.
-
-    ``targets`` supplies the label id per position; labels at mask-0
-    positions are ignored entirely.  An all-zero mask yields loss 0 with
-    zero gradients.
-    """
-    targets = np.asarray(targets)
-    mask = np.asarray(mask, dtype=logits.data.dtype)
-    if targets.shape != logits.data.shape[:-1] or mask.shape != targets.shape:
-        raise ShapeMismatchError(
-            f"cross_entropy_masked logits {logits.data.shape}, "
-            f"targets {targets.shape}, mask {mask.shape}"
-        )
-    x = logits.data
-    logp = log_softmax(x)
-    idx = np.indices(targets.shape)
-    picked = logp[(*idx, targets)]
-    denom = mask.sum()
-    if denom == 0:
-        out = np.asarray(0.0, dtype=x.dtype)
-    else:
-        out = np.asarray(-(picked * mask).sum() / denom)
-
-    def backward(g):
-        if denom == 0:
-            return (np.zeros_like(x),)
-        probs = np.exp(logp)
-        grad = probs * mask[..., None]
-        grad[(*idx, targets)] -= mask
-        return (grad * (g / denom),)
-
-    return emit("cross_entropy_masked", (logits,), out, backward)
 
 
 def backward(loss: Tensor) -> None:

@@ -293,10 +293,14 @@ def _redirect_argv(argv, out_dir):
     """Point every output flag of a recorded argv into out_dir.
 
     A flag is either ``--out PATH`` or ``--out=PATH``; the parser takes no
-    abbreviated flags, so no other spelling can name an output.
+    abbreviated flags, so no other spelling can name an output.  Returns
+    the new argv and a map from each recorded flag value to its new one.
     """
+    moves = {}
+
     def moved(path):
-        return os.path.join(out_dir, os.path.basename(path))
+        moves[path] = os.path.join(out_dir, os.path.basename(path))
+        return moves[path]
 
     new = list(argv)
     seen_manifest = False
@@ -311,7 +315,17 @@ def _redirect_argv(argv, out_dir):
         seen_manifest = seen_manifest or flag == "--manifest"
     if not seen_manifest:
         new += ["--manifest", os.path.join(out_dir, "replay.manifest.json")]
-    return new
+    return new, moves
+
+
+def _rebase(path, moves):
+    """Where the replay wrote recorded output ``path``: the longest output
+    flag value it starts with (``fs`` of ``fs/test.jsonl``, ``x.ckpt`` of
+    ``x.ckpt.log``), swapped for that flag's new value."""
+    old = max((v for v in moves if path.startswith(v)), key=len, default=None)
+    if old is None:
+        raise UsageError(f"recorded output {path} lies under no output flag")
+    return moves[old] + path[len(old):]
 
 
 def cmd_replay(args):
@@ -321,15 +335,14 @@ def cmd_replay(args):
             raise UsageError(f"input {path} changed since the recorded run")
     out_dir = args.out_dir or tempfile.mkdtemp(prefix="scgpt-replay-")
     os.makedirs(out_dir, exist_ok=True)
-    sub_argv = _redirect_argv(man.argv, out_dir)
+    sub_argv, moves = _redirect_argv(man.argv, out_dir)
     print(f"replaying `{man.command}` into {out_dir}")
     code = main(sub_argv)
     if code != 0:
         return code
     bad = 0
     for path, digest in sorted(man.outputs.items()):
-        replayed = os.path.join(out_dir, os.path.basename(path))
-        got = sha256_file(replayed)
+        got = sha256_file(_rebase(path, moves))
         mark = "ok" if got == digest else "MISMATCH"
         bad += mark != "ok"
         print(f"{mark}  {os.path.basename(path)}  {got[:12]}")

@@ -109,7 +109,7 @@ def select_next_token(logits: np.ndarray, rng, k: int, temperature: float) -> in
 
     Decoding calls :func:`select_tokens` directly.  This name stays as
     the lookup site that ``perfbench/tracer.py`` wraps, until the package
-    records its own spans (ROADMAP item 1).
+    records its own spans (ROADMAP item 2).
     """
     return int(select_tokens(logits[None], [rng], k, temperature)[0][0])
 

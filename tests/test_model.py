@@ -3,7 +3,6 @@ import re
 import numpy as np
 import pytest
 
-from scgpt import autograd as ag
 from scgpt.autograd import Tape, backward
 from scgpt.bpe import train_bpe
 from scgpt.dialog_act import act_set
@@ -22,7 +21,7 @@ from scgpt.model import (
 )
 
 from gradcheck import fd_gradient, rel_error
-from oracles import forward_logits_reference
+from oracles import cross_entropy_masked, forward_logits_reference
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +141,7 @@ def test_loss_invariant_to_masked_out_labels(vocab):
     targets = np.roll(ids_arr, -1, axis=1)
     targets[:, -1] = 0
     logits = forward_logits_reference(params, ids_arr, keep)
-    ref = float(ag.cross_entropy_masked(logits, targets, mask).data)
+    ref = float(cross_entropy_masked(logits, targets, mask).data)
     flipped = targets.copy()
     changed = 0
     for t in range(len(ex.ids)):
@@ -150,7 +149,7 @@ def test_loss_invariant_to_masked_out_labels(vocab):
             flipped[0, t] = (flipped[0, t] + 5) % params.config.vocab_size
             changed += 1
     assert changed > 0
-    got = float(ag.cross_entropy_masked(logits, flipped, mask).data)
+    got = float(cross_entropy_masked(logits, flipped, mask).data)
     assert got == ref == pytest.approx(base, abs=1e-6)
 
 
@@ -208,6 +207,15 @@ def test_gradient_check_with_dropout():
     assert max(worst.values()) < 1e-3, worst
 
 
+def test_nll_loss_tapes_one_entry_per_kernel(vocab):
+    params = init_params(tiny_config(vocab, n_layers=2, dropout=0.1), seed=0)
+    ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
+    with Tape() as tape:
+        nll_loss(params, [ex], rng=np.random.default_rng(0))
+    kernels = [rule.__qualname__.split(".")[0] for _, _, rule in tape._records]
+    assert kernels == ["embed"] + ["attention_block", "mlp_block"] * 2 + ["head_loss"]
+
+
 def dense_nll_loss(params, batch, rng=None):
     """The loss on the per-op reference forward: logits at every slot, then
     the mask."""
@@ -215,7 +223,7 @@ def dense_nll_loss(params, batch, rng=None):
     targets = np.roll(ids, -1, axis=1)
     targets[:, -1] = 0
     logits = forward_logits_reference(params, ids, keep, rng=rng)
-    return ag.cross_entropy_masked(logits, targets, mask)
+    return cross_entropy_masked(logits, targets, mask)
 
 
 def loss_and_grads(loss_fn, params, batch, seed=None):
