@@ -20,10 +20,11 @@ of per-op taped ops written from their definitions, one per step.
 The training loss computes real tokens only.  It packs the non-PAD
 slots of a right-padded [B,T] batch into one [N,d] array of rows; the
 embeddings, layer norms, linear layers, MLP and residuals run on those
-N rows, and only attention runs on the padded [B,H,T,T] grid, which
-:func:`attention_block` scatters its queries, keys and values onto and
-gathers its context back from.  The final layer norm, the tied head and
-the cross-entropy run on the M loss rows alone, as one kernel
+N rows, and :func:`attention_block` attends within each example on its
+own L x L block of them (Krell et al., 2021, "Efficient sequence
+packing without cross-contamination"), so the attention work scales
+with the sum of L^2, not B * T^2.  The final layer norm, the tied head
+and the cross-entropy run on the M loss rows alone, as one kernel
 (:func:`head_loss`).
 
 Checkpoint format: the text header line ``SCGPT-CKPT v1``, one
@@ -209,20 +210,6 @@ def _linear_grads(inp: np.ndarray, w: np.ndarray, g: np.ndarray):
     return g @ w.T, inp.T @ g, g.sum(axis=0)
 
 
-def _scatter(rows: np.ndarray, index, n: int) -> np.ndarray:
-    """[n,k] zeros with ``rows`` [N,k] at ``index``; ``rows`` itself
-    when index is None."""
-    if index is None:
-        return rows
-    out = np.zeros((n, rows.shape[1]), dtype=rows.dtype)
-    out[index] = rows
-    return out
-
-
-def _gather(rows: np.ndarray, index) -> np.ndarray:
-    return rows if index is None else rows[index]
-
-
 def embed(weights, ids, positions, drop=None):
     """``tok_emb[ids] + pos_emb[positions]`` on raw arrays, ``weights`` being
     (tok_emb, pos_emb); returns (out, backward) like the block kernels,
@@ -253,68 +240,95 @@ def embed(weights, ids, positions, drop=None):
     return out, backward
 
 
-def attention_block(x, weights, bias, n_heads: int, cache=None, drop=None, index=None):
+def _attend(q, keys, vals, bias, mask=None):
+    """Softmax attention of queries q [...,T,dh] over keys and values
+    [...,S,dh]: ``bias`` is added to the scaled scores and ``mask``, if
+    given, multiplies the probabilities.  Returns (context [...,T,dh],
+    the probabilities as applied, the softmax's backward)."""
+    scores = q @ keys.swapaxes(-1, -2)
+    scores *= q.shape[-1] ** -0.5
+    scores += bias
+    attn, softmax_backward = ag.softmax_kernel(scores)
+    if mask is not None:
+        attn = attn * mask
+    return attn @ vals, attn, softmax_backward
+
+
+def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, drop=None):
     """``x + attn(ln1(x))`` on raw arrays; returns (out, backward), where
     ``backward(g)`` gives the gradients of x and of each weight.
 
-    ``x`` is [B,T,d], ``weights`` as named by ``ATTN_WEIGHTS``, and
-    ``bias`` broadcasts to the [B,H,T,S] scores.  ``cache=(keys, vals,
-    lo)`` stores the new keys and values at columns lo..lo+T of the
-    [B,H,max_len,dh] buffers and attends over columns 0..lo+T.
-    ``drop(shape)`` draws the dropout multipliers of the attention
-    probabilities, then of the output.  The linear layers see the
-    activations as [B*T,d]: one GEMM each, where a [B,T,d] operand would
-    run as B small ones.
+    ``weights`` are as named by ``ATTN_WEIGHTS``; the layer norm and the
+    linear layers run on 2-D rows, one GEMM each, and both layouts below
+    share the scores, softmax and context of :func:`_attend`.
 
-    With ``index``, ``x`` holds only the real tokens: row i of x [N,d]
-    is slot ``index[i]`` of the flattened [B,T] grid that ``bias``
-    [B,1,T,S] spans.  The linear layers run on the N rows; queries, keys
-    and values are scattered onto the grid (zeros at the other slots,
-    which the bias must mask as keys) and the context is gathered back.
+    Training: ``x`` [N,d] holds the packed rows of examples of
+    ``lengths`` tokens, one after another.  Each example attends on its
+    own [H,L,dh] slice of the QKV rows, under ``bias[:L,:L]`` of a [T,T]
+    causal bias, and writes its context straight back into its rows.
+    ``drop(shape)`` draws the dropout multipliers of the attention
+    probabilities at the padded [B,H,T,T] shape, each example taking its
+    [b,:,:L,:L] block, then of the output.
+
+    Decoding: ``x`` is [B,T,d], ``bias`` broadcasts to the [B,H,T,S]
+    scores, and ``cache=(keys, vals, lo)`` stores the new keys and
+    values at columns lo..lo+T of the [B,H,max_len,dh] buffers and
+    attends over columns 0..lo+T.  No dropout; backward is None.
     """
     ln_g, ln_b, wqkv, bqkv, wo, bo = weights
     d = x.shape[-1]
-    B, T = x.shape[:2] if index is None else (bias.shape[0], bias.shape[2])
     dh = d // n_heads
     x2 = x.reshape(-1, d)
     h, ln_backward = ag.layernorm_kernel(x2, ln_g, ln_b)
-    qkv = _scatter(h @ wqkv + bqkv, index, B * T)
-    qkv = qkv.reshape(B, T, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
-    q, keys, vals = qkv[0], qkv[1], qkv[2]  # [B,H,T,dh]
-    lo = 0
+    qkv = h @ wqkv + bqkv
     if cache is not None:
+        B, T = x.shape[:2]
+        q, keys, vals = qkv.reshape(B, T, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
         k_buf, v_buf, lo = cache
         k_buf[:, :, lo : lo + T], v_buf[:, :, lo : lo + T] = keys, vals
-        keys, vals = k_buf[:, :, : lo + T], v_buf[:, :, : lo + T]
-    scale = dh**-0.5
-    scores = q @ keys.swapaxes(-1, -2)
-    scores *= scale
-    scores += bias
-    attn, softmax_backward = ag.softmax_kernel(scores)
-    attn_mask = drop(attn.shape) if drop else None
-    attn_kept = attn if attn_mask is None else attn * attn_mask
-    ctx = _gather((attn_kept @ vals).transpose(0, 2, 1, 3).reshape(B * T, d), index)
+        ctx = _attend(q, k_buf[:, :, : lo + T], v_buf[:, :, : lo + T], bias)[0]
+        ctx = ctx.transpose(0, 2, 1, 3).reshape(B * T, d)
+        return (x2 + ctx @ wo + bo).reshape(x.shape), None
+
+    def heads(rows_qkv):  # [L,3d] rows -> [3,H,L,dh] view
+        return rows_qkv.reshape(len(rows_qkv), 3, n_heads, dh).transpose(1, 2, 0, 3)
+
+    T = bias.shape[-1]
+    attn_mask = drop((len(lengths), n_heads, T, T)) if drop else None
+    ctx = np.empty_like(h)
+    saved, start = [], 0
+    for b, L in enumerate(lengths):
+        rows = slice(start, start + L)
+        start += L
+        q, keys, vals = heads(qkv[rows])
+        mask = None if attn_mask is None else attn_mask[b, :, :L, :L]
+        c, attn, softmax_backward = _attend(q, keys, vals, bias[:L, :L], mask)
+        ctx.reshape(-1, n_heads, dh)[rows] = c.swapaxes(0, 1)
+        saved.append((rows, q, keys, vals, mask, attn, softmax_backward))
     o = ctx @ wo
     out_mask = drop(o.shape) if drop else None
     out = x2 + o + bo if out_mask is None else x2 + (o + bo) * out_mask
 
     def backward(g):
-        g = g.reshape(x2.shape)
         go = g if out_mask is None else g * out_mask
         dctx, dwo, dbo = _linear_grads(ctx, wo, go)
-        dctx = _scatter(dctx, index, B * T).reshape(B, T, n_heads, dh).transpose(0, 2, 1, 3)
-        dattn = dctx @ vals.swapaxes(-1, -2)
-        dscores = softmax_backward(dattn if attn_mask is None else dattn * attn_mask)[0] * scale
-        # gradients reach only the new columns' keys and values
-        dk = (dscores.swapaxes(-1, -2) @ q)[:, :, lo:]
-        dv = (attn_kept.swapaxes(-1, -2) @ dctx)[:, :, lo:]
-        dqkv = np.stack([dscores @ keys, dk, dv]).transpose(1, 3, 0, 2, 4)
-        dqkv = _gather(dqkv.reshape(B * T, 3 * d), index)
+        dctx = dctx.reshape(-1, n_heads, dh)
+        dqkv = np.empty_like(qkv)
+        for rows, q, keys, vals, mask, attn, softmax_backward in saved:
+            dc = dctx[rows].swapaxes(0, 1)  # [H,L,dh]
+            dattn = dc @ vals.swapaxes(-1, -2)
+            if mask is not None:
+                dattn *= mask
+            dscores = softmax_backward(dattn)[0] * dh**-0.5
+            dq, dk, dv = heads(dqkv[rows])
+            dq[...] = dscores @ keys
+            dk[...] = dscores.swapaxes(-1, -2) @ q
+            dv[...] = attn.swapaxes(-1, -2) @ dc
         dh_, dwqkv, dbqkv = _linear_grads(h, wqkv, dqkv)
         dx, dln_g, dln_b = ln_backward(dh_)
-        return (g + dx).reshape(x.shape), dln_g, dln_b, dwqkv, dbqkv, dwo, dbo
+        return g + dx, dln_g, dln_b, dwqkv, dbqkv, dwo, dbo
 
-    return out.reshape(x.shape), backward
+    return out, backward
 
 
 def mlp_block(x, weights, drop=None):
@@ -383,10 +397,11 @@ def nll_loss(
     :func:`attention_block` and :func:`mlp_block`, then :func:`head_loss`,
     2 * n_layers + 2 entries in all.  A token id outside the vocabulary
     raises :class:`RangeError`.  ``rng`` enables dropout (training); None
-    runs deterministically.  Dropout masks are drawn at the padded [B,T]
+    runs deterministically.  Dropout masks are drawn at the padded
     shapes, in the order embeddings, then per layer attention
-    probabilities, attention output and MLP output, and row masks are
-    kept at the real slots.
+    probabilities ([B,H,T,T], each example keeping its [b,:,:L,:L]
+    block), attention output and MLP output; row masks are kept at the
+    real slots.
     """
     cfg = params.config
     ids, mask, keep = pad_batch(batch, cfg.vocab_size - 1)
@@ -404,14 +419,15 @@ def nll_loss(
         return ag.dropout_mask((B * T, shape[1]), p_drop, rng, dtype)[slots]
 
     drop = drop if p_drop else None
-    bias = _attention_bias(keep, T, dtype)
+    causal = _attention_bias(np.ones((1, T), dtype=bool), T, dtype)[0, 0]  # [T,T]
+    lengths = keep.sum(axis=1).tolist()
     emb_w = [params["tok_emb"], params["pos_emb"]]
     out_backward = embed([w.data for w in emb_w], ids.ravel()[slots], slots % T, drop=drop)
     x = ag.emit("embed", emb_w, *out_backward)
     for i in range(cfg.n_layers):
         attn_w, mlp_w = _layer_weights(params.tensors, i)
-        x = _taped("attention", attention_block, x, attn_w, bias, cfg.n_heads,
-                   drop=drop, index=slots)
+        x = _taped("attention", attention_block, x, attn_w, causal, cfg.n_heads, lengths,
+                   drop=drop)
         x = _taped("mlp", mlp_block, x, mlp_w, drop=drop)
     head_w = [params["lnf.gain"], params["lnf.bias"], params["tok_emb"]]
     rows = np.searchsorted(slots, loss_slots)
@@ -487,10 +503,13 @@ class DecodeSession:
     """Incremental batched decoding with per-layer key/value caches.
 
     Runs the same sublayer kernels as :func:`nll_loss`, on raw float32
-    numpy without a tape and on the dense [B,T] layout, writing each new
-    column's keys and values into the caches.  Rows may be left-padded:
-    pass per-row position indices and mark PAD slots in the key mask.
-    Logits match a full re-forward to within float32 noise.
+    numpy without a tape.  :func:`attention_block` shares its layer
+    norm, linear layers and its scores, softmax and context code with
+    training, but runs them batched on the dense [B,T] layout under a
+    key bias, writing each new column's keys and values into the
+    caches.  Rows may be left-padded: pass per-row position indices and
+    mark PAD slots in the key mask.  Logits match a full re-forward to
+    within float32 noise.
 
     All rows share the ``max_len`` buffer columns, so left-padded rows
     with their own step budgets may need more columns than

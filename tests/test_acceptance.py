@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from scgpt.autograd import Tape, backward, param
+from scgpt.autograd import Tape, backward
 from scgpt.bpe import encode, train_bpe
 from scgpt.cli import main as cli_main
 from scgpt.dataset import Corpus, Example, build_fewshot, default_k_map, overlap_pct, stats
@@ -60,7 +60,7 @@ from scgpt.synthetic import (
 )
 from scgpt.training import TrainConfig, run_stage
 
-from gradcheck import fd_gradient, rel_error
+from gradcheck import fd_gradient, op_max_rel_error, rel_error
 import oracles
 
 
@@ -72,27 +72,6 @@ def verdict(name: str, ok: bool, detail: str = "") -> None:
 
 # ---------------------------------------------------------------------------
 # 1. gradients: every op and the end-to-end model vs central differences
-
-
-def _scalarize(out, weights):
-    return oracles.sum_all(oracles.mul(out, oracles.constant(weights)))
-
-
-def _op_max_rel_error(build, arrays, rng):
-    """Largest relative error across all input gradients of one op."""
-    weights = rng.standard_normal(build(*[oracles.constant(a) for a in arrays]).data.shape)
-
-    def loss_value():
-        return float(_scalarize(build(*[oracles.constant(a) for a in arrays]), weights).data)
-
-    tensors = [param(a) for a in arrays]
-    with Tape():
-        loss = _scalarize(build(*tensors), weights)
-        backward(loss)
-    return max(
-        rel_error(t.grad, fd_gradient(loss_value, a))
-        for t, a in zip(tensors, arrays)
-    )
 
 
 def test_gradient_correctness():
@@ -111,10 +90,12 @@ def test_gradient_correctness():
     ops = {
         "matmul": (lambda a, b: oracles.matmul(a, b), [r((3, 4)), r((4, 5))]),
         "matmul_batched": (lambda a, b: oracles.matmul(a, b), [r((2, 3, 4)), r((2, 4, 5))]),
+        "matmul_broadcast": (lambda a, b: oracles.matmul(a, b), [r((2, 3, 4)), r((4, 2))]),
         "add": (lambda a, b: oracles.add(a, b), [r((3, 4)), r((3, 4))]),
         "add_broadcast": (lambda a, b: oracles.add(a, b), [r((3, 4)), r(4)]),
         "mul": (lambda a, b: oracles.mul(a, b), [r((3, 4)), r((3, 4))]),
         "mul_broadcast": (lambda a, b: oracles.mul(a, b), [r((2, 3, 4)), r(4)]),
+        "mul_broadcast_column": (lambda a, b: oracles.mul(a, b), [r((3, 4)), r((3, 1))]),
         "scale": (lambda a: oracles.scale(a, -1.7), [r((3, 4))]),
         "gelu": (lambda a: oracles.gelu(a), [r((3, 4)) * 2.0]),
         "softmax_lastdim": (lambda a: oracles.softmax_lastdim(a), [r((3, 5)) * 3.0]),
@@ -130,7 +111,7 @@ def test_gradient_correctness():
         "cross_entropy_masked": (ce, [r((2, 4, 7))]),
     }
     worst_op, worst = max(
-        ((name, _op_max_rel_error(build, arrays, rng)) for name, (build, arrays) in ops.items()),
+        ((name, op_max_rel_error(build, arrays, rng)) for name, (build, arrays) in ops.items()),
         key=lambda kv: kv[1],
     )
 

@@ -259,16 +259,19 @@ PACKED_TOL = {np.float32: 1e-5, np.float64: 1e-10}
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 def test_packed_loss_matches_dense(dtype, dropout):
     # the fused, packed kernels against the per-op taped forward on the
-    # padded grid, dropout drawn alike
+    # padded grid, dropout drawn alike; the second batch has no padding,
+    # so every example's attention block is the whole [T,T] grid
     cfg = ModelConfig(vocab_size=41, n_layers=2, n_heads=2, d_model=16, d_ff=32,
                       max_context=40, dropout=dropout)
-    batch = mixed_batch(cfg.vocab_size, (5, 23, 9, 2, 31), seed=0, last=1)
     seed = 3 if dropout else None  # the same generator seed on both layouts
-    packed = loss_and_grads(nll_loss, init_params(cfg, seed=1, dtype=dtype), batch, seed)
-    dense = loss_and_grads(dense_nll_loss, init_params(cfg, seed=1, dtype=dtype), batch, seed)
-    assert packed[0] == pytest.approx(dense[0], rel=PACKED_TOL[dtype])
-    worst = {n: rel_error(packed[1][n], dense[1][n]) for n in dense[1]}
-    assert max(worst.values()) < PACKED_TOL[dtype], worst
+    for lengths in ((5, 23, 9, 2, 31), (17, 17, 17)):
+        batch = mixed_batch(cfg.vocab_size, lengths, seed=0, last=1)
+        packed = loss_and_grads(nll_loss, init_params(cfg, seed=1, dtype=dtype), batch, seed)
+        dense = loss_and_grads(dense_nll_loss, init_params(cfg, seed=1, dtype=dtype), batch,
+                               seed)
+        assert packed[0] == pytest.approx(dense[0], rel=PACKED_TOL[dtype]), lengths
+        worst = {n: rel_error(packed[1][n], dense[1][n]) for n in dense[1]}
+        assert max(worst.values()) < PACKED_TOL[dtype], (lengths, worst)
 
 
 def test_forward_matches_per_op_oracle():
