@@ -1,5 +1,12 @@
 """Command-line stages tying training, generation, and evaluation together.
 
+``main()`` owns every command's run manifest: it starts it, the command
+hashes its inputs (``man.add_inputs``) before it writes anything and
+returns its output paths, and ``main()`` hashes those and writes the
+manifest to --manifest, else ``<out-dir>/manifest.json``, else
+``(<out> or scgpt-<command>).manifest.json``.  A command that fails
+writes none; ``replay`` stays outside, as its sub-run writes its own.
+
 Thread pinning happens at import, before numpy ever loads: SCGPT_THREADS
 (default 1) is copied into the BLAS thread variables, and the default of
 one thread is what makes every command bit-reproducible from its manifest.
@@ -58,16 +65,14 @@ from .synthetic import (
 from .training import run_stage
 
 
-def _load_rc(args):
+def _config_and_vocab(args):
+    """The run config --config names, and the tokenizer its ``vocab`` names."""
     if args.config is None:
         raise UsageError(f"{args.command} needs --config")
-    return load_config(args.config)
-
-
-def _vocab_for(rc):
+    rc = load_config(args.config)
     if rc.vocab is None:
         raise UsageError("config does not set 'vocab ='; train one with train-bpe")
-    return load_vocab(rc.vocab)
+    return rc, load_vocab(rc.vocab)
 
 
 def _read_lines(path):
@@ -78,17 +83,6 @@ def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
-
-
-def _start_manifest(args, inputs, default_path):
-    man = RunManifest.start(
-        command=args.command,
-        argv=args.argv,
-        seed=getattr(args, "seed", None),
-        config_path=getattr(args, "config", None),
-    )
-    man.add_inputs(*inputs)
-    return man, args.manifest or default_path
 
 
 def _load_model(path, vocab):
@@ -117,39 +111,36 @@ def _ingest(path, domain=None):
     return Corpus(tuple(ex for ex in corpus if ex.domain == domain))
 
 
-def _train_command(args, stage, data):
-    rc = _load_rc(args)
-    vocab = _vocab_for(rc)
-    inputs = [args.config, rc.vocab, args.corpus, getattr(args, "ckpt", None)]
-    man, man_path = _start_manifest(args, inputs, args.out + ".manifest.json")
+def _train_command(args, man, stage, data):
+    rc, vocab = _config_and_vocab(args)
+    man.add_inputs(args.config, rc.vocab, args.corpus, getattr(args, "ckpt", None))
     params = _init_or_resume(rc, vocab, args)
     tc = rc.train_config(stage, seed=args.seed)
     params, log = run_stage(tc, data, params, vocab)
     save_checkpoint(params, args.out)
     log_path = args.out + ".log"
     _write_lines(log_path, [json.dumps(rec, sort_keys=True) for rec in log])
-    man.finish(args.out, log_path)
-    man.write(man_path)
     print(f"saved {args.out} after {len(log)} epochs "
           f"(val_loss {log[-1]['val_loss']:.4f}, "
           f"skipped {log[-1]['skipped']} over-length)")
-    return 0
+    return args.out, log_path
 
 
-def cmd_pretrain_plain(args):
+def cmd_pretrain_plain(args, man):
     lines = [ln for ln in _read_lines(args.corpus) if ln.strip()]
-    return _train_command(args, "plain", lines)
+    return _train_command(args, man, "plain", lines)
 
 
-def cmd_pretrain_da(args):
-    return _train_command(args, "da_pretrain", ingest(args.corpus))
+def cmd_pretrain_da(args, man):
+    return _train_command(args, man, "da_pretrain", ingest(args.corpus))
 
 
-def cmd_finetune(args):
-    return _train_command(args, "finetune", _ingest(args.corpus, args.domain))
+def cmd_finetune(args, man):
+    return _train_command(args, man, "finetune", _ingest(args.corpus, args.domain))
 
 
-def cmd_train_bpe(args):
+def cmd_train_bpe(args, man):
+    man.add_inputs(args.corpus)
     if args.corpus.endswith(".jsonl"):
         corpus = ingest(args.corpus)
         texts = []
@@ -158,66 +149,51 @@ def cmd_train_bpe(args):
             texts.append(ex.response)
     else:
         texts = [ln for ln in _read_lines(args.corpus) if ln.strip()]
-    man, man_path = _start_manifest(args, [args.corpus], args.out + ".manifest.json")
     start = time.perf_counter()
     vocab = train_bpe(texts, target_vocab_size=args.target_size)
     elapsed = time.perf_counter() - start
     save_vocab(vocab, args.out)
-    man.finish(args.out)
-    man.write(man_path)
     print(f"saved {args.out} ({vocab.size} tokens, {len(vocab.merges)} merges, "
           f"{elapsed:.2f} s)")
-    return 0
+    return (args.out,)
 
 
-def cmd_synth(args):
+def cmd_synth(args, man):
     if args.grammar:
+        man.add_inputs(*args.grammar)
         grammars = [load_grammar(p) for p in args.grammar]
-        inputs = list(args.grammar)
     else:
         names = args.domains.split(",") if args.domains else list(PRETRAIN_GRAMMARS)
         grammars = builtin_grammars(n.strip() for n in names)
-        inputs = []
-    man, man_path = _start_manifest(args, inputs, args.out + ".manifest.json")
     corpus = generate(grammars, n_per_domain=args.n_per_domain, seed=args.seed)
     write_jsonl(corpus, args.out)
-    man.finish(args.out)
-    man.write(man_path)
     print(f"saved {args.out} ({len(corpus)} examples, "
           f"{len(corpus.domains())} domains)")
-    return 0
+    return (args.out,)
 
 
-def cmd_build_fewshot(args):
+def cmd_build_fewshot(args, man):
+    man.add_inputs(args.corpus)
     source = ingest(args.corpus)
-    os.makedirs(args.out_dir, exist_ok=True)
-    man, man_path = _start_manifest(
-        args, [args.corpus], os.path.join(args.out_dir, "manifest.json")
-    )
     if args.k is not None:
         k_map = {d: args.k for d in source.domains()}
     else:
         k_map = default_k_map(source.domains())
     train, test = build_fewshot(source, k_map, seed=args.seed)
+    os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "train.jsonl")
     test_path = os.path.join(args.out_dir, "test.jsonl")
     write_jsonl(train, train_path)
     write_jsonl(test, test_path)
-    man.finish(train_path, test_path)
-    man.write(man_path)
     print(render_stats(stats(train, test), title=os.path.basename(args.corpus)))
-    return 0
+    return train_path, test_path
 
 
-def cmd_stats(args):
-    man, man_path = _start_manifest(
-        args, [args.train, args.test], "scgpt-stats.manifest.json"
-    )
+def cmd_stats(args, man):
+    man.add_inputs(args.train, args.test)
     train, test = ingest(args.train), ingest(args.test)
     print(render_stats(stats(train, test)))
-    man.finish()
-    man.write(man_path)
-    return 0
+    return ()
 
 
 def _interactive_generate(params, vocab, dc):
@@ -233,22 +209,15 @@ def _interactive_generate(params, vocab, dc):
             print(f"error: {e}", file=sys.stderr, flush=True)
             continue
         print(cand.text, flush=True)
-    return 0
 
 
-def cmd_generate(args):
-    rc = _load_rc(args)
-    vocab = _vocab_for(rc)
+def cmd_generate(args, man):
+    rc, vocab = _config_and_vocab(args)
     if args.ckpt is None:
         raise UsageError("generate needs --ckpt")
+    man.add_inputs(args.config, rc.vocab, args.ckpt, args.corpus)
     params = _load_model(args.ckpt, vocab)
     dc = rc.decode_config(seed=args.seed)
-    inputs = [args.config, rc.vocab, args.ckpt]
-    if args.corpus:
-        inputs.append(args.corpus)
-    default_man = (args.out or "scgpt-generate") + ".manifest.json"
-    man, man_path = _start_manifest(args, inputs, default_man)
-
     if args.da is not None:
         out_lines = [generate_reranked(params, vocab, parse_linearized(args.da), dc).text]
     elif args.corpus is not None:
@@ -256,34 +225,24 @@ def cmd_generate(args):
         winners = generate_corpus(params, vocab, [ex.acts for ex in corpus], dc)
         out_lines = [c.text for c in winners]
     else:
-        code = _interactive_generate(params, vocab, dc)
-        man.finish()
-        man.write(man_path)
-        return code
-
-    if args.out:
-        _write_lines(args.out, out_lines)
-        man.finish(args.out)
-        print(f"saved {args.out} ({len(out_lines)} lines)")
-    else:
+        _interactive_generate(params, vocab, dc)
+        return ()
+    if args.out is None:
         for line in out_lines:
             print(line)
-        man.finish()
-    man.write(man_path)
-    return 0
+        return ()
+    _write_lines(args.out, out_lines)
+    print(f"saved {args.out} ({len(out_lines)} lines)")
+    return (args.out,)
 
 
-def cmd_evaluate(args):
-    man, man_path = _start_manifest(
-        args, [args.gens, args.test, args.train], "scgpt-evaluate.manifest.json"
-    )
+def cmd_evaluate(args, man):
+    man.add_inputs(args.gens, args.test, args.train)
     candidates = _read_lines(args.gens)
     test, train = ingest(args.test), ingest(args.train)
     report = evaluate(train, test, candidates, domain=args.domain or "")
     print(render_report(report))
-    man.finish()
-    man.write(man_path)
-    return 0
+    return ()
 
 
 _OUT_FLAGS = ("--out", "--out-dir", "--manifest")
@@ -451,18 +410,34 @@ def build_parser() -> argparse.ArgumentParser:
     s = add("replay", help="re-run a manifest and verify output hashes")
     s.add_argument("manifest_path")
     s.add_argument("--out-dir", help="where replayed artifacts go (default: temp dir)")
-    s.set_defaults(func=cmd_replay)
 
     return p
 
 
+def _manifest_path(args):
+    if args.manifest:
+        return args.manifest
+    if getattr(args, "out_dir", None):
+        return os.path.join(args.out_dir, "manifest.json")
+    return (getattr(args, "out", None) or f"scgpt-{args.command}") + ".manifest.json"
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.argv = argv
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "replay":  # its sub-run writes its own manifest
+            return cmd_replay(args)
+        man = RunManifest.start(
+            command=args.command,
+            argv=argv,
+            seed=getattr(args, "seed", None),
+            config_path=getattr(args, "config", None),
+        )
+        outputs = args.func(args, man)
+        man.finish(*outputs)
+        man.write(_manifest_path(args))
+        return 0
     except ScgptError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -54,8 +54,8 @@ class DecodeConfig:
             raise ValueError("max_new_tokens must be at least 1")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must not be negative")
+        if not 0 <= self.temperature < np.inf:
+            raise ValueError("temperature must be finite and not negative")
 
 
 @dataclass(frozen=True)

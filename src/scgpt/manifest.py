@@ -11,8 +11,9 @@ import hashlib
 import json
 import os
 import subprocess
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
+from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
 from .dataset import read_lines
@@ -50,12 +51,12 @@ def git_describe() -> str | None:
 @dataclass
 class RunManifest:
     command: str
-    argv: list
+    argv: list[str]
     seed: int | None = None
     config_path: str | None = None
     config_text: str | None = None
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
+    inputs: dict[str, str] = field(default_factory=dict)  # path -> sha256
+    outputs: dict[str, str] = field(default_factory=dict)
     git: str | None = None
     version: str = __version__
     started_at: str = ""
@@ -63,16 +64,12 @@ class RunManifest:
 
     @classmethod
     def start(cls, command: str, argv, seed=None, config_path=None) -> "RunManifest":
-        config_text = None
-        if config_path is not None:
-            with open(config_path, encoding="utf-8") as fh:
-                config_text = fh.read()
         return cls(
             command=command,
             argv=list(argv),
             seed=seed,
-            config_path=str(config_path) if config_path is not None else None,
-            config_text=config_text,
+            config_path=None if config_path is None else str(config_path),
+            config_text=None if config_path is None else "".join(read_lines(config_path)),
             git=git_describe(),
             started_at=_now(),
         )
@@ -103,11 +100,28 @@ def load_manifest(path) -> RunManifest:
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
         raise UnknownFormatError(f"{path}: missing format tag {FORMAT_TAG!r}")
     doc = {k: v for k, v in doc.items() if k != "format"}
-    known = set(RunManifest.__dataclass_fields__)
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(RunManifest)}
     if unknown:
         raise ParseError(f"{path}: unknown manifest fields {sorted(unknown)}")
-    try:
-        return RunManifest(**doc)
-    except TypeError as e:
-        raise ParseError(f"{path}: incomplete manifest ({e})") from None
+    hints = get_type_hints(RunManifest)
+    for f in fields(RunManifest):
+        if f.name not in doc:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ParseError(f"{path}: incomplete manifest, no {f.name!r} field")
+        elif not _conforms(doc[f.name], hints[f.name]):
+            want = hints[f.name]
+            want = want.__name__ if type(want) is type else want
+            raise ParseError(f"{path}: manifest field {f.name!r} is not {want}")
+    return RunManifest(**doc)
+
+
+def _conforms(value, hint) -> bool:
+    """``isinstance``, looking inside ``list[X]`` and ``dict[K, V]`` hints."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is list:
+        return isinstance(value, list) and all(isinstance(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            isinstance(k, args[0]) and isinstance(v, args[1]) for k, v in value.items()
+        )
+    return isinstance(value, hint)

@@ -44,6 +44,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ValueError(f"stage must be one of {STAGES}, got {self.stage!r}")
+        for name in ("start_lr", "weight_decay", "grad_clip"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.start_lr <= 0:
             raise ValueError("start_lr must be positive")
         for name in ("batch_size", "max_epochs", "early_stop_patience"):

@@ -206,6 +206,38 @@ def test_evaluate_perfect_copies(pipeline, tmp_path, capsys):
                 "--manifest", tmp_path / "m.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command,written",
+    [
+        ("stats", ["scgpt-stats.manifest.json"]),
+        ("evaluate", ["scgpt-evaluate.manifest.json"]),
+        ("generate", ["scgpt-generate.manifest.json"]),
+        ("generate --out g.txt", ["g.txt", "g.txt.manifest.json"]),
+        ("finetune --out ft.ckpt", ["ft.ckpt", "ft.ckpt.log", "ft.ckpt.manifest.json"]),
+    ],
+)
+def test_default_manifest_path(pipeline, tmp_path, monkeypatch, capsys, command, written):
+    # without --manifest: <out-dir>/manifest.json, else
+    # (<out> or scgpt-<command>).manifest.json, in the working directory
+    cfg, ckpt, corpus = pipeline / "run.cfg", pipeline / "da.ckpt", pipeline / "corpus.jsonl"
+    gens = tmp_path / "gens.txt"
+    gens.write_text("".join(ex.response + "\n" for ex in ingest(corpus)))
+    name, *flags = command.split()
+    flags += {
+        "stats": ["--train", corpus, "--test", corpus],
+        "evaluate": ["--gens", gens, "--test", corpus, "--train", corpus],
+        "generate": ["--config", cfg, "--ckpt", ckpt, "--da", "bye ( )"],
+        "finetune": ["--config", cfg, "--ckpt", ckpt, "--corpus", corpus],
+    }[name]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run([name, *flags]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in work.iterdir()) == written
+    assert load_manifest(written[-1]).command == name
+
+
 def test_missing_file_exits_2(pipeline, tmp_path, capsys):
     assert run(["pretrain-da", "--config", pipeline / "run.cfg",
                 "--corpus", tmp_path / "absent.jsonl",
@@ -318,6 +350,32 @@ def test_replay_flags_drift(pipeline, tmp_path, capsys):
     assert "changed since" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("inputs", []),
+        ("argv", "stats --train a"),
+        ("outputs", {"v.bpe": 5}),
+        ("command", None),  # None: the field is left out
+        ("bogus", 1),
+    ],
+)
+def test_replay_refuses_malformed_manifest(pipeline, tmp_path, capsys, field, value):
+    doc = json.loads((pipeline / "vocab.bpe.manifest.json").read_text())
+    if value is None:
+        del doc[field]
+    else:
+        doc[field] = value
+    man_path = tmp_path / "bad.json"
+    man_path.write_text(json.dumps(doc))
+    assert run(["replay", man_path, "--out-dir", tmp_path / "r"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {man_path}: ")
+    assert field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_replay_redirects_equals_form_and_refuses_abbreviations(tmp_path, capsys):
     out = tmp_path / "c.jsonl"
     assert run(["synth", "--domains", "taxi", "--n-per-domain", 5,
@@ -353,6 +411,11 @@ def test_replay_redirects_equals_form_and_refuses_abbreviations(tmp_path, capsys
         ("train.max_epochs = 0", "pretrain-plain"),
         ("decode.top_k = 0", "generate"),
         ("decode.n_candidates = 0", "generate"),
+        ("train.start_lr = nan", "pretrain-plain"),
+        ("train.grad_clip = nan", "pretrain-plain"),
+        ("train.weight_decay = inf", "pretrain-plain"),
+        ("decode.temperature = nan", "generate"),
+        ("decode.temperature = inf", "generate"),
     ],
 )
 def test_invalid_config_values_exit_2(pipeline, tmp_path, capsys, setting, command):

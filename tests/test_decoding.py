@@ -283,8 +283,9 @@ def test_decode_config_validation():
     for top_k in (0, -3):
         with pytest.raises(ValueError, match="top_k"):
             DecodeConfig(top_k=top_k)
-    with pytest.raises(ValueError, match="temperature"):
-        DecodeConfig(temperature=-0.5)
+    for temperature in (-0.5, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="temperature"):
+            DecodeConfig(temperature=temperature)
     DecodeConfig(top_k=1, temperature=0.0)  # the smallest valid values
 
 

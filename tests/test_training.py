@@ -28,8 +28,12 @@ def _scalar_params(value: float) -> ModelParams:
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(stage="warmup")
+    nan, inf = float("nan"), float("inf")
     for bad in ({"max_epochs": 0}, {"max_epochs": -4}, {"early_stop_patience": 0},
-                {"weight_decay": -5.0}, {"grad_clip": -2.0}):
+                {"weight_decay": -5.0}, {"grad_clip": -2.0},
+                {"start_lr": nan}, {"start_lr": inf}, {"weight_decay": nan},
+                {"weight_decay": inf}, {"grad_clip": nan}, {"grad_clip": inf},
+                {"grad_clip": -inf}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(stage="plain", **bad)
     assert TrainConfig(stage="plain", grad_clip=0.0, weight_decay=0.0).grad_clip == 0.0
