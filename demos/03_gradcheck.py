@@ -1,8 +1,9 @@
 """Check analytic gradients against finite differences on a tiny model.
 
-Every parameter tensor of a one-layer model is perturbed coordinate by
-coordinate in 64-bit precision; the analytic gradient from the tape must
-agree with the central difference to a small relative error.
+Every parameter array of a one-layer model is perturbed coordinate by
+coordinate in 64-bit precision; the analytic gradient, from the backward
+pass over the loss's kernel chain, must agree with the central
+difference to a small relative error.
 
 Run with:  python3 demos/03_gradcheck.py
 """
@@ -22,25 +23,23 @@ def main() -> None:
         LinearizedExample(ids=(5, 11, 14, 4, 15), loss_mask=(0, 0, 1, 1, 0)),
     ]
 
-    with ag.Tape():
-        loss = nll_loss(params, batch)
-        ag.backward(loss)
-    print(f"loss {float(loss.data):.6f}; checking every coordinate of every tensor\n")
+    loss, chain = nll_loss(params, batch)
+    grads = ag.backward(loss, chain)
+    print(f"loss {float(loss):.6f}; checking every coordinate of every tensor\n")
 
     eps = 1e-5
     worst = 0.0
-    for name, tensor in params.named():
-        g = tensor.grad
-        w = tensor.data
+    for name, w in params.named():
+        g = grads[name]
         fd = np.zeros_like(w)
         it = np.nditer(w, flags=["multi_index"])
         while not it.finished:
             i = it.multi_index
             keep = w[i]
             w[i] = keep + eps
-            up = float(nll_loss(params, batch).data)
+            up = float(nll_loss(params, batch)[0])
             w[i] = keep - eps
-            down = float(nll_loss(params, batch).data)
+            down = float(nll_loss(params, batch)[0])
             w[i] = keep
             fd[i] = (up - down) / (2 * eps)
             it.iternext()

@@ -1,22 +1,19 @@
-"""Reverse-mode automatic differentiation over dense numpy arrays.
+"""The numpy kernels the model's loss and decoding share, and the
+backward pass of the loss's kernel chain.
 
-Just enough machinery for the model's taped loss: a :class:`Tensor`
-wrapper, a :class:`Tape` recording forward operations, :func:`emit`,
-which records a kernel's output and backward as one op, and
-:func:`backward`, which replays the tape in reverse.
+GELU, softmax and layer norm run on raw arrays and return
+``(out, backward)``.  :func:`log_softmax` has no backward: its callers,
+the head's cross-entropy and the decode select, need only its output or
+write a simpler backward of their own.  :func:`dropout_mask` draws the
+inverted-dropout multipliers.
 
-The kernels that the model's blocks, its loss and the decode select
-share live here too.  GELU, softmax and layer norm run on raw arrays and
-return ``(out, backward)``.  :func:`log_softmax` has no backward: its
-callers, the head's cross-entropy and the decode select, need only its
-output or write a simpler backward of their own.  :func:`dropout_mask`
-draws the inverted-dropout multipliers.
+The training loss is a fixed chain of kernels, each recorded as one
+link ``(names, rule)``: the names of the weights the kernel took and its
+backward.  :func:`backward` walks that chain in reverse and returns the
+gradient of every named weight.
 
 Kernels run in whatever float width their inputs carry; training uses
-32-bit and gradient checking builds 64-bit tensors.  :func:`emit`
-verifies each output is finite and raises :class:`NumericFaultError`
-otherwise, which is why attention masking uses a large negative
-constant rather than -inf.
+32-bit and gradient checking 64-bit weights.
 """
 
 from __future__ import annotations
@@ -24,67 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import NonScalarLossError, NumericFaultError
-
-_active_tape = None
-
-
-class Tape:
-    """Records operations for one forward pass; context-manager scoped.
-
-    Backward replays the records in exact reverse order, accumulating
-    gradients additively across fan-out.
-    """
-
-    def __init__(self):
-        self._records = []
-
-    def __enter__(self):
-        global _active_tape
-        if _active_tape is not None:
-            raise RuntimeError("a Tape is already active")
-        _active_tape = self
-        return self
-
-    def __exit__(self, *exc):
-        global _active_tape
-        _active_tape = None
-        return False
-
-
-class Tensor:
-    """A dense array plus grad bookkeeping.  Data is never mutated by ops."""
-
-    __slots__ = ("data", "requires_grad", "grad")
-
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
-        self.data = arr
-        self.requires_grad = requires_grad
-        self.grad = None
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-
-def param(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
-
-
-def emit(op: str, parents, out_data: np.ndarray, backward) -> Tensor:
-    """Record ``out_data`` as op ``op`` on ``parents``; ``backward(g)``
-    returns one gradient (or None) per parent.  Raises
-    :class:`NumericFaultError` on NaN or Inf."""
-    if not np.isfinite(out_data).all():
-        raise NumericFaultError(f"non-finite values produced by {op}")
-    out = Tensor(out_data, requires_grad=any(p.requires_grad for p in parents))
-    if _active_tape is not None and out.requires_grad:
-        _active_tape._records.append((out, parents, backward))
-    return out
-
 
 GELU_C = math.sqrt(2.0 / math.pi)
 GELU_A = 0.044715
@@ -147,30 +83,20 @@ def dropout_mask(shape, p: float, rng: np.random.Generator, dtype) -> np.ndarray
     return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 
-def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss through the active tape.
+def backward(loss: np.ndarray, chain) -> dict:
+    """Gradients of the scalar ``loss`` by weight name, keyed in the
+    chain's forward order.
 
-    Stores on ``tensor.grad`` the gradient of each requires_grad
-    :class:`Tensor` reached.
+    ``chain`` holds the loss's links first to last; a link's ``rule(g)``
+    maps the gradient of its output to the gradient of its input (None
+    for the first link's token ids) followed by one gradient per name.
+    A name that several links take sums their gradients, the later
+    link's first.
     """
-    if _active_tape is None:
-        raise RuntimeError("backward requires an active Tape")
-    if loss.data.size != 1:
-        raise NonScalarLossError(f"loss has shape {loss.data.shape}, expected scalar")
-    grads = {id(loss): np.ones_like(loss.data)}
-    seen = {id(loss): loss}
-    for out, parents, rule in reversed(_active_tape._records):
-        g = grads.get(id(out))
-        if g is None:
-            continue
-        parent_grads = rule(g)
-        for parent, pg in zip(parents, parent_grads):
-            if pg is None or not parent.requires_grad:
-                continue
-            if id(parent) in grads:
-                grads[id(parent)] = grads[id(parent)] + pg
-            else:
-                grads[id(parent)] = pg
-            seen[id(parent)] = parent
-    for tid, tensor in seen.items():
-        tensor.grad = grads[tid]
+    grads = dict.fromkeys(name for names, _ in chain for name in names)
+    g = np.ones_like(loss)
+    for names, rule in reversed(chain):
+        g, *weight_grads = rule(g)
+        for name, wg in zip(names, weight_grads):
+            grads[name] = wg if grads[name] is None else grads[name] + wg
+    return grads

@@ -215,6 +215,8 @@ def cmd_generate(args, man):
     rc, vocab = _config_and_vocab(args)
     if args.ckpt is None:
         raise UsageError("generate needs --ckpt")
+    if args.out is not None and args.da is None and args.corpus is None:
+        raise UsageError("generate --out needs --da or --corpus")
     man.add_inputs(args.config, rc.vocab, args.ckpt, args.corpus)
     params = _load_model(args.ckpt, vocab)
     dc = rc.decode_config(seed=args.seed)

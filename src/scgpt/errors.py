@@ -39,15 +39,11 @@ class InvalidTokenIdError(ScgptError):
 
 
 class ShapeMismatchError(ScgptError):
-    """Tensor operands have incompatible shapes."""
+    """A gradient's shape differs from its parameter's."""
 
 
 class NumericFaultError(ScgptError):
     """A forward computation produced NaN or Inf."""
-
-
-class NonScalarLossError(ScgptError):
-    """backward() was called on a tensor that is not a scalar."""
 
 
 class ContextOverflowError(UsageError):

@@ -10,12 +10,14 @@ output head tied to the token embedding.
 Each block's two sublayers are written once, as numpy kernels
 (:func:`attention_block`, :func:`mlp_block`) that return their output
 and a hand-written backward.  The model has one forward per job, and
-both run these kernels: the taped training loss (:func:`nll_loss`)
-records each kernel call as one tape entry, as it does its embeddings
-(:func:`embed`) and head (:func:`head_loss`), and :class:`DecodeSession`
-runs the block kernels untaped with its key/value caches.  Tests hold
-both forwards to a reference forward in ``tests/oracles.py``, composed
-of per-op taped ops written from their definitions, one per step.
+both run these kernels: the training loss (:func:`nll_loss`) returns
+its chain of kernel calls, one link each for its embeddings
+(:func:`embed`), every block kernel and its head (:func:`head_loss`),
+for :func:`scgpt.autograd.backward` to walk, and :class:`DecodeSession`
+runs the block kernels forward only, with its key/value caches.  Tests
+hold both forwards to a reference forward in ``tests/oracles.py``,
+composed of per-op taped ops written from their definitions, one per
+step.
 
 The training loss computes real tokens only.  It packs the non-PAD
 slots of a right-padded [B,T] batch into one [N,d] array of rows; the
@@ -41,13 +43,18 @@ from typing import get_type_hints
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
 from .bpe import Vocab, encode
 from .dialog_act import DialogActSet, linearize
-from .errors import ConfigMismatchError, ContextOverflowError, RangeError, UnknownFormatError
+from .errors import (
+    ConfigMismatchError,
+    ContextOverflowError,
+    NumericFaultError,
+    RangeError,
+    UnknownFormatError,
+)
 
 #: Additive attention bias for disallowed positions.  Large but finite so
-#: the per-op NaN/Inf checks stay meaningful.
+#: the per-kernel NaN/Inf checks stay meaningful.
 NEG_BIAS = -1e9
 
 
@@ -76,6 +83,9 @@ class ModelConfig:
 #: Per-layer weights of each sublayer, in the order the kernels take them.
 ATTN_WEIGHTS = ("ln1.gain", "ln1.bias", "attn.wqkv", "attn.bqkv", "attn.wo", "attn.bo")
 MLP_WEIGHTS = ("ln2.gain", "ln2.bias", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
+#: Weights of the embeddings and of the tied head, as those kernels take them.
+EMBED_WEIGHTS = ("tok_emb", "pos_emb")
+HEAD_WEIGHTS = ("lnf.gain", "lnf.bias", "tok_emb")
 
 
 def _param_shapes(cfg: ModelConfig) -> dict:
@@ -92,15 +102,14 @@ def _param_shapes(cfg: ModelConfig) -> dict:
     return shapes
 
 
-def _layer_weights(tensors: dict, i: int):
-    """Layer i's (attention, MLP) sublayer weights from a name -> value map."""
-    names = (ATTN_WEIGHTS, MLP_WEIGHTS)
-    return tuple([tensors[f"layers.{i}.{n}"] for n in ns] for ns in names)
+def _layer_names(i: int):
+    """The full names of layer i's (attention, MLP) sublayer weights."""
+    return tuple(tuple(f"layers.{i}.{n}" for n in ns) for ns in (ATTN_WEIGHTS, MLP_WEIGHTS))
 
 
 @dataclass
 class ModelParams:
-    """Named parameter tensors; the output head shares tok_emb (tied)."""
+    """Named float parameter arrays; the output head shares tok_emb (tied)."""
 
     config: ModelConfig
     tensors: dict = field(default_factory=dict)
@@ -108,7 +117,7 @@ class ModelParams:
     def named(self):
         return self.tensors.items()
 
-    def __getitem__(self, name: str) -> Tensor:
+    def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
 
@@ -126,7 +135,7 @@ def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParam
             data = np.zeros(shape, dtype=dtype)
         else:
             data = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
-        tensors[name] = ag.param(data)
+        tensors[name] = data
     return ModelParams(cfg, tensors)
 
 
@@ -210,10 +219,11 @@ def _linear_grads(inp: np.ndarray, w: np.ndarray, g: np.ndarray):
     return g @ w.T, inp.T @ g, g.sum(axis=0)
 
 
-def embed(weights, ids, positions, drop=None):
+def embed(ids, weights, positions, drop=None):
     """``tok_emb[ids] + pos_emb[positions]`` on raw arrays, ``weights`` being
     (tok_emb, pos_emb); returns (out, backward) like the block kernels,
-    ``backward(g)`` giving the gradients of both tables.
+    ``backward(g)`` giving None for the ids, then the gradients of both
+    tables.
 
     ``ids`` and ``positions`` are integer arrays of one shape, e.g. [B,T]
     or packed [N].  An index outside its table raises
@@ -235,7 +245,7 @@ def embed(weights, ids, positions, drop=None):
         dtok, dpos = np.zeros_like(tok), np.zeros_like(pos)
         np.add.at(dtok, ids, g)
         np.add.at(dpos, positions, g)
-        return dtok, dpos
+        return None, dtok, dpos
 
     return out, backward
 
@@ -355,11 +365,6 @@ def mlp_block(x, weights, drop=None):
     return out.reshape(shape), backward
 
 
-def _taped(op: str, kernel, x: Tensor, weights, *args, **kwargs) -> Tensor:
-    out_backward = kernel(x.data, [w.data for w in weights], *args, **kwargs)
-    return ag.emit(op, (x, *weights), *out_backward)
-
-
 def head_loss(x, weights, rows, targets):
     """Mean cross-entropy of the tied head at chosen rows of x [N,d]; returns
     (loss, backward) like the block kernels.
@@ -387,21 +392,32 @@ def head_loss(x, weights, rows, targets):
     return loss, backward
 
 
-def nll_loss(
-    params: ModelParams, batch, rng: np.random.Generator | None = None
-) -> Tensor:
+def _link(chain: list, kernel, x, params: ModelParams, names, *args, **kwargs):
+    """``kernel`` on x and the weights ``names``; appends the link
+    ``(names, backward)`` to ``chain`` and returns the output.  A NaN or
+    Inf in the output raises :class:`NumericFaultError`."""
+    out, backward = kernel(x, [params[n] for n in names], *args, **kwargs)
+    if not np.isfinite(out).all():
+        raise NumericFaultError(f"non-finite values produced by {kernel.__name__}")
+    chain.append((names, backward))
+    return out
+
+
+def nll_loss(params: ModelParams, batch, rng: np.random.Generator | None = None):
     """Mean masked next-token negative log-likelihood over a batch.
 
-    Runs on packed rows (see the module docstring) and records only
-    kernels, each call one tape entry: :func:`embed`, then per layer
-    :func:`attention_block` and :func:`mlp_block`, then :func:`head_loss`,
-    2 * n_layers + 2 entries in all.  A token id outside the vocabulary
-    raises :class:`RangeError`.  ``rng`` enables dropout (training); None
-    runs deterministically.  Dropout masks are drawn at the padded
-    shapes, in the order embeddings, then per layer attention
-    probabilities ([B,H,T,T], each example keeping its [b,:,:L,:L]
-    block), attention output and MLP output; row masks are kept at the
-    real slots.
+    Returns ``(loss, chain)``: the 0-d loss array and its kernel chain
+    for :func:`scgpt.autograd.backward`.  Runs on packed rows (see the
+    module docstring) and calls only kernels, each one link of the
+    chain: :func:`embed`, then per layer :func:`attention_block` and
+    :func:`mlp_block`, then :func:`head_loss`, 2 * n_layers + 2 links in
+    all.  A token id outside the vocabulary raises :class:`RangeError`,
+    a non-finite kernel output :class:`NumericFaultError`.  ``rng``
+    enables dropout (training); None runs deterministically.  Dropout
+    masks are drawn at the padded shapes, in the order embeddings, then
+    per layer attention probabilities ([B,H,T,T], each example keeping
+    its [b,:,:L,:L] block), attention output and MLP output; row masks
+    are kept at the real slots.
     """
     cfg = params.config
     ids, mask, keep = pad_batch(batch, cfg.vocab_size - 1)
@@ -410,7 +426,7 @@ def nll_loss(
     loss_slots = np.flatnonzero(mask)
     targets = np.roll(ids, -1, axis=1)
     targets[:, -1] = 0
-    dtype = params["tok_emb"].data.dtype
+    dtype = params["tok_emb"].dtype
     p_drop = cfg.dropout if rng is not None else 0.0
 
     def drop(shape):
@@ -421,17 +437,16 @@ def nll_loss(
     drop = drop if p_drop else None
     causal = _attention_bias(np.ones((1, T), dtype=bool), T, dtype)[0, 0]  # [T,T]
     lengths = keep.sum(axis=1).tolist()
-    emb_w = [params["tok_emb"], params["pos_emb"]]
-    out_backward = embed([w.data for w in emb_w], ids.ravel()[slots], slots % T, drop=drop)
-    x = ag.emit("embed", emb_w, *out_backward)
+    chain = []
+    x = _link(chain, embed, ids.ravel()[slots], params, EMBED_WEIGHTS, slots % T, drop=drop)
     for i in range(cfg.n_layers):
-        attn_w, mlp_w = _layer_weights(params.tensors, i)
-        x = _taped("attention", attention_block, x, attn_w, causal, cfg.n_heads, lengths,
-                   drop=drop)
-        x = _taped("mlp", mlp_block, x, mlp_w, drop=drop)
-    head_w = [params["lnf.gain"], params["lnf.bias"], params["tok_emb"]]
+        attn_names, mlp_names = _layer_names(i)
+        x = _link(chain, attention_block, x, params, attn_names, causal, cfg.n_heads, lengths,
+                  drop=drop)
+        x = _link(chain, mlp_block, x, params, mlp_names, drop=drop)
     rows = np.searchsorted(slots, loss_slots)
-    return _taped("head", head_loss, x, head_w, rows, targets.ravel()[loss_slots])
+    loss = _link(chain, head_loss, x, params, HEAD_WEIGHTS, rows, targets.ravel()[loss_slots])
+    return loss, chain
 
 
 CKPT_MAGIC = "SCGPT-CKPT v1"
@@ -445,7 +460,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         cfg_line = " ".join(f"{k}={v}" for k, v in asdict(cfg).items())
         f.write((cfg_line + "\n").encode("ascii"))
         for name, tensor in params.named():
-            arr = np.ascontiguousarray(tensor.data, dtype="<f4")
+            arr = np.ascontiguousarray(tensor, dtype="<f4")
             meta = " ".join([name] + [str(s) for s in arr.shape])
             f.write((meta + "\n").encode("ascii"))
             f.write(arr.tobytes())
@@ -494,8 +509,11 @@ def load_checkpoint(path) -> ModelParams:
             raw = f.read(4 * n)
             if len(raw) != 4 * n:
                 raise ConfigMismatchError(f"{path}: truncated tensor {name}")
-            tensors[name] = ag.param(np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
-            f.read(1)  # trailing newline
+            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            if f.read(1) != b"\n":
+                raise ConfigMismatchError(f"{path}: no newline after tensor {name}")
+        if f.read(1):
+            raise ConfigMismatchError(f"{path}: bytes after the last tensor")
     return ModelParams(cfg, tensors)
 
 
@@ -503,7 +521,7 @@ class DecodeSession:
     """Incremental batched decoding with per-layer key/value caches.
 
     Runs the same sublayer kernels as :func:`nll_loss`, on raw float32
-    numpy without a tape.  :func:`attention_block` shares its layer
+    numpy, forward only.  :func:`attention_block` shares its layer
     norm, linear layers and its scores, softmax and context code with
     training, but runs them batched on the dense [B,T] layout under a
     key bias, writing each new column's keys and values into the
@@ -535,8 +553,9 @@ class DecodeSession:
         self._v = np.zeros(shape, dtype=np.float32)
         # additive key bias of every filled column: 0, or NEG_BIAS at PAD
         self._bias = np.zeros((batch_size, max_len), dtype=np.float32)
-        self._w = {name: t.data.astype(np.float32, copy=False) for name, t in params.named()}
-        self._layers = [_layer_weights(self._w, i) for i in range(cfg.n_layers)]
+        self._w = {name: t.astype(np.float32, copy=False) for name, t in params.named()}
+        self._layers = [[[self._w[n] for n in names] for names in _layer_names(i)]
+                        for i in range(cfg.n_layers)]
 
     def append(self, ids: np.ndarray, positions: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Feed T new columns for every row; returns last-column logits [B,V].

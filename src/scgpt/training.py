@@ -77,8 +77,8 @@ class OptimizerState:
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimizerState":
         return cls(
-            m={n: np.zeros_like(t.data) for n, t in params.named()},
-            v={n: np.zeros_like(t.data) for n, t in params.named()},
+            m={n: np.zeros_like(t) for n, t in params.named()},
+            v={n: np.zeros_like(t) for n, t in params.named()},
         )
 
 
@@ -97,11 +97,11 @@ def adamw_step(
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for name, tensor in params.named():
+    for name, p in params.named():
         g = grads[name]
-        if g.shape != tensor.data.shape:
+        if g.shape != p.shape:
             raise ShapeMismatchError(
-                f"gradient for {name} has shape {g.shape}, parameter {tensor.data.shape}"
+                f"gradient for {name} has shape {g.shape}, parameter {p.shape}"
             )
         m = state.m[name]
         v = state.v[name]
@@ -110,7 +110,7 @@ def adamw_step(
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        tensor.data = tensor.data - lr * update - lr * weight_decay * tensor.data
+        params.tensors[name] = p - lr * update - lr * weight_decay * p
 
 
 def lr_at(step: int, total_steps: int, start_lr: float) -> float:
@@ -168,7 +168,7 @@ def _masked_nll_total(params, batch):
     # loss re-weighted back to a (sum, count) pair so epoch-level averages
     # do not depend on batch boundaries
     n = sum(sum(ex.loss_mask) for ex in batch)
-    loss = float(nll_loss(params, batch).data)
+    loss = float(nll_loss(params, batch)[0])
     return loss * n, n
 
 
@@ -224,7 +224,9 @@ def run_stage(cfg: TrainConfig, data, params: ModelParams, vocab: Vocab):
     state = OptimizerState.for_params(params)
 
     best_val = math.inf
-    best_data = {n: t.data.copy() for n, t in params.named()}
+    # adamw_step rebinds every array instead of writing into it, so a
+    # snapshot of the name -> array map keeps an epoch's weights
+    best = dict(params.tensors)
     stale = 0
     log = []
 
@@ -236,14 +238,13 @@ def run_stage(cfg: TrainConfig, data, params: ModelParams, vocab: Vocab):
         lr = 0.0
         for batch in _batches([train[i] for i in perm], cfg.batch_size):
             lr = lr_at(state.step, total_steps, cfg.start_lr)
-            with ag.Tape():
-                loss = nll_loss(params, batch, rng=drop_rng if params.config.dropout else None)
-                ag.backward(loss)
-            grads = {n: t.grad for n, t in params.named()}
+            loss, chain = nll_loss(params, batch, rng=drop_rng if params.config.dropout else None)
+            grads = ag.backward(loss, chain)
+            del chain  # frees the kernels' saved activations before the next forward
             norm_sum += clip_global_norm(grads, cfg.grad_clip)
             adamw_step(params, grads, state, lr, cfg.weight_decay)
             n = sum(sum(ex.loss_mask) for ex in batch)
-            epoch_sum += float(loss.data) * n
+            epoch_sum += float(loss) * n
             epoch_n += n
         val_loss = evaluate_loss(params, score_set, cfg.batch_size)
         log.append(
@@ -258,13 +259,12 @@ def run_stage(cfg: TrainConfig, data, params: ModelParams, vocab: Vocab):
         )
         if val_loss < best_val - 1e-12:
             best_val = val_loss
-            best_data = {n: t.data.copy() for n, t in params.named()}
+            best = dict(params.tensors)
             stale = 0
         else:
             stale += 1
             if stale >= cfg.early_stop_patience:
                 break
 
-    for name, tensor in params.named():
-        tensor.data = best_data[name]
+    params.tensors.update(best)
     return params, log

@@ -9,11 +9,13 @@ test_acceptance.py next to the comparison tests.
 
 The transformer forward is composed of per-op taped ops, one per step,
 so its gradients come from per-op backward rules rather than the model's
-fused kernels.  The ops live here, not in the package: they run on the
-package's ``Tensor``, ``emit`` and ``Tape``, but their layer norm, GELU,
-softmax and log-softmax are written from the definitions instead of
-calling the package's kernels.  Only dropout shares the package's mask
-stream (``dropout_mask``), so that both forwards drop the same units.
+fused kernels.  The ops and the general reverse-mode tape they run on
+(``Tensor``, ``emit``, ``Tape`` and a DAG ``backward``) live here, not
+in the package, whose loss is a fixed chain of kernels.  Their layer
+norm, GELU, softmax and log-softmax are written from the definitions
+instead of calling the package's kernels.  Only dropout shares the
+package's mask stream (``dropout_mask``), so that both forwards drop the
+same units.
 
 The tokenizer trainer recounts every pair of the corpus for each merge,
 and the encoder rescans the whole sequence for each merge it applies.
@@ -27,9 +29,14 @@ from collections import Counter
 import numpy as np
 
 from scgpt import autograd as ag
-from scgpt.autograd import Tensor, emit
 from scgpt.bpe import N_BASE, SPECIAL_NAMES, Vocab
-from scgpt.errors import CorpusEmptyError, RangeError, ShapeMismatchError
+from scgpt.errors import (
+    CorpusEmptyError,
+    NumericFaultError,
+    RangeError,
+    ScgptError,
+    ShapeMismatchError,
+)
 
 PLACEHOLDERS = {"?", "yes", "no", "dontcare", "true", "false", "none"}
 
@@ -250,6 +257,101 @@ def parse_reference_file(path):
         fields = [f.strip() for f in line.split(" & ")]
         examples.append(Example(parse_da(fields[0]), fields[1], "restaurant"))
     return Corpus(tuple(examples))
+
+
+# The reverse-mode tape the reference forward runs on.
+
+
+class NonScalarLossError(ScgptError):
+    """backward() was called on a tensor that is not a scalar."""
+
+
+_active_tape = None
+
+
+class Tape:
+    """Records operations for one forward pass; context-manager scoped.
+
+    Backward replays the records in exact reverse order, accumulating
+    gradients additively across fan-out.
+    """
+
+    def __init__(self):
+        self._records = []
+
+    def __enter__(self):
+        global _active_tape
+        if _active_tape is not None:
+            raise RuntimeError("a Tape is already active")
+        _active_tape = self
+        return self
+
+    def __exit__(self, *exc):
+        global _active_tape
+        _active_tape = None
+        return False
+
+
+class Tensor:
+    """A dense array plus grad bookkeeping.  Data is never mutated by ops."""
+
+    __slots__ = ("data", "requires_grad", "grad")
+
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
+        if arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(np.float32)
+        self.data = arr
+        self.requires_grad = requires_grad
+        self.grad = None
+
+    def __repr__(self):
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def param(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
+
+
+def emit(op: str, parents, out_data: np.ndarray, backward) -> Tensor:
+    """Record ``out_data`` as op ``op`` on ``parents``; ``backward(g)``
+    returns one gradient (or None) per parent.  Raises
+    :class:`NumericFaultError` on NaN or Inf."""
+    if not np.isfinite(out_data).all():
+        raise NumericFaultError(f"non-finite values produced by {op}")
+    out = Tensor(out_data, requires_grad=any(p.requires_grad for p in parents))
+    if _active_tape is not None and out.requires_grad:
+        _active_tape._records.append((out, parents, backward))
+    return out
+
+
+def backward(loss: Tensor) -> None:
+    """Backpropagate from a scalar loss through the active tape.
+
+    Stores on ``tensor.grad`` the gradient of each requires_grad
+    :class:`Tensor` reached.
+    """
+    if _active_tape is None:
+        raise RuntimeError("backward requires an active Tape")
+    if loss.data.size != 1:
+        raise NonScalarLossError(f"loss has shape {loss.data.shape}, expected scalar")
+    grads = {id(loss): np.ones_like(loss.data)}
+    seen = {id(loss): loss}
+    for out, parents, rule in reversed(_active_tape._records):
+        g = grads.get(id(out))
+        if g is None:
+            continue
+        parent_grads = rule(g)
+        for parent, pg in zip(parents, parent_grads):
+            if pg is None or not parent.requires_grad:
+                continue
+            if id(parent) in grads:
+                grads[id(parent)] = grads[id(parent)] + pg
+            else:
+                grads[id(parent)] = pg
+            seen[id(parent)] = parent
+    for tid, tensor in seen.items():
+        tensor.grad = grads[tid]
 
 
 # Per-op taped ops of the reference forward (see the module docstring).
@@ -473,15 +575,18 @@ def cross_entropy_masked(logits: Tensor, targets: np.ndarray, mask: np.ndarray) 
 def forward_logits_reference(params, ids, keep, rng=None):
     """Pre-softmax logits [B,T,vocab] built op by op on the tape.
 
-    Draws dropout masks in the order and shapes the model does: the
-    embeddings, then per layer the attention probabilities, the attention
-    output and the MLP output.
+    Wraps each weight array of ``params`` as a taped leaf and returns
+    ``(logits, leaves)``, the leaves by weight name, so a caller can
+    read their gradients after :func:`backward`.  Draws dropout masks in
+    the order and shapes the model does: the embeddings, then per layer
+    the attention probabilities, the attention output and the MLP output.
     """
     cfg = params.config
+    leaves = {name: param(a) for name, a in params.named()}
     B, T = ids.shape
     H, d = cfg.n_heads, cfg.d_model
     dh = d // H
-    dtype = params["tok_emb"].data.dtype
+    dtype = params["tok_emb"].dtype
     p_drop = cfg.dropout if rng is not None else 0.0
 
     def drop(t):
@@ -491,8 +596,8 @@ def forward_logits_reference(params, ids, keep, rng=None):
         return add(matmul(x, w), b)
 
     x = add(
-        embed_lookup(params["tok_emb"], ids),
-        embed_lookup(params["pos_emb"], np.broadcast_to(np.arange(T), (B, T))),
+        embed_lookup(leaves["tok_emb"], ids),
+        embed_lookup(leaves["pos_emb"], np.broadcast_to(np.arange(T), (B, T))),
     )
     x = drop(x)
     allowed = np.tril(np.ones((T, T), dtype=bool))[None, :, :] & keep[:, None, :]
@@ -500,21 +605,21 @@ def forward_logits_reference(params, ids, keep, rng=None):
 
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        h = layernorm(x, params[p + "ln1.gain"], params[p + "ln1.bias"])
-        qkv = linear(h, params[p + "attn.wqkv"], params[p + "attn.bqkv"])
+        h = layernorm(x, leaves[p + "ln1.gain"], leaves[p + "ln1.bias"])
+        qkv = linear(h, leaves[p + "attn.wqkv"], leaves[p + "attn.bqkv"])
         qkv = transpose(reshape(qkv, (B, T, 3, H, dh)), (2, 0, 3, 1, 4))
         q, k, v = (take_index(qkv, j) for j in range(3))  # [B,H,T,dh]
         scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), dh**-0.5)
         attn = drop(softmax_lastdim(add(scores, bias)))
         ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (B, T, d))
-        x = add(x, drop(linear(ctx, params[p + "attn.wo"], params[p + "attn.bo"])))
+        x = add(x, drop(linear(ctx, leaves[p + "attn.wo"], leaves[p + "attn.bo"])))
 
-        h = layernorm(x, params[p + "ln2.gain"], params[p + "ln2.bias"])
-        h = gelu(linear(h, params[p + "mlp.w1"], params[p + "mlp.b1"]))
-        x = add(x, drop(linear(h, params[p + "mlp.w2"], params[p + "mlp.b2"])))
+        h = layernorm(x, leaves[p + "ln2.gain"], leaves[p + "ln2.bias"])
+        h = gelu(linear(h, leaves[p + "mlp.w1"], leaves[p + "mlp.b1"]))
+        x = add(x, drop(linear(h, leaves[p + "mlp.w2"], leaves[p + "mlp.b2"])))
 
-    x = layernorm(x, params["lnf.gain"], params["lnf.bias"])
-    return matmul(x, transpose(params["tok_emb"], (1, 0)))
+    x = layernorm(x, leaves["lnf.gain"], leaves["lnf.bias"])
+    return matmul(x, transpose(leaves["tok_emb"], (1, 0))), leaves
 
 
 def _merge_pair(ids: list, a: int, b: int, new_id: int) -> list:

@@ -4,17 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scgpt.autograd import Tape, backward, param
-from scgpt.errors import (
-    NonScalarLossError,
-    NumericFaultError,
-    RangeError,
-    ShapeMismatchError,
-)
+from scgpt.errors import NumericFaultError, RangeError, ShapeMismatchError
 from scgpt.model import LinearizedExample, ModelConfig, init_params, nll_loss
 
 import oracles as ref
-from oracles import constant
+from oracles import NonScalarLossError, Tape, backward, constant, param
 
 
 def test_sum_of_squares_gradient():
@@ -81,6 +75,18 @@ def test_numeric_fault_on_overflow():
             ref.scale(constant(np.array([1e308])), 1e10)
 
 
+@pytest.mark.parametrize("name,value", [("tok_emb", np.inf), ("layers.0.attn.bqkv", 1e38)])
+def test_nll_loss_numeric_fault(name, value):
+    # the model's own per-kernel check: inf in the embeddings, and an
+    # overflow of q.k in the float32 attention scores
+    params = init_params(ModelConfig(vocab_size=4, n_layers=1, n_heads=1, d_model=2,
+                                     d_ff=4, max_context=8, dropout=0.0))
+    params[name][...] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericFaultError):
+            nll_loss(params, [LinearizedExample(ids=(0, 3), loss_mask=(1, 0))])
+
+
 def test_shape_mismatch_message_has_both_shapes():
     with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 3\)"):
         ref.matmul(constant(np.zeros((2, 3))), constant(np.zeros((2, 3))))
@@ -132,16 +138,16 @@ def _defined(stmt) -> set:
     return set()
 
 
-def _autograd_references(path: Path) -> set:
-    """Names of ``scgpt.autograd`` the module at path refers to: imported
+def _references(path: Path, module: str) -> set:
+    """Names of ``scgpt.<module>`` the file at path refers to: imported
     from it, or looked up on a name it is imported as."""
     tree = ast.parse(path.read_text())
     aliases, found = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in ("autograd", "scgpt.autograd"):
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"scgpt.{module}"):
             found |= {a.name for a in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module in (None, "scgpt"):
-            aliases |= {a.asname or a.name for a in node.names if a.name == "autograd"}
+            aliases |= {a.asname or a.name for a in node.names if a.name == module}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in aliases):
@@ -150,19 +156,23 @@ def _autograd_references(path: Path) -> set:
 
 
 def test_every_public_autograd_name_has_a_caller():
-    # the package, the benchmark or a demo uses each public name; ops only
-    # the tests need live in tests/oracles.py
-    module = ROOT / "src" / "scgpt" / "autograd.py"
-    tree = ast.parse(module.read_text())
-    public = {n for stmt in tree.body for n in _defined(stmt) if not n.startswith("_")}
-    used = {  # inside autograd.py, outside each name's own definition
-        node.id
-        for stmt in tree.body
-        for node in ast.walk(stmt)
-        if isinstance(node, ast.Name) and node.id not in _defined(stmt)
-    }
-    for folder in ("src", "perfbench", "demos"):
-        for path in (ROOT / folder).rglob("*.py"):
-            if path != module:
-                used |= _autograd_references(path)
-    assert sorted(public - used) == []
+    # the package, the benchmark or a demo uses each public name of
+    # scgpt.autograd and scgpt.errors; the ops, tape and errors only the
+    # tests need live in tests/oracles.py
+    unused = {}
+    for name in ("autograd", "errors"):
+        module = ROOT / "src" / "scgpt" / f"{name}.py"
+        tree = ast.parse(module.read_text())
+        public = {n for stmt in tree.body for n in _defined(stmt) if not n.startswith("_")}
+        used = {  # inside the module, outside each name's own definition
+            node.id
+            for stmt in tree.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and node.id not in _defined(stmt)
+        }
+        for folder in ("src", "perfbench", "demos"):
+            for path in (ROOT / folder).rglob("*.py"):
+                if path != module:
+                    used |= _references(path, name)
+        unused[name] = sorted(public - used)
+    assert unused == {"autograd": [], "errors": []}

@@ -170,6 +170,16 @@ def test_generate_interactive(pipeline, tmp_path, capsys, monkeypatch):
     assert "error:" in captured.err
 
 
+def test_generate_out_needs_da_or_corpus(pipeline, tmp_path, capsys, monkeypatch):
+    # interactive generation prints to stdout, so --out would write nothing
+    monkeypatch.setattr(sys, "stdin", io.StringIO("bye ( )\n"))
+    out = tmp_path / "inter.txt"
+    assert run(["generate", "--config", pipeline / "run.cfg",
+                "--ckpt", pipeline / "da.ckpt", "--out", out]) == 2
+    assert "--da or --corpus" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_fewshot_and_stats(pipeline, tmp_path, capsys):
     out_dir = tmp_path / "fewshot"
     assert run(["build-fewshot", "--corpus", pipeline / "corpus.jsonl",

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from scgpt.autograd import Tape, backward
+from scgpt.autograd import backward
 from scgpt.bpe import train_bpe
 from scgpt.dialog_act import act_set
 from scgpt.errors import ConfigMismatchError, ContextOverflowError, UnknownFormatError
@@ -20,6 +20,7 @@ from scgpt.model import (
     save_checkpoint,
 )
 
+import oracles
 from gradcheck import fd_gradient, rel_error
 from oracles import cross_entropy_masked, forward_logits_reference
 
@@ -46,7 +47,7 @@ def one_position(ids, t):
 def position_loss(params, ids, t):
     """``nll_loss`` of ``one_position(ids, t)``: minus the log-probability
     of ``ids[t+1]`` given ``ids[:t+1]``."""
-    return float(nll_loss(params, [one_position(ids, t)]).data)
+    return float(nll_loss(params, [one_position(ids, t)])[0])
 
 
 def test_config_validation():
@@ -98,12 +99,12 @@ def test_zero_params_uniform(vocab):
     cfg = tiny_config(vocab)
     params = init_params(cfg)
     for _, t in params.named():
-        t.data[...] = 0.0
+        t[...] = 0.0
     ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
     for t in range(len(ex.ids) - 1):
         assert abs(position_loss(params, ex.ids, t) - np.log(cfg.vocab_size)) < 1e-5
-    loss = nll_loss(params, [ex])
-    assert abs(float(loss.data) - np.log(cfg.vocab_size)) < 1e-5
+    loss, _ = nll_loss(params, [ex])
+    assert abs(float(loss) - np.log(cfg.vocab_size)) < 1e-5
 
 
 def test_forward_rows_are_distributions(vocab):
@@ -135,12 +136,12 @@ def test_causality(vocab):
 def test_loss_invariant_to_masked_out_labels(vocab):
     params = init_params(tiny_config(vocab), seed=2)
     ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
-    base = float(nll_loss(params, [ex]).data)
+    base = float(nll_loss(params, [ex])[0])
     # relabeling targets at mask-0 positions must leave the loss untouched
     ids_arr, mask, keep = pad_batch([ex], vocab.pad_id)
     targets = np.roll(ids_arr, -1, axis=1)
     targets[:, -1] = 0
-    logits = forward_logits_reference(params, ids_arr, keep)
+    logits, _ = forward_logits_reference(params, ids_arr, keep)
     ref = float(cross_entropy_masked(logits, targets, mask).data)
     flipped = targets.copy()
     changed = 0
@@ -164,25 +165,8 @@ def test_padding_equivalence(vocab):
     long_alone = position_loss(params, long, t_long)
     for t in range(len(short) - 1):
         batch = [one_position(short, t), one_position(long, t_long)]
-        both = 2 * float(nll_loss(params, batch).data)
+        both = 2 * float(nll_loss(params, batch)[0])
         assert abs(both - long_alone - position_loss(params, short, t)) < 1e-5
-
-
-def test_e2e_gradient_check(vocab):
-    cfg = tiny_config(vocab)
-    params = init_params(cfg, seed=4, dtype=np.float64)
-    ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
-
-    def loss_value():
-        return float(nll_loss(params, [ex]).data)
-
-    with Tape():
-        backward(nll_loss(params, [ex]))
-    worst = {}
-    for name, tensor in params.named():
-        fd = fd_gradient(loss_value, tensor.data)
-        worst[name] = rel_error(tensor.grad, fd)
-    assert max(worst.values()) < 1e-3, worst
 
 
 def test_gradient_check_with_dropout():
@@ -198,40 +182,42 @@ def test_gradient_check_with_dropout():
         # a fresh generator per evaluation draws the same dropout masks
         return nll_loss(params, batch, rng=np.random.default_rng(3))
 
-    with Tape():
-        backward(loss(params))
+    grads = backward(*loss(params))
     worst = {
-        name: rel_error(t.grad, fd_gradient(lambda: float(loss(params).data), t.data))
-        for name, t in params.named()
+        name: rel_error(grads[name], fd_gradient(lambda: float(loss(params)[0]), w))
+        for name, w in params.named()
     }
     assert max(worst.values()) < 1e-3, worst
 
 
-def test_nll_loss_tapes_one_entry_per_kernel(vocab):
+def test_nll_loss_chain_has_one_link_per_kernel(vocab):
     params = init_params(tiny_config(vocab, n_layers=2, dropout=0.1), seed=0)
     ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
-    with Tape() as tape:
-        nll_loss(params, [ex], rng=np.random.default_rng(0))
-    kernels = [rule.__qualname__.split(".")[0] for _, _, rule in tape._records]
+    _, chain = nll_loss(params, [ex], rng=np.random.default_rng(0))
+    kernels = [rule.__qualname__.split(".")[0] for _, rule in chain]
     assert kernels == ["embed"] + ["attention_block", "mlp_block"] * 2 + ["head_loss"]
+    assert {name for names, _ in chain for name in names} == set(params.tensors)
 
 
-def dense_nll_loss(params, batch, rng=None):
-    """The loss on the per-op reference forward: logits at every slot, then
-    the mask."""
+def loss_and_grads(params, batch, seed=None):
+    """The loss and gradients of the model's kernel chain."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    loss, chain = nll_loss(params, batch, rng=rng)
+    return float(loss), backward(loss, chain)
+
+
+def dense_loss_and_grads(params, batch, seed=None):
+    """The loss and gradients on the per-op reference forward: logits at
+    every slot, then the mask."""
+    rng = None if seed is None else np.random.default_rng(seed)
     ids, mask, keep = pad_batch(batch, params.config.vocab_size - 1)
     targets = np.roll(ids, -1, axis=1)
     targets[:, -1] = 0
-    logits = forward_logits_reference(params, ids, keep, rng=rng)
-    return cross_entropy_masked(logits, targets, mask)
-
-
-def loss_and_grads(loss_fn, params, batch, seed=None):
-    rng = None if seed is None else np.random.default_rng(seed)
-    with Tape():
-        loss = loss_fn(params, batch, rng=rng)
-        backward(loss)
-    return float(loss.data), {n: t.grad for n, t in params.named()}
+    with oracles.Tape():
+        logits, leaves = forward_logits_reference(params, ids, keep, rng=rng)
+        loss = cross_entropy_masked(logits, targets, mask)
+        oracles.backward(loss)
+    return float(loss.data), {n: t.grad for n, t in leaves.items()}
 
 
 def mixed_batch(vocab_size, lengths, seed, last=0):
@@ -266,9 +252,8 @@ def test_packed_loss_matches_dense(dtype, dropout):
     seed = 3 if dropout else None  # the same generator seed on both layouts
     for lengths in ((5, 23, 9, 2, 31), (17, 17, 17)):
         batch = mixed_batch(cfg.vocab_size, lengths, seed=0, last=1)
-        packed = loss_and_grads(nll_loss, init_params(cfg, seed=1, dtype=dtype), batch, seed)
-        dense = loss_and_grads(dense_nll_loss, init_params(cfg, seed=1, dtype=dtype), batch,
-                               seed)
+        packed = loss_and_grads(init_params(cfg, seed=1, dtype=dtype), batch, seed)
+        dense = dense_loss_and_grads(init_params(cfg, seed=1, dtype=dtype), batch, seed)
         assert packed[0] == pytest.approx(dense[0], rel=PACKED_TOL[dtype]), lengths
         worst = {n: rel_error(packed[1][n], dense[1][n]) for n in dense[1]}
         assert max(worst.values()) < PACKED_TOL[dtype], (lengths, worst)
@@ -283,10 +268,9 @@ def test_forward_matches_per_op_oracle():
     batch = [LinearizedExample(tuple(int(i) for i in row[:L]), (1,) * L)
              for row, L in zip(ids, (7, 4, 9))]
     for seed in (None, 5):
-        ours, ours_g = loss_and_grads(nll_loss, init_params(cfg, seed=11, dtype=np.float64),
-                                      batch, seed)
-        ref, ref_g = loss_and_grads(dense_nll_loss,
-                                    init_params(cfg, seed=11, dtype=np.float64), batch, seed)
+        ours, ours_g = loss_and_grads(init_params(cfg, seed=11, dtype=np.float64), batch, seed)
+        ref, ref_g = dense_loss_and_grads(init_params(cfg, seed=11, dtype=np.float64), batch,
+                                          seed)
         assert ours == pytest.approx(ref, rel=1e-12)
         worst = {n: rel_error(ours_g[n], ref_g[n]) for n in ref_g}
         assert max(worst.values()) < 1e-10, worst
@@ -301,8 +285,8 @@ def test_loss_batch_invariant(dtype):
     params = init_params(cfg, seed=2, dtype=dtype)
     batch = mixed_batch(cfg.vocab_size, (4, 27, 13), seed=1)
     counts = [sum(ex.loss_mask) for ex in batch]
-    loss, grads = loss_and_grads(nll_loss, params, batch)
-    alone = [loss_and_grads(nll_loss, params, [ex]) for ex in batch]
+    loss, grads = loss_and_grads(params, batch)
+    alone = [loss_and_grads(params, [ex]) for ex in batch]
     total = sum(counts)
     assert loss * total == pytest.approx(
         sum(n * l for n, (l, _) in zip(counts, alone)), rel=PACKED_TOL[dtype])
@@ -319,7 +303,7 @@ def test_checkpoint_round_trip(tmp_path, vocab):
     assert loaded.config == params.config
     for (n1, t1), (n2, t2) in zip(params.named(), loaded.named()):
         assert n1 == n2
-        assert np.array_equal(t1.data, t2.data)
+        assert np.array_equal(t1, t2)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -339,6 +323,10 @@ def test_checkpoint_rejects_truncation(tmp_path, vocab):
         load_checkpoint(p)
 
 
+#: The last tensor of a tiny_config checkpoint: zero biases, then newline.
+CKPT_TAIL = b"lnf.bias 8\n" + bytes(4 * 8) + b"\n"
+
+
 @pytest.mark.parametrize(
     "old,new",
     [
@@ -347,6 +335,9 @@ def test_checkpoint_rejects_truncation(tmp_path, vocab):
         (b"n_layers=1", b"n_layers=0"),  # refused by ModelConfig
         (b" dropout=0.0", b""),  # missing field
         (b"layers.0.ln1.gain 8", b"layers.0.ln1.gain x"),  # bad tensor shape
+        pytest.param(b"\nlnf.bias 8", b"Xlnf.bias 8", id="separator-X"),
+        pytest.param(CKPT_TAIL, CKPT_TAIL + b"\n", id="byte-after-last-tensor"),
+        pytest.param(CKPT_TAIL, CKPT_TAIL[:-1] + b"X" + CKPT_TAIL, id="last-separator-X"),
     ],
 )
 def test_checkpoint_rejects_corrupt_metadata(tmp_path, vocab, old, new):
@@ -365,7 +356,7 @@ def test_decode_session_matches_full_forward(vocab):
     ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
     ids = np.array([ex.ids])
     keep = np.ones_like(ids, dtype=bool)
-    full = forward_logits_reference(params, ids, keep).data
+    full = forward_logits_reference(params, ids, keep)[0].data
 
     sess = DecodeSession(params, batch_size=1, max_len=len(ex.ids))
     T0 = len(ex.ids) - 3
@@ -404,7 +395,7 @@ def test_decode_session_left_padding(vocab):
             params,
             np.array([ex.ids]),
             np.ones((1, len(ex.ids)), dtype=bool),
-        ).data[0, -1]
+        )[0].data[0, -1]
         assert np.abs(batched[row] - solo).max() < 1e-5
 
 
