@@ -9,7 +9,8 @@ Training and encoding hold a token sequence as a ``str`` whose code
 points are the token ids: a text's UTF-8 bytes read as Latin-1 give its
 base ids, ``s.replace(chr(a) + chr(b), chr(new_id))`` applies a merge
 left to right without overlaps, and ``zip(s, s[1:])`` lists the adjacent
-pairs, overlaps included, so the per-token work runs in C.
+pairs, overlaps included, so the per-token work runs in C.  A merge
+pairs only tokens older than itself, so it creates no earlier merge's pair.
 
 Vocab file format (line-delimited text)::
 
@@ -27,7 +28,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 
 from .errors import (
     CorpusEmptyError,
@@ -59,6 +60,12 @@ class Vocab:
     def __post_init__(self):
         if len(self.id_to_token) != N_BASE + len(self.merges):
             raise ValueError("id_to_token length inconsistent with merges")
+        for i, (a, b) in enumerate(self.merges):
+            new = N_BASE + i
+            if not (0 <= a < new and 0 <= b < new):
+                raise ValueError(f"merge {i} pairs ({a}, {b}), not two ids below {new}")
+            if self.id_to_token[new] != self.id_to_token[a] + self.id_to_token[b]:
+                raise ValueError(f"token {new} is not the bytes of merge {i} joined")
         if len(set(self.id_to_token)) != len(self.id_to_token):
             raise ValueError("duplicate tokens in vocabulary")
         ids = [self.specials[n] for n in SPECIAL_NAMES]
@@ -82,9 +89,9 @@ class Vocab:
         return self.specials["PAD"]
 
     @cached_property
-    def _merge_ranks(self) -> dict:
-        """Rank of each merge, keyed by its pair of code points."""
-        return {(chr(a), chr(b)): i for i, (a, b) in enumerate(self.merges)}
+    def _merge_table(self) -> tuple:
+        """(pattern, replacement) code-point strings of each merge, in order."""
+        return tuple((chr(a) + chr(b), chr(N_BASE + i)) for i, (a, b) in enumerate(self.merges))
 
     @cached_property
     def _token_ids(self) -> tuple:
@@ -175,18 +182,19 @@ def _code_points(s: str) -> str:
 def encode(v: Vocab, s: str) -> list:
     """Tokenize a string into token ids, without special tokens.
 
-    Merges apply in learned order, each rewriting every occurrence left
-    to right, so encode(train corpus) reproduces the training segmentation.
+    One pass applies the merges in learned order, each rewriting every
+    occurrence left to right.  As no merge creates an earlier one's pair,
+    that is the order of always applying the lowest-ranked merge present,
+    and encode(train corpus) reproduces the training segmentation.  It costs
+    one substring test per merge, so it grows with the vocabulary size, not
+    with the string's length times the merges applied.
     """
     seq = _code_points(s)
-    ranks = v._merge_ranks
-    no_merge = len(v.merges)
-    while len(seq) >= 2:
-        r = min(map(ranks.get, zip(seq, seq[1:]), repeat(no_merge)))
-        if r == no_merge:
-            break
-        a, b = v.merges[r]
-        seq = seq.replace(chr(a) + chr(b), chr(N_BASE + r))
+    for pattern, new in v._merge_table:
+        if pattern in seq:
+            seq = seq.replace(pattern, new)
+            if len(seq) < 2:
+                break
     return list(map(v._token_ids.__getitem__, map(ord, seq)))
 
 
@@ -251,11 +259,9 @@ def load_vocab(path) -> Vocab:
             raise ParseError(f"{path}: bad hex in merge line {ln!r}") from None
         if left not in token_to_id or right not in token_to_id:
             raise ParseError(f"{path}: merge refers to unknown token: {ln!r}")
-        a, b = token_to_id[left], token_to_id[right]
-        merges.append((a, b))
-        new_tok = left + right
-        token_to_id[new_tok] = len(id_to_token)
-        id_to_token.append(new_tok)
+        merges.append((token_to_id[left], token_to_id[right]))
+        token_to_id[left + right] = len(id_to_token)
+        id_to_token.append(left + right)
 
     specials = {}
     for ln in lines[1 + n_merges :]:

@@ -227,12 +227,13 @@ def embed(ids, weights, positions, drop=None):
 
     ``ids`` and ``positions`` are integer arrays of one shape, e.g. [B,T]
     or packed [N].  An index outside its table raises
-    :class:`RangeError`.  ``drop(shape)`` draws the dropout multipliers
-    of the sum.
+    :class:`RangeError` naming the table and its bound.  ``drop(shape)``
+    draws the dropout multipliers of the sum.
     """
-    for table, index in zip(weights, (ids, positions)):
+    for what, name, table, index in zip(("token ids", "positions"), EMBED_WEIGHTS,
+                                        weights, (ids, positions)):
         if index.size and (index.min() < 0 or index.max() >= len(table)):
-            raise RangeError(f"ids outside [0, {len(table)}) passed to embed")
+            raise RangeError(f"{what} outside [0, {len(table)}) of {name} passed to embed")
     tok, pos = weights
     out = tok[ids] + pos[positions]
     mask = drop(out.shape) if drop else None
@@ -411,13 +412,14 @@ def nll_loss(params: ModelParams, batch, rng: np.random.Generator | None = None)
     module docstring) and calls only kernels, each one link of the
     chain: :func:`embed`, then per layer :func:`attention_block` and
     :func:`mlp_block`, then :func:`head_loss`, 2 * n_layers + 2 links in
-    all.  A token id outside the vocabulary raises :class:`RangeError`,
-    a non-finite kernel output :class:`NumericFaultError`.  ``rng``
-    enables dropout (training); None runs deterministically.  Dropout
-    masks are drawn at the padded shapes, in the order embeddings, then
-    per layer attention probabilities ([B,H,T,T], each example keeping
-    its [b,:,:L,:L] block), attention output and MLP output; row masks
-    are kept at the real slots.
+    all.  A token id outside the vocabulary or a sequence longer than
+    ``max_context`` raises :class:`RangeError`, a non-finite kernel
+    output :class:`NumericFaultError`.  ``rng`` enables dropout
+    (training); None runs deterministically.  Dropout masks are drawn at
+    the padded shapes, in the order embeddings, then per layer attention
+    probabilities ([B,H,T,T], each example keeping its [b,:,:L,:L]
+    block), attention output and MLP output; row masks are kept at the
+    real slots.
     """
     cfg = params.config
     ids, mask, keep = pad_batch(batch, cfg.vocab_size - 1)

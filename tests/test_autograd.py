@@ -98,8 +98,17 @@ def test_embed_lookup_range_check():
                                      d_ff=4, max_context=8, dropout=0.0))
     nll_loss(params, [LinearizedExample(ids=(0, 3), loss_mask=(1, 0))])
     for bad in (4, -1):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError, match=r"^token ids outside \[0, 4\) of tok_emb"):
             nll_loss(params, [LinearizedExample(ids=(0, bad), loss_mask=(1, 0))])
+
+
+def test_embed_position_range_check():
+    # every id is valid; the 12-token sequence overflows the 8 positions
+    params = init_params(ModelConfig(vocab_size=4, n_layers=1, n_heads=1, d_model=2,
+                                     d_ff=4, max_context=8, dropout=0.0))
+    nll_loss(params, [LinearizedExample(ids=(1,) * 8, loss_mask=(1,) * 8)])
+    with pytest.raises(RangeError, match=r"^positions outside \[0, 8\) of pos_emb"):
+        nll_loss(params, [LinearizedExample(ids=(1,) * 12, loss_mask=(1,) * 12)])
 
 
 def test_diamond_fanout_accumulates():

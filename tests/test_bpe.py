@@ -1,4 +1,6 @@
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -71,10 +73,12 @@ def test_encode_empty():
     assert decode(v, [v.bos_id, v.eos_id]) == ""
 
 
+_BASE = tuple(bytes([i]) for i in range(N_BASE))
+
+
 def test_greedy_merge_application():
-    base = tuple(bytes([i]) for i in range(N_BASE))
     v = Vocab(
-        base + (b"aa",),
+        _BASE + (b"aa",),
         ((ord("a"), ord("a")),),
         {"BOS": 257, "EOS": 258, "PAD": 259},
     )
@@ -85,14 +89,28 @@ def test_greedy_merge_application():
 def test_merge_order_respected():
     # learned order: ("a","a") first, then ("aa","b"); encode must apply
     # the earlier merge before the later one can fire.
-    base = tuple(bytes([i]) for i in range(N_BASE))
     v = Vocab(
-        base + (b"aa", b"aab"),
+        _BASE + (b"aa", b"aab"),
         ((ord("a"), ord("a")), (256, ord("b"))),
         {"BOS": 258, "EOS": 259, "PAD": 260},
     )
     ids = encode(v, "aab")
     assert [v.id_to_token[i] for i in ids] == [b"aab"]
+
+
+@pytest.mark.parametrize(
+    "tokens,merges,match",
+    [
+        # merge 0 names id 257, the token of the later merge 1
+        ((b"aab", b"ab"), ((ord("a"), 257), (ord("a"), ord("b"))), r"merge 0 pairs \(97, 257\)"),
+        ((b"ab",), ((ord("a"), 256),), r"merge 0 pairs \(97, 256\)"),  # names its own id
+        ((b"ba",), ((ord("a"), ord("b")),), "token 256 is not the bytes of merge 0"),
+    ],
+)
+def test_vocab_rejects_merges_that_break_learned_order(tokens, merges, match):
+    n = N_BASE + len(tokens)
+    with pytest.raises(ValueError, match=match):
+        Vocab(_BASE + tokens, merges, {"BOS": n, "EOS": n + 1, "PAD": n + 2})
 
 
 def test_decode_invalid_id():
@@ -239,3 +257,36 @@ def test_encode_leaves_vocab_equal_to_a_fresh_load(tmp_path):
     assert encode(fresh, "the cat sat on a mat") == ids
     assert any(i >= N_BASE for i in ids)
     assert all(type(i) is int and 0 <= i < len(v.id_to_token) for i in ids)
+
+
+_ALPHABET = "ab \u00e9\u20ac"
+
+
+@st.composite
+def _vocabs(draw):
+    """A valid vocabulary from an arbitrary merge list over the bytes of
+    ``_ALPHABET`` and one byte no string holds: merges that never fire,
+    (x, x) pairs, merges of merged tokens, pieces of multibyte characters."""
+    id_to_token = list(_BASE)
+    pool = sorted(set(_ALPHABET.encode())) + [ord("z")]
+    merges = []
+    for _ in range(draw(st.integers(0, 30))):
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if id_to_token[a] + id_to_token[b] in id_to_token:
+            continue
+        merges.append((a, b))
+        pool.append(len(id_to_token))
+        id_to_token.append(id_to_token[a] + id_to_token[b])
+    n = len(id_to_token)
+    return Vocab(tuple(id_to_token), tuple(merges), {"BOS": n, "EOS": n + 1, "PAD": n + 2})
+
+
+@given(_vocabs(), st.lists(st.text(alphabet=_ALPHABET, max_size=30), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_property_encode_matches_min_rank_oracle_on_any_merge_list(v, texts):
+    with tempfile.TemporaryDirectory() as d:
+        save_vocab(v, Path(d) / "v.bpe")
+        loaded = load_vocab(Path(d) / "v.bpe")
+    assert loaded == v
+    for s in texts:
+        assert encode(loaded, s) == encode_reference(loaded, s)
