@@ -28,20 +28,22 @@ GELU_A = 0.044715
 
 def gelu_kernel(x: np.ndarray):
     """GELU, tanh approximation; returns (out, backward)."""
-    t = np.tanh(GELU_C * (x + GELU_A * (x * x * x)))
+    x2 = x * x  # the same bits as x**2, kept for the backward
+    t = np.tanh(GELU_C * (x + GELU_A * (x2 * x)))
     out = 0.5 * x * (1.0 + t)
 
     def backward(g):
-        du = GELU_C * (1.0 + 3.0 * GELU_A * x**2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du),)
+        du = GELU_C * (1.0 + 3.0 * GELU_A * x2)
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du),)
 
     return out, backward
 
 
 def softmax_kernel(x: np.ndarray):
     """Row-stable softmax over the last axis; returns (out, backward)."""
-    out = np.exp(x - x.max(axis=-1, keepdims=True))
-    out /= out.sum(axis=-1, keepdims=True)
+    # the same bits as x.max and out.sum, without their wrappers' overhead
+    out = np.exp(x - np.maximum.reduce(x, -1, keepdims=True))
+    out /= np.add.reduce(out, -1, keepdims=True)
 
     def backward(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -52,8 +54,8 @@ def softmax_kernel(x: np.ndarray):
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Row-stable log-softmax over the last axis, in the width of x."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = x - np.maximum.reduce(x, -1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), -1, keepdims=True))
 
 
 LAYERNORM_EPS = 1e-5

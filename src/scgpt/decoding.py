@@ -17,6 +17,15 @@ up a quarter of it.  Every row has its own budget,
 ``min(max_new_tokens, max_context - prefix length)``, and its own RNG
 stream, so an act's candidates do not depend on the acts that share its
 batch, only on its index in the call.
+
+A step with few rows costs array-call overhead, not arithmetic, so the
+loop keeps its fixed work small: the session multiplies by a contiguous
+copy of the tied head, the select takes one log-sum-exp per row and the
+log-prob of the picked token only, and the live slots, their rows and
+their generators are worked out again only on a step where some row
+finished.  The candidate texts are those of the plain per-step loop; a
+log-prob may differ by float32 rounding when one or two rows are left,
+where numpy multiplies by the head as a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -82,25 +91,29 @@ def select_tokens(logits: np.ndarray, rngs, k: int, temperature: float):
     largest values, though not always the index a full ``argsort`` would
     have ordered there.
     """
-    logp = log_softmax(logits.astype(np.float64))
     picked = logits.argmax(axis=-1)
     sampled = [i for i, rng in enumerate(rngs) if rng is not None]
     if sampled:
         block = logits[sampled]
         V = block.shape[1]
         k = min(k, V)
+        r = np.arange(len(sampled))[:, None]  # indexes [s,k] arrays by row
         top = np.argpartition(block, V - k, axis=1)[:, V - k :]
-        vals = np.take_along_axis(block, top, axis=1)
+        vals = block[r, top]
         order = vals.argsort(axis=1)[:, ::-1]  # largest first
-        top = np.take_along_axis(top, order, axis=1)
-        scaled = np.take_along_axis(vals, order, axis=1) / max(temperature, 1e-6)
+        top = top[r, order]
+        scaled = vals[r, order] / max(temperature, 1e-6)
         cdf = np.exp(log_softmax(scaled.astype(np.float64))).cumsum(axis=1)
         cdf /= cdf[:, -1:]
         u = np.array([rngs[i].random() for i in sampled])
         # searchsorted(cdf, u, side="right") row by row
         draw = (cdf <= u[:, None]).sum(axis=1)
-        picked[sampled] = top[np.arange(len(sampled)), draw]
-    return picked, logp[np.arange(len(picked)), picked]
+        picked[sampled] = top[r[:, 0], draw]
+    # log_softmax's arithmetic, evaluated at the picked tokens only
+    x = logits.astype(np.float64)
+    shifted = x - np.maximum.reduce(x, -1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(shifted), -1))
+    return picked, shifted[np.arange(len(picked)), picked] - lse
 
 
 def select_next_token(logits: np.ndarray, rng, k: int, temperature: float) -> int:
@@ -176,28 +189,29 @@ def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig, f
     logprob_sums = np.zeros(B)
     row = np.arange(B)  # the row each session slot decodes
     live = np.ones(B, dtype=bool)  # per session slot
+    # set again only on a step where some row finished
+    slots, live_rows, live_rngs = row, row, rngs
+    slot_start, keep = start_pos[:, None], live[:, None]  # position of step 0
     for step in range(tokens.shape[1]):
-        slots = np.flatnonzero(live)
-        live_rows = row[slots]
-        picked, logp = select_tokens(
-            logits[slots], [rngs[b] for b in live_rows.tolist()], cfg.top_k, cfg.temperature
-        )
+        picked, logp = select_tokens(logits[slots], live_rngs, cfg.top_k, cfg.temperature)
         logprob_sums[live_rows] += logp
         tokens[live_rows, step] = picked
-        counts[live_rows] = step + 1
-        live[slots] = (picked != v.eos_id) & (step + 1 < budget[live_rows])
-        if not live.any():
-            break
-        if 4 * np.count_nonzero(~live) >= len(live):
-            kept = np.flatnonzero(live)
-            sess.take(kept)
-            row, live = row[kept], live[kept]
-        # finished slots feed an inert masked column; position 0 is arbitrary
-        logits = sess.append(
-            tokens[row, step].reshape(-1, 1),
-            np.where(live, start_pos[row] + step, 0).reshape(-1, 1),
-            live.reshape(-1, 1),
-        )
+        ended = (picked == v.eos_id) | (step + 1 >= budget[live_rows])
+        if ended.any():
+            counts[live_rows[ended]] = step + 1
+            live[slots[ended]] = False
+            if not live.any():
+                break
+            if 4 * np.count_nonzero(~live) >= len(live):
+                kept = np.flatnonzero(live)
+                sess.take(kept)
+                row, live = row[kept], live[kept]
+            slots = np.flatnonzero(live)
+            live_rows = row[slots]
+            live_rngs = [rngs[b] for b in live_rows.tolist()]
+            # finished slots feed an inert masked column; its position is arbitrary
+            slot_start, keep = np.where(live, start_pos[row], 0)[:, None], live[:, None]
+        logits = sess.append(tokens[row, step, None], slot_start + step, keep)
 
     out = []
     for b in range(B):

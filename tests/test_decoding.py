@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from scgpt import decoding
 from scgpt.autograd import log_softmax
-from scgpt.bpe import encode, train_bpe
+from scgpt.bpe import decode, encode, train_bpe
 from scgpt.dataset import Corpus, Example
 from scgpt.decoding import (
     Candidate,
@@ -177,6 +177,67 @@ def test_long_act_lists_decode_in_bounded_sessions(overfit, monkeypatch):
     for a, b in zip(sum(whole, []), sum(grouped, [])):
         assert (a.text, a.err) == (b.text, b.err)
         assert abs(a.token_logprob_mean - b.token_logprob_mean) < 1e-5
+
+
+def _decode_alone(params, vocab, acts, rng, dc):
+    """One candidate decoded on its own: a 1-row session, one
+    ``select_next_token_reference`` per step.  Returns (text, mean token
+    log-prob, tokens emitted, whether it ended at EOS)."""
+    prefix = encode(vocab, linearize(acts)) + [vocab.bos_id]
+    L = len(prefix)
+    budget = min(dc.max_new_tokens, params.config.max_context - L)
+    sess = DecodeSession(params, batch_size=1, max_len=L + budget - 1)
+    logits = sess.append(np.array([prefix]), np.arange(L)[None], np.ones((1, L), bool))[0]
+    emitted, logps = [], []
+    while True:
+        tok = select_next_token_reference(logits, rng, dc.top_k, dc.temperature)
+        emitted.append(tok)
+        logps.append(log_softmax(logits.astype(np.float64))[tok])
+        if tok == vocab.eos_id or len(emitted) == budget:
+            break
+        pos = np.array([[L + len(emitted) - 1]])
+        logits = sess.append(np.array([[tok]]), pos, np.ones((1, 1), bool))[0]
+    at_eos = emitted[-1] == vocab.eos_id
+    text = decode(vocab, emitted[:-1] if at_eos else emitted)
+    return text, float(np.mean(logps)), len(emitted), at_eos
+
+
+def test_every_row_decodes_as_it_would_alone(overfit, monkeypatch):
+    params, vocab, corpus = overfit
+    takes = []
+
+    class Recording(DecodeSession):
+        def take(self, index):
+            takes.append(len(index))
+            super().take(index)
+
+    monkeypatch.setattr(decoding, "DecodeSession", Recording)
+    acts_list = [
+        corpus.examples[0].acts,  # memorized: ends at EOS
+        act_set("inform", [("name", "zulu")]),  # unseen
+        act_set("inform", [("name", " ".join(["bloom"] * 40))]),  # rambles to the cap
+        act_set("inform", [("name", " ".join(["bloom"] * 89))]),  # max_context caps it
+    ]
+    dc = DecodeConfig(n_candidates=5, max_new_tokens=10, top_k=20, temperature=2.0, seed=3)
+    batched = generate_candidates(params, vocab, acts_list, dc)
+
+    ends = []
+    for i, acts in enumerate(acts_list):
+        for j, cand in enumerate(batched[i]):
+            rng = np.random.default_rng(np.random.SeedSequence((dc.seed, i, j))) if j else None
+            text, mean_lp, n_emitted, at_eos = _decode_alone(params, vocab, acts, rng, dc)
+            assert cand.text == text
+            assert abs(cand.token_logprob_mean - mean_lp) < 1e-5
+            ends.append((n_emitted, at_eos))
+    # rows end at many steps, at EOS and at both kinds of cap, and the
+    # finished rows left the session more than once (the first take is
+    # the prefill's copy to each act's candidates)
+    context_cap = params.config.max_context - len(encode(vocab, linearize(acts_list[3]))) - 1
+    assert context_cap < dc.max_new_tokens
+    assert len({n for n, _ in ends}) >= 5
+    assert {n for n, at_eos in ends if not at_eos} >= {context_cap, dc.max_new_tokens}
+    assert any(at_eos for _, at_eos in ends)
+    assert len(takes) >= 3
 
 
 def test_generate_corpus_returns_winner_per_act(overfit):

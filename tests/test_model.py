@@ -350,22 +350,23 @@ def test_checkpoint_rejects_corrupt_metadata(tmp_path, vocab, old, new):
         load_checkpoint(p)
 
 
-def test_decode_session_matches_full_forward(vocab):
+# 1-2 rows take numpy's gemv path through the head, 3 and more its gemm path
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+def test_decode_session_matches_full_forward(vocab, rows):
     cfg = tiny_config(vocab, n_layers=2, d_model=16, d_ff=32)
     params = init_params(cfg, seed=7)
     ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
-    ids = np.array([ex.ids])
+    ids = np.array([np.roll(ex.ids, r) for r in range(rows)])  # distinct rows
     keep = np.ones_like(ids, dtype=bool)
     full = forward_logits_reference(params, ids, keep)[0].data
 
-    sess = DecodeSession(params, batch_size=1, max_len=len(ex.ids))
-    T0 = len(ex.ids) - 3
-    pre = sess.append(
-        ids[:, :T0], np.arange(T0)[None, :], np.ones((1, T0), dtype=bool)
-    )
+    T = ids.shape[1]
+    sess = DecodeSession(params, batch_size=rows, max_len=T)
+    T0 = T - 3
+    pre = sess.append(ids[:, :T0], np.tile(np.arange(T0), (rows, 1)), keep[:, :T0])
     assert np.abs(pre - full[:, T0 - 1]).max() < 1e-5
-    for t in range(T0, len(ex.ids)):
-        logits = sess.append(ids[:, t : t + 1], np.array([[t]]), np.ones((1, 1), dtype=bool))
+    for t in range(T0, T):
+        logits = sess.append(ids[:, t : t + 1], np.full((rows, 1), t), keep[:, :1])
         assert np.abs(logits - full[:, t]).max() < 1e-5
 
 
