@@ -11,6 +11,9 @@ base ids, ``s.replace(chr(a) + chr(b), chr(new_id))`` applies a merge
 left to right without overlaps, and ``zip(s, s[1:])`` lists the adjacent
 pairs, overlaps included, so the per-token work runs in C.  A merge
 pairs only tokens older than itself, so it creates no earlier merge's pair.
+After a merge, training recounts only the pairs next to its occurrences:
+``s.split(pattern)`` cuts a string into the same pieces ``replace`` keeps,
+and a piece's inner pairs are the same before and after the merge.
 
 Vocab file format (line-delimited text)::
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 from .errors import (
@@ -91,12 +94,16 @@ class Vocab:
     @cached_property
     def _merge_table(self) -> tuple:
         """(pattern, replacement) code-point strings of each merge, in order."""
-        return tuple((chr(a) + chr(b), chr(N_BASE + i)) for i, (a, b) in enumerate(self.merges))
+        chars = _id_objects(len(self.id_to_token))[1]
+        return tuple((chars[a] + chars[b], chars[N_BASE + i]) for i, (a, b) in enumerate(self.merges))
 
-    @cached_property
-    def _token_ids(self) -> tuple:
-        """One shared int per token id, so encoded lists share them."""
-        return tuple(range(len(self.id_to_token)))
+
+@cache
+def _id_objects(n: int) -> tuple:
+    """Ids 0..n-1 as ints and as one-code-point strings, made once per
+    vocabulary size, so that every vocabulary and encoded list of that
+    size shares them instead of holding its own copies."""
+    return tuple(range(n)), tuple(map(chr, range(n)))
 
 
 def _pair_counts(seqs, weights) -> Counter:
@@ -117,12 +124,19 @@ def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
 
     Identical strings are held once, with their number of occurrences, as
     code-point sequences (see the module docstring).  All pairs are
-    counted once at the start; each merge then recounts only the strings
-    that contain the merged pair, taking away their old pairs and adding
-    their new ones.  The best pair comes from a heap keyed ``(-count,
-    left bytes, right bytes)``, the tie rule above, whose stale entries
-    are dropped when they reach the top.  The merges are those a full
-    recount after every merge learns.
+    counted once at the start.  Each merge then recounts a window around
+    its occurrences in the strings that contain the merged pair: each
+    string is split on the pair, each piece is shrunk to its first and
+    last code point, and the pairs of the pieces joined by the pair are
+    taken away while those of the pieces joined by the new token are
+    added.  That equals recounting the whole strings: ``split`` and
+    ``replace`` both match left to right without overlaps, so the
+    pieces are the same before and after, and a pair inside a piece (the
+    made-up pair of a shrunk piece too) is taken away and added alike.
+    Only the pairs that touch an occurrence change.  The best pair comes
+    from a heap keyed ``(-count, left bytes, right bytes)``, the tie rule
+    above, whose stale entries are dropped when they reach the top.  The
+    merges are those a full recount after every merge learns.
     """
     corpus = list(corpus)
     if not corpus:
@@ -158,10 +172,11 @@ def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
 
         hit = [i for i, s in enumerate(seqs) if pattern in s]
         hit_weights = [weights[i] for i in hit]
-        gone = _pair_counts([seqs[i] for i in hit], hit_weights)
+        windows = [[p[:1] + p[1:][-1:] for p in seqs[i].split(pattern)] for i in hit]
+        gone = _pair_counts([pattern.join(w) for w in windows], hit_weights)
+        born = _pair_counts([new.join(w) for w in windows], hit_weights)
         for i in hit:
             seqs[i] = seqs[i].replace(pattern, new)
-        born = _pair_counts([seqs[i] for i in hit], hit_weights)
         for p in {p for p, _ in gone.items() ^ born.items()}:
             n = counts[p] + born[p] - gone[p]
             counts[p] = n
@@ -195,7 +210,8 @@ def encode(v: Vocab, s: str) -> list:
             seq = seq.replace(pattern, new)
             if len(seq) < 2:
                 break
-    return list(map(v._token_ids.__getitem__, map(ord, seq)))
+    ints = _id_objects(len(v.id_to_token))[0]
+    return list(map(ints.__getitem__, map(ord, seq)))
 
 
 def decode(v: Vocab, ids) -> str:

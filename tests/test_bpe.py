@@ -243,6 +243,31 @@ def test_synthetic_corpus_matches_full_recount_oracle(per_domain, target):
     assert [encode(v, s) for s in texts] == [encode_reference(v, s) for s in texts]
 
 
+# Corpora whose merges put the merged pair at the edges of train_bpe's
+# recount windows: the pieces between occurrences, shrunk to their first
+# and last code point.
+_WINDOW_CASES = {
+    "back_to_back": ["abababab", "abababab", "xabababy"],
+    "odd_and_even_runs": ["aaaaa", "aaaaaa", "baaaaab", "aaaaaaa"],
+    "pair_at_start_and_end": ["abxyab", "abzzab", "ab", "xab", "abx"],
+    "collapses_to_one_token": ["abab", "abab", "abab"],
+    "pieces_of_length_0_1_2_3_plus": ["abab", "xabyab", "xyabzwab", "xyzabuvwab", "uvwxyzab"] * 2,
+    "duplicated_strings": ["hello hello"] * 3 + ["help", "help", "hell"],
+    "multibyte_utf8": ["\u20ac\u00e9\u20ac\u00e9", "\u00e9\u20ac\u00e9\u20ac\u00e9",
+                       "\U0001f642\U0001f642 \U0001f642", "\U0001f642\U0001f642 \u00e9"],
+}
+
+
+@pytest.mark.parametrize("corpus", _WINDOW_CASES.values(), ids=list(_WINDOW_CASES))
+@pytest.mark.parametrize("target", [260, 262, 268, 1024])
+def test_windowed_recount_matches_full_recount_on_edge_cases(corpus, target):
+    v = train_bpe(corpus, target_vocab_size=target)
+    assert v == train_bpe_reference(corpus, target_vocab_size=target)
+    if target == 1024:  # merges ran out: no pair occurs twice any more
+        assert v.size < target
+        assert all(len(encode(v, s)) == 1 for s in corpus if corpus.count(s) > 1)
+
+
 def test_encode_leaves_vocab_equal_to_a_fresh_load(tmp_path):
     v = train_bpe(["the cat sat on the mat", "the cat", "a mat"], target_vocab_size=275)
     save_vocab(v, tmp_path / "first.bpe")
