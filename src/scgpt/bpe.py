@@ -51,9 +51,9 @@ class Vocab:
     """Immutable tokenizer state: byte-level tokens, merges, special ids.
 
     ``id_to_token[i]`` is the byte sequence of token ``i`` for the base
-    and merged tokens; specials sit after them and decode to "".  The
-    merge at index ``i`` rewrites the id pair ``merges[i]`` to id
-    ``256 + i``.
+    and merged tokens; the specials take the ids right after them, in
+    any order, and decode to "".  The merge at index ``i`` rewrites the
+    id pair ``merges[i]`` to id ``256 + i``.
     """
 
     id_to_token: tuple
@@ -71,9 +71,10 @@ class Vocab:
                 raise ValueError(f"token {new} is not the bytes of merge {i} joined")
         if len(set(self.id_to_token)) != len(self.id_to_token):
             raise ValueError("duplicate tokens in vocabulary")
-        ids = [self.specials[n] for n in SPECIAL_NAMES]
-        if len(set(ids)) != len(ids) or min(ids) < len(self.id_to_token):
-            raise ValueError("special ids must be distinct and above token ids")
+        ids = sorted(self.specials[name] for name in SPECIAL_NAMES)
+        after = list(range(len(self.id_to_token), len(self.id_to_token) + len(ids)))
+        if ids != after:
+            raise ValueError(f"special ids {ids} are not {after}, the ids after the tokens")
 
     @property
     def size(self) -> int:

@@ -27,7 +27,8 @@ own L x L block of them (Krell et al., 2021, "Efficient sequence
 packing without cross-contamination"), so the attention work scales
 with the sum of L^2, not B * T^2.  The final layer norm, the tied head
 and the cross-entropy run on the M loss rows alone, as one kernel
-(:func:`head_loss`).
+(:func:`head_loss`).  Dropout masks are drawn at the packed shapes too:
+[N,d] for rows and [H,L,L] per example for attention.
 
 Checkpoint format: the text header line ``SCGPT-CKPT v1``, one
 ``key=value`` config line, then per tensor a ``name dim0 dim1 ...``
@@ -38,6 +39,7 @@ a trailing newline.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import get_type_hints
 
 import numpy as np
@@ -277,9 +279,9 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
     ``lengths`` tokens, one after another.  Each example attends on its
     own [H,L,dh] slice of the QKV rows, under ``bias[:L,:L]`` of a [T,T]
     causal bias, and writes its context straight back into its rows.
-    ``drop(shape)`` draws the dropout multipliers of the attention
-    probabilities at the padded [B,H,T,T] shape, each example taking its
-    [b,:,:L,:L] block, then of the output.
+    ``drop(shape)`` draws the dropout multipliers of each example's
+    [H,L,L] attention probabilities, example by example, then of the
+    [N,d] output.
 
     Decoding: ``x`` is [B,T,d], ``bias`` broadcasts to the [B,H,T,S]
     scores, and ``cache=(keys, vals, lo)`` stores the new keys and
@@ -304,15 +306,13 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
     def heads(rows_qkv):  # [L,3d] rows -> [3,H,L,dh] view
         return rows_qkv.reshape(len(rows_qkv), 3, n_heads, dh).transpose(1, 2, 0, 3)
 
-    T = bias.shape[-1]
-    attn_mask = drop((len(lengths), n_heads, T, T)) if drop else None
     ctx = np.empty_like(h)
     saved, start = [], 0
-    for b, L in enumerate(lengths):
+    for L in lengths:
         rows = slice(start, start + L)
         start += L
         q, keys, vals = heads(qkv[rows])
-        mask = None if attn_mask is None else attn_mask[b, :, :L, :L]
+        mask = drop((n_heads, L, L)) if drop else None
         c, attn, softmax_backward = _attend(q, keys, vals, bias[:L, :L], mask)
         ctx.reshape(-1, n_heads, dh)[rows] = c.swapaxes(0, 1)
         saved.append((rows, q, keys, vals, mask, attn, softmax_backward))
@@ -415,28 +415,21 @@ def nll_loss(params: ModelParams, batch, rng: np.random.Generator | None = None)
     all.  A token id outside the vocabulary or a sequence longer than
     ``max_context`` raises :class:`RangeError`, a non-finite kernel
     output :class:`NumericFaultError`.  ``rng`` enables dropout
-    (training); None runs deterministically.  Dropout masks are drawn at
-    the padded shapes, in the order embeddings, then per layer attention
-    probabilities ([B,H,T,T], each example keeping its [b,:,:L,:L]
-    block), attention output and MLP output; row masks are kept at the
-    real slots.
+    (training); None runs deterministically.  Each dropout mask is drawn
+    at the shape it is applied to, in the order embeddings ([N,d]), then
+    per layer the attention probabilities ([H,L,L], example by example),
+    the attention output and the MLP output ([N,d] each).
     """
     cfg = params.config
     ids, mask, keep = pad_batch(batch, cfg.vocab_size - 1)
-    B, T = ids.shape
+    T = ids.shape[1]
     slots = np.flatnonzero(keep)  # real tokens, flat in [B,T]
     loss_slots = np.flatnonzero(mask)
     targets = np.roll(ids, -1, axis=1)
     targets[:, -1] = 0
     dtype = params["tok_emb"].dtype
     p_drop = cfg.dropout if rng is not None else 0.0
-
-    def drop(shape):
-        if len(shape) > 2:  # attention probabilities, on the padded grid
-            return ag.dropout_mask(shape, p_drop, rng, dtype)
-        return ag.dropout_mask((B * T, shape[1]), p_drop, rng, dtype)[slots]
-
-    drop = drop if p_drop else None
+    drop = partial(ag.dropout_mask, p=p_drop, rng=rng, dtype=dtype) if p_drop else None
     causal = _attention_bias(np.ones((1, T), dtype=bool), T, dtype)[0, 0]  # [T,T]
     lengths = keep.sum(axis=1).tolist()
     chain = []

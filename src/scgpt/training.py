@@ -164,21 +164,15 @@ def _batches(examples, batch_size):
         yield examples[i : i + batch_size]
 
 
-def _masked_nll_total(params, batch):
-    # loss re-weighted back to a (sum, count) pair so epoch-level averages
-    # do not depend on batch boundaries
-    n = sum(sum(ex.loss_mask) for ex in batch)
-    loss = float(nll_loss(params, batch)[0])
-    return loss * n, n
-
-
 def evaluate_loss(params: ModelParams, examples, batch_size: int) -> float:
     """Dropout-free mean NLL per masked position over a whole set."""
     total = 0.0
     count = 0
     for batch in _batches(examples, batch_size):
-        s, n = _masked_nll_total(params, batch)
-        total += s
+        # each batch's mean re-weighted by its masked positions, so the
+        # result does not depend on batch boundaries
+        n = sum(sum(ex.loss_mask) for ex in batch)
+        total += float(nll_loss(params, batch)[0]) * n
         count += n
     return total / count if count else 0.0
 
@@ -238,7 +232,7 @@ def run_stage(cfg: TrainConfig, data, params: ModelParams, vocab: Vocab):
         lr = 0.0
         for batch in _batches([train[i] for i in perm], cfg.batch_size):
             lr = lr_at(state.step, total_steps, cfg.start_lr)
-            loss, chain = nll_loss(params, batch, rng=drop_rng if params.config.dropout else None)
+            loss, chain = nll_loss(params, batch, rng=drop_rng)
             grads = ag.backward(loss, chain)
             del chain  # frees the kernels' saved activations before the next forward
             norm_sum += clip_global_norm(grads, cfg.grad_clip)

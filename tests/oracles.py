@@ -15,7 +15,8 @@ in the package, whose loss is a fixed chain of kernels.  Their layer
 norm, GELU, softmax and log-softmax are written from the definitions
 instead of calling the package's kernels.  Only dropout shares the
 package's mask stream (``dropout_mask``), so that both forwards drop the
-same units.
+same units: the reference draws each mask at the packed shape the model
+draws it at and lays it onto its padded grid.
 
 The tokenizer trainer recounts every pair of the corpus for each merge,
 and the encoder rescans the whole sequence for each merge it applies.
@@ -578,8 +579,11 @@ def forward_logits_reference(params, ids, keep, rng=None):
     Wraps each weight array of ``params`` as a taped leaf and returns
     ``(logits, leaves)``, the leaves by weight name, so a caller can
     read their gradients after :func:`backward`.  Draws dropout masks in
-    the order and shapes the model does: the embeddings, then per layer
-    the attention probabilities, the attention output and the MLP output.
+    the order and shapes the model does: the embeddings' [N,d], then per
+    layer each example's [H,L,L] attention probabilities, the attention
+    output's and the MLP output's [N,d].  Each mask is laid onto the
+    padded grid, rows through ``keep`` (right-padded) and attention into
+    ``[b,:,:L,:L]``, with ones elsewhere.
     """
     cfg = params.config
     leaves = {name: param(a) for name, a in params.named()}
@@ -590,7 +594,15 @@ def forward_logits_reference(params, ids, keep, rng=None):
     p_drop = cfg.dropout if rng is not None else 0.0
 
     def drop(t):
-        return dropout(t, p_drop, rng) if p_drop else t
+        if not p_drop:
+            return t
+        grid = np.ones(t.data.shape, dtype)
+        if t.data.ndim == 3:  # [B,T,d] rows
+            grid[keep] = ag.dropout_mask((keep.sum(), d), p_drop, rng, dtype)
+        else:  # [B,H,T,T] attention probabilities
+            for b, L in enumerate(keep.sum(axis=1)):
+                grid[b, :, :L, :L] = ag.dropout_mask((H, L, L), p_drop, rng, dtype)
+        return mul(t, constant(grid))
 
     def linear(x, w, b):
         return add(matmul(x, w), b)

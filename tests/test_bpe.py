@@ -173,6 +173,8 @@ def test_load_reports_the_files_byte_offset(tmp_path):
         ([], ("257", "258", "258")),  # duplicated
         ([], ("257", "258", "3")),  # inside the token ids
         (["61 62", "61 62"], ("258", "259", "260")),  # one token merged twice
+        ([], ("257", "258", "259")),  # PAD at the vocabulary's size
+        ([], ("257", "258", "900")),  # after a gap
     ],
 )
 def test_load_rejects_corrupt_vocab(tmp_path, merges, specials):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from scgpt.autograd import backward
+from scgpt.autograd import backward, dropout_mask
 from scgpt.bpe import train_bpe
 from scgpt.dialog_act import act_set
 from scgpt.errors import ConfigMismatchError, ContextOverflowError, UnknownFormatError
@@ -257,6 +257,27 @@ def test_packed_loss_matches_dense(dtype, dropout):
         assert packed[0] == pytest.approx(dense[0], rel=PACKED_TOL[dtype]), lengths
         worst = {n: rel_error(packed[1][n], dense[1][n]) for n in dense[1]}
         assert max(worst.values()) < PACKED_TOL[dtype], (lengths, worst)
+
+
+def test_dropout_masks_drawn_at_packed_shapes(monkeypatch):
+    # each mask at the shape it is applied to, in draw order: the
+    # embeddings' rows, then per layer every example's attention
+    # probabilities in batch order and the attention and MLP outputs' rows
+    cfg = ModelConfig(vocab_size=41, n_layers=2, n_heads=2, d_model=16, d_ff=32,
+                      max_context=40, dropout=0.1)
+    lengths = (5, 23, 9)
+    shapes = []
+
+    def recording_mask(shape, *args, **kwargs):
+        shapes.append(tuple(shape))
+        return dropout_mask(shape, *args, **kwargs)
+
+    monkeypatch.setattr("scgpt.autograd.dropout_mask", recording_mask)
+    batch = mixed_batch(cfg.vocab_size, lengths, seed=0)
+    nll_loss(init_params(cfg, seed=1), batch, rng=np.random.default_rng(0))
+    rows = (sum(lengths), cfg.d_model)
+    layer = [(cfg.n_heads, L, L) for L in lengths] + [rows, rows]
+    assert shapes == [rows] + layer * cfg.n_layers
 
 
 def test_forward_matches_per_op_oracle():

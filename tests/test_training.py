@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,8 +132,10 @@ def setup():
     return corpus, vocab, cfg
 
 
-def test_run_stage_deterministic(setup, tmp_path):
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+def test_run_stage_deterministic(setup, tmp_path, dropout):
     corpus, vocab, cfg = setup
+    cfg = dataclasses.replace(cfg, dropout=dropout)
     outs = []
     for run in range(2):
         params = init_params(cfg, seed=3)
