@@ -127,8 +127,7 @@ def _train_command(args, man, stage, data):
 
 
 def cmd_pretrain_plain(args, man):
-    lines = [ln for ln in _read_lines(args.corpus) if ln.strip()]
-    return _train_command(args, man, "plain", lines)
+    return _train_command(args, man, "plain", _read_lines(args.corpus))
 
 
 def cmd_pretrain_da(args, man):

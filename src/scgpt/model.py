@@ -19,16 +19,17 @@ hold both forwards to a reference forward in ``tests/oracles.py``,
 composed of per-op taped ops written from their definitions, one per
 step.
 
-The training loss computes real tokens only.  It packs the non-PAD
-slots of a right-padded [B,T] batch into one [N,d] array of rows; the
-embeddings, layer norms, linear layers, MLP and residuals run on those
-N rows, and :func:`attention_block` attends within each example on its
-own L x L block of them (Krell et al., 2021, "Efficient sequence
-packing without cross-contamination"), so the attention work scales
-with the sum of L^2, not B * T^2.  The final layer norm, the tied head
-and the cross-entropy run on the M loss rows alone, as one kernel
-(:func:`head_loss`).  Dropout masks are drawn at the packed shapes too:
-[N,d] for rows and [H,L,L] per example for attention.
+The training loss computes real tokens only.  It packs the examples of
+a batch one after another into one [N,d] array of rows, with no padded
+[B,T] grid; the embeddings, layer norms, linear layers, MLP and
+residuals run on those N rows, and :func:`attention_block` attends
+within each example on its own L x L block of them (Krell et al., 2021,
+"Efficient sequence packing without cross-contamination"), so the
+attention work scales with the sum of L^2, not B * T^2.  The final
+layer norm, the tied head and the cross-entropy run on the M loss rows
+alone, as one kernel (:func:`head_loss`).  Dropout masks are drawn at
+the packed shapes too: [N,d] for rows and [H,L,L] per example for
+attention.
 
 Checkpoint format: the text header line ``SCGPT-CKPT v1``, one
 ``key=value`` config line, then per tensor a ``name dim0 dim1 ...``
@@ -147,7 +148,8 @@ class LinearizedExample:
 
     ``loss_mask[t] == 1`` means position t's next-token prediction (of
     ``ids[t+1]``) enters the loss; ones run from the BOS position through
-    the position before EOS.
+    the position before EOS.  The last position has no next token, so
+    its mask entry must be 0.
     """
 
     ids: tuple
@@ -158,6 +160,8 @@ class LinearizedExample:
             raise ValueError("ids and loss_mask lengths differ")
         if sum(self.loss_mask) < 1:
             raise ValueError("an example needs at least one masked-in target")
+        if self.loss_mask[-1]:
+            raise ValueError("the last position has no next token to predict")
 
 
 def build_example(
@@ -193,6 +197,10 @@ def pad_batch(batch, pad_id: int):
 
     Returns (ids [B,T] int array, loss_mask [B,T] float array,
     key_keep [B,T] bool array marking non-PAD positions).
+
+    The training loss does not pad.  This pads the tests' reference
+    forward and stays as the lookup site that ``perfbench/tracer.py``
+    wraps, until the package records its own spans (ROADMAP item 2).
     """
     T = max(len(ex.ids) for ex in batch)
     B = len(batch)
@@ -205,15 +213,6 @@ def pad_batch(batch, pad_id: int):
         mask[b, :L] = ex.loss_mask
         keep[b, :L] = True
     return ids, mask, keep
-
-
-def _attention_bias(keep: np.ndarray, T: int, dtype) -> np.ndarray:
-    """[B,1,T,S] bias: each of the last T of S columns attends the kept
-    (``keep`` [B,S]) keys at or before it."""
-    S = keep.shape[1]
-    allowed = np.tri(T, S, S - T, dtype=bool) & keep[:, None, :]
-    zero, neg = np.array([0.0, NEG_BIAS], dtype=dtype)
-    return np.where(allowed, zero, neg)[:, None]
 
 
 def _linear_grads(inp: np.ndarray, w: np.ndarray, g: np.ndarray):
@@ -409,38 +408,37 @@ def nll_loss(params: ModelParams, batch, rng: np.random.Generator | None = None)
 
     Returns ``(loss, chain)``: the 0-d loss array and its kernel chain
     for :func:`scgpt.autograd.backward`.  Runs on packed rows (see the
-    module docstring) and calls only kernels, each one link of the
-    chain: :func:`embed`, then per layer :func:`attention_block` and
-    :func:`mlp_block`, then :func:`head_loss`, 2 * n_layers + 2 links in
-    all.  A token id outside the vocabulary or a sequence longer than
-    ``max_context`` raises :class:`RangeError`, a non-finite kernel
-    output :class:`NumericFaultError`.  ``rng`` enables dropout
-    (training); None runs deterministically.  Each dropout mask is drawn
-    at the shape it is applied to, in the order embeddings ([N,d]), then
-    per layer the attention probabilities ([H,L,L], example by example),
-    the attention output and the MLP output ([N,d] each).
+    module docstring), built straight from the examples, where a loss
+    row's target is the id one row on, and calls only kernels, each one
+    link of the chain: :func:`embed`, then per layer
+    :func:`attention_block` and :func:`mlp_block`, then
+    :func:`head_loss`, 2 * n_layers + 2 links in all.  A token id
+    outside the vocabulary or a sequence longer than ``max_context``
+    raises :class:`RangeError`, a non-finite kernel output
+    :class:`NumericFaultError`.  ``rng`` enables dropout (training);
+    None runs deterministically.  Each dropout mask is drawn at the
+    shape it is applied to, in the order embeddings ([N,d]), then per
+    layer the attention probabilities ([H,L,L], example by example), the
+    attention output and the MLP output ([N,d] each).
     """
     cfg = params.config
-    ids, mask, keep = pad_batch(batch, cfg.vocab_size - 1)
-    T = ids.shape[1]
-    slots = np.flatnonzero(keep)  # real tokens, flat in [B,T]
-    loss_slots = np.flatnonzero(mask)
-    targets = np.roll(ids, -1, axis=1)
-    targets[:, -1] = 0
+    lengths = [len(ex.ids) for ex in batch]
+    ids = np.concatenate([ex.ids for ex in batch])
+    positions = np.concatenate([np.arange(L) for L in lengths])
+    rows = np.flatnonzero(np.concatenate([ex.loss_mask for ex in batch]))
     dtype = params["tok_emb"].dtype
     p_drop = cfg.dropout if rng is not None else 0.0
     drop = partial(ag.dropout_mask, p=p_drop, rng=rng, dtype=dtype) if p_drop else None
-    causal = _attention_bias(np.ones((1, T), dtype=bool), T, dtype)[0, 0]  # [T,T]
-    lengths = keep.sum(axis=1).tolist()
+    T = max(lengths)
+    causal = np.triu(np.full((T, T), NEG_BIAS, dtype=dtype), 1)
     chain = []
-    x = _link(chain, embed, ids.ravel()[slots], params, EMBED_WEIGHTS, slots % T, drop=drop)
+    x = _link(chain, embed, ids, params, EMBED_WEIGHTS, positions, drop=drop)
     for i in range(cfg.n_layers):
         attn_names, mlp_names = _layer_names(i)
         x = _link(chain, attention_block, x, params, attn_names, causal, cfg.n_heads, lengths,
                   drop=drop)
         x = _link(chain, mlp_block, x, params, mlp_names, drop=drop)
-    rows = np.searchsorted(slots, loss_slots)
-    loss = _link(chain, head_loss, x, params, HEAD_WEIGHTS, rows, targets.ravel()[loss_slots])
+    loss = _link(chain, head_loss, x, params, HEAD_WEIGHTS, rows, ids[rows + 1])
     return loss, chain
 
 
@@ -582,8 +580,9 @@ class DecodeSession:
         self._bias[:, lo:hi] = np.where(keep, 0.0, NEG_BIAS)
         if T == 1:
             bias = self._bias[:, None, None, :hi]
-        else:
-            bias = _attention_bias(self._bias[:, :hi] == 0.0, T, np.float32)
+        else:  # each new column attends the kept keys at or before it
+            bias = np.where(np.tri(T, hi, lo, dtype=bool), self._bias[:, None, :hi],
+                            np.float32(NEG_BIAS))[:, None]
 
         x = w["tok_emb"][ids] + w["pos_emb"][positions]
         for i, (attn_w, mlp_w) in enumerate(self._layers):

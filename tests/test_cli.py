@@ -107,6 +107,18 @@ def test_pretrain_plain_runs(pipeline, tmp_path):
     assert load_checkpoint(out).config.d_model == 16
 
 
+def test_pretrain_plain_ignores_blank_lines(pipeline, tmp_path):
+    # blank and whitespace-only lines train nothing and count as no example
+    lines = ["the tram runs along the river .", "the rex is a fine place ."] * 6
+    for name, text in (("dense", lines), ("gappy", ["", *lines[:5], "  ", *lines[5:], "\t"])):
+        (tmp_path / f"{name}.txt").write_text("\n".join(text) + "\n")
+        assert run(["pretrain-plain", "--config", pipeline / "run.cfg",
+                    "--corpus", tmp_path / f"{name}.txt", "--out", tmp_path / f"{name}.ckpt"]) == 0
+    for suffix in (".ckpt", ".ckpt.log"):
+        assert ((tmp_path / f"dense{suffix}").read_bytes()
+                == (tmp_path / f"gappy{suffix}").read_bytes()), suffix
+
+
 def test_finetune_domain_filter(pipeline, tmp_path):
     out = tmp_path / "taxi.ckpt"
     assert run(["finetune", "--config", pipeline / "run.cfg",

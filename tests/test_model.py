@@ -93,6 +93,8 @@ def test_linearized_example_validation():
         LinearizedExample((1, 2), (0, 0))
     with pytest.raises(ValueError):
         LinearizedExample((1, 2), (1,))
+    with pytest.raises(ValueError, match="last position"):
+        LinearizedExample((1, 2), (0, 1))
 
 
 def test_zero_params_uniform(vocab):
@@ -120,10 +122,10 @@ def test_forward_rows_are_distributions(vocab):
 
 def test_causality(vocab):
     # mutating ids[j] leaves the predictions before position j-1 alone (that
-    # one predicts ids[j]) and moves those from j on; the last position's
-    # target is the placeholder 0
+    # one predicts ids[j]) and moves those from j on; position 9 predicts
+    # the real token ids[10]
     params = init_params(tiny_config(vocab), seed=1)
-    ids = list(range(10))
+    ids = list(range(11))
     base = [position_loss(params, ids, t) for t in range(10)]
     for j in [4, 7, 9]:
         mutated = list(ids)
@@ -220,20 +222,16 @@ def dense_loss_and_grads(params, batch, seed=None):
     return float(loss.data), {n: t.grad for n, t in leaves.items()}
 
 
-def mixed_batch(vocab_size, lengths, seed, last=0):
-    """Random examples of the given lengths with random loss masks.
-
-    ``last`` is every mask's last entry.  The built examples have 0
-    there; a 1 asks for a target past the end, PAD in a padded row and
-    the placeholder 0 in the longest.
-    """
+def mixed_batch(vocab_size, lengths, seed):
+    """Random examples of the given lengths with random loss masks, each
+    ending in 0 as the last position has no target."""
     rng = np.random.default_rng(seed)
     batch = []
     for L in lengths:
         ids = tuple(int(i) for i in rng.integers(0, vocab_size - 1, L))
         mask = rng.integers(0, 2, L)
         mask[rng.integers(0, L - 1)] = 1
-        mask[-1] = last
+        mask[-1] = 0
         batch.append(LinearizedExample(ids, tuple(int(m) for m in mask)))
     return batch
 
@@ -245,13 +243,15 @@ PACKED_TOL = {np.float32: 1e-5, np.float64: 1e-10}
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
 def test_packed_loss_matches_dense(dtype, dropout):
     # the fused, packed kernels against the per-op taped forward on the
-    # padded grid, dropout drawn alike; the second batch has no padding,
-    # so every example's attention block is the whole [T,T] grid
+    # padded grid, dropout drawn alike; every example's last target (row
+    # L-2) counts, at the edge of its rows; the second batch has no
+    # padding, so every example's attention block is the whole [T,T] grid
     cfg = ModelConfig(vocab_size=41, n_layers=2, n_heads=2, d_model=16, d_ff=32,
                       max_context=40, dropout=dropout)
     seed = 3 if dropout else None  # the same generator seed on both layouts
     for lengths in ((5, 23, 9, 2, 31), (17, 17, 17)):
-        batch = mixed_batch(cfg.vocab_size, lengths, seed=0, last=1)
+        batch = [LinearizedExample(ex.ids, ex.loss_mask[:-2] + (1, 0))
+                 for ex in mixed_batch(cfg.vocab_size, lengths, seed=0)]
         packed = loss_and_grads(init_params(cfg, seed=1, dtype=dtype), batch, seed)
         dense = dense_loss_and_grads(init_params(cfg, seed=1, dtype=dtype), batch, seed)
         assert packed[0] == pytest.approx(dense[0], rel=PACKED_TOL[dtype]), lengths
@@ -282,11 +282,12 @@ def test_dropout_masks_drawn_at_packed_shapes(monkeypatch):
 
 def test_forward_matches_per_op_oracle():
     # the fused kernels against the per-op taped forward, dropout drawn
-    # alike, with a loss at every position so the head sees every row
+    # alike, with a loss at every position that has a target, so the head
+    # sees every row but each example's last
     cfg = ModelConfig(vocab_size=23, n_layers=2, n_heads=2, d_model=8, d_ff=16,
                       max_context=12, dropout=0.3)
     ids = np.random.default_rng(0).integers(0, cfg.vocab_size - 1, (3, 9))
-    batch = [LinearizedExample(tuple(int(i) for i in row[:L]), (1,) * L)
+    batch = [LinearizedExample(tuple(int(i) for i in row[:L]), (1,) * (L - 1) + (0,))
              for row, L in zip(ids, (7, 4, 9))]
     for seed in (None, 5):
         ours, ours_g = loss_and_grads(init_params(cfg, seed=11, dtype=np.float64), batch, seed)

@@ -6,7 +6,10 @@ workloads cover the lookup sites in decoding, training, ``model``,
 ``bpe``, ``synthetic`` and ``dataset``.  A site the tracer no longer
 reaches leaves its metric at 0, so each workload also requires the
 metrics of the sites it runs to be positive.  The select metrics are left
-out: they read 0 at every site the decode loop reaches today.
+out: they read 0 at every site the decode loop reaches today.  So is
+``model.train_pad_frac``: the training loss builds no padded batch, so
+the metric reads its true value 0, and ``model.nll_loss.ms`` checks the
+loss site instead.
 
 The untraced mode is the one whose end-to-end metrics compare two
 commits, so it runs too, on the workloads without a serving set-up.
@@ -25,8 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LIVE_METRICS = {
     "online_reranked": ("model.decode_step.calls",),
     "offline_corpus": ("model.decode_step.calls",),
-    # the pad_batch site of nll_loss, and run_stage's encode
-    "train_da": ("model.train_pad_frac", "bpe.encode.calls"),
+    # run_stage's nll_loss and encode sites
+    "train_da": ("model.nll_loss.ms", "bpe.encode.calls"),
     "prepare_corpus": ("bpe.train_bpe.ms", "bpe.encode.calls"),
 }
 
