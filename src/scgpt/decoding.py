@@ -10,13 +10,14 @@ The candidates of many acts decode together in batches of at most
 ``MAX_SESSION_ROWS`` rows, with cached attention keys/values, so one
 step is a few whole-batch array operations: the model's linear layers
 run as 2-D GEMMs over the rows, and :func:`select_tokens` picks every
-row's next token at once.  Each distinct act prefix is prefilled once,
-left-padded with per-row position offsets, and its caches are copied to
-that act's candidate rows.  Finished rows leave the batch once they make
+row's next token at once.  Each distinct act of a call decodes once:
+its prefix is prefilled, left-padded with per-row position offsets, its
+caches are copied to its candidate rows, and its repeats in the call get
+copies of its candidates.  Finished rows leave the batch once they make
 up a quarter of it.  Every row has its own budget,
 ``min(max_new_tokens, max_context - prefix length)``, and its own RNG
-stream, so an act's candidates do not depend on the acts that share its
-batch, only on its index in the call.
+stream, seeded by the act's prefix and the candidate index, so identical
+acts get identical candidates, whatever else shares the call.
 
 A step with few rows costs array-call overhead, not arithmetic, so the
 loop keeps its fixed work small: the session multiplies by a contiguous
@@ -127,18 +128,18 @@ def select_next_token(logits: np.ndarray, rng, k: int, temperature: float) -> in
     return int(select_tokens(logits[None], [rng], k, temperature)[0][0])
 
 
-def _candidate_rng(seed: int, da_index: int, cand_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, da_index, cand_index)))
+def _candidate_rng(seed: int, cand_index: int, prefix) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((seed, cand_index, *prefix)))
 
 
-def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig, first_act: int):
+def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):
     """Decode ``cfg.n_candidates`` rows per act prefix in one batched session.
 
-    Row ``i * n + j`` is candidate j of act ``first_act + i`` of the
-    call: candidate 0 is greedy, the others draw top-k with a generator
-    seeded by (seed, act index, candidate index).  Each distinct prefix
-    is prefilled once and its caches are copied to every row that shares
-    it.  A row stops at EOS or after ``min(max_new_tokens, max_context -
+    The prefixes are distinct.  Row ``i * n + j`` is candidate j of
+    ``prefixes[i]``: candidate 0 is greedy, the others draw top-k with a
+    generator seeded by (seed, j, the prefix's token ids).  Each prefix
+    is prefilled once and its caches are copied to its n rows.  A row
+    stops at EOS or after ``min(max_new_tokens, max_context -
     len(prefix))`` tokens, whatever the other rows do.  Finished rows
     leave the session once they make up a quarter of it: copying the
     caches on every finish costs more than carrying a few dead rows.
@@ -147,41 +148,28 @@ def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig, f
     The mean covers every emitted token including the terminating EOS.
     """
     mc, n = params.config, cfg.n_candidates
-    first_row = {}  # prefix -> its row in the prefill batch
-    unique, act_row = [], []
-    for prefix in prefixes:
-        key = tuple(prefix)
-        if key not in first_row:
-            if len(prefix) + 1 > mc.max_context:
-                raise ContextOverflowError(
-                    f"dialog-act prefix of {len(prefix)} tokens leaves no room to "
-                    f"generate within max_context {mc.max_context}"
-                )
-            first_row[key] = len(unique)
-            unique.append(prefix)
-        act_row.append(first_row[key])
-    prefix_lens = np.array([len(p) for p in unique])
+    prefix_lens = np.array([len(p) for p in prefixes])
     T0 = int(prefix_lens.max())
-    ids = np.full((len(unique), T0), v.pad_id, dtype=np.int64)
+    ids = np.full((len(prefixes), T0), v.pad_id, dtype=np.int64)
     keep = np.zeros(ids.shape, dtype=bool)
     pos = np.zeros(ids.shape, dtype=np.int64)
-    for u, prefix in enumerate(unique):
+    for u, prefix in enumerate(prefixes):
         L = len(prefix)
         ids[u, T0 - L :] = prefix
         keep[u, T0 - L :] = True
         pos[u, T0 - L :] = np.arange(L)
 
-    prefill_row = np.repeat(act_row, n)
+    prefill_row = np.repeat(np.arange(len(prefixes)), n)
     start_pos = prefix_lens[prefill_row]
     budget = np.minimum(cfg.max_new_tokens, mc.max_context - start_pos)
     # a row's last token is never fed back
-    sess = DecodeSession(params, batch_size=len(unique), max_len=T0 + int(budget.max()) - 1)
+    sess = DecodeSession(params, batch_size=len(prefixes), max_len=T0 + int(budget.max()) - 1)
     logits = sess.append(ids, pos, keep)[prefill_row]
     sess.take(prefill_row)
 
     B = len(prefill_row)
     rngs = [
-        _candidate_rng(cfg.seed, first_act + b // n, b % n) if b % n else None
+        _candidate_rng(cfg.seed, b % n, prefixes[b // n]) if b % n else None
         for b in range(B)
     ]
     tokens = np.zeros((B, int(budget.max())), dtype=np.int64)
@@ -241,28 +229,37 @@ def generate_candidates(
 
     Returns one list of ``cfg.n_candidates`` :class:`Candidate` per act.
     Candidate 0 is greedy; the rest are top-k samples whose RNG streams
-    depend only on (seed, act index in this call, candidate index).
-    Acts decode in sessions of at most ``MAX_SESSION_ROWS`` candidate
-    rows (at least one act each), in order.  Re-running the same call is
-    bitwise deterministic; an act decoded at the same index in another
-    call, alone or beside other acts, gets the same candidates up to
-    float32 accumulation order.
+    depend only on (seed, candidate index, the act's prefix).  Each
+    distinct act decodes once and its repeats get copies of its list;
+    the distinct acts decode in sessions of at most ``MAX_SESSION_ROWS``
+    candidate rows (at least one act each).  Re-running the same call is
+    bitwise deterministic, and identical acts get identical candidates,
+    whatever else shares the call, up to float32 accumulation order in
+    the log-probs.  An act whose prefix leaves no room to generate
+    raises :class:`ContextOverflowError`, naming it, before any decoding.
     """
     acts_list = list(acts_list)
+    distinct = list(dict.fromkeys(acts_list))
+    max_context = params.config.max_context
+    prefixes = []
+    for acts in distinct:
+        text = linearize(acts)
+        prefix = encode(v, text) + [v.bos_id]
+        if len(prefix) + 1 > max_context:
+            raise ContextOverflowError(
+                f"dialog act {text!r}: its prefix of {len(prefix)} tokens leaves "
+                f"no room to generate within max_context {max_context}"
+            )
+        prefixes.append(prefix)
     n = cfg.n_candidates
     per_session = max(1, MAX_SESSION_ROWS // n)
-    out = []
-    for lo in range(0, len(acts_list), per_session):
-        group = acts_list[lo : lo + per_session]
-        prefixes = [encode(v, linearize(acts)) + [v.bos_id] for acts in group]
-        decoded = _generate_rows(params, v, prefixes, cfg, lo)
-        for i, acts in enumerate(group):
-            cands = []
-            for token_ids, mean_lp in decoded[i * n : (i + 1) * n]:
-                text = decode(v, token_ids)
-                cands.append(Candidate(text, mean_lp, slot_error(acts, text).err))
-            out.append(cands)
-    return out
+    cands_of = {}
+    for lo in range(0, len(distinct), per_session):
+        decoded = _generate_rows(params, v, prefixes[lo : lo + per_session], cfg)
+        for i, acts in enumerate(distinct[lo : lo + per_session]):
+            texts = [(decode(v, ids), lp) for ids, lp in decoded[i * n : (i + 1) * n]]
+            cands_of[acts] = [Candidate(t, lp, slot_error(acts, t).err) for t, lp in texts]
+    return [list(cands_of[acts]) for acts in acts_list]
 
 
 def generate_reranked(

@@ -11,6 +11,7 @@ import pytest
 from scgpt.bpe import load_vocab
 from scgpt.cli import main
 from scgpt.dataset import ingest
+from scgpt.dialog_act import linearize
 from scgpt.manifest import load_manifest, sha256_file
 from scgpt.model import load_checkpoint
 
@@ -150,6 +151,29 @@ def test_generate_corpus_mode(pipeline, tmp_path):
     n_taxi = sum(1 for ex in ingest(pipeline / "corpus.jsonl")
                  if ex.domain == "taxi")
     assert len(gens.read_text().splitlines()) == n_taxi
+
+
+def test_generate_line_does_not_depend_on_other_lines(pipeline, tmp_path):
+    # enough hot samples that some sampled candidates win their act
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(CONFIG.replace("vocab.bpe", str(pipeline / "vocab.bpe"))
+                   .replace("n_candidates = 2", "n_candidates = 16") + "decode.temperature = 2.0\n")
+    lines = [ln for ln in (pipeline / "corpus.jsonl").read_text().splitlines()
+             if json.loads(ln)["domain"] == "taxi"]
+    outputs = []
+    for name, corpus_lines in (("fwd", lines), ("rev", lines[::-1])):
+        (tmp_path / f"{name}.jsonl").write_text("\n".join(corpus_lines) + "\n")
+        assert run(["generate", "--config", cfg, "--ckpt", pipeline / "da.ckpt",
+                    "--corpus", tmp_path / f"{name}.jsonl", "--out", tmp_path / f"{name}.txt"]) == 0
+        outputs.append((tmp_path / f"{name}.txt").read_text().splitlines())
+    assert outputs[1] == outputs[0][::-1]
+    # an act alone realizes as its line in the corpus run, wherever that line is
+    examples = ingest(tmp_path / "fwd.jsonl").examples
+    for i in (3, 17, 29):
+        out = tmp_path / f"one{i}.txt"
+        assert run(["generate", "--config", cfg, "--ckpt", pipeline / "da.ckpt",
+                    "--da", linearize(examples[i].acts), "--out", out]) == 0
+        assert out.read_text().splitlines() == [outputs[0][i]]
 
 
 def test_generate_absent_domain_writes_no_lines(pipeline, tmp_path):

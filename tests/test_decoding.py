@@ -160,12 +160,20 @@ def test_long_act_lists_decode_in_bounded_sessions(overfit, monkeypatch):
             sessions[-1] = max(sessions[-1], self.B)
 
     monkeypatch.setattr(decoding, "DecodeSession", Recording)
+    distinct = [act_set("inform", [("name", f"{name} {i}")])
+                for name, _ in PAIRS for i in range(10)]
     # a 40-act call with five candidates is one session
     cfg = DecodeConfig(n_candidates=5, max_new_tokens=2, seed=1)
-    generate_candidates(params, vocab, [ex.acts for ex in corpus] * 10, cfg)
+    generate_candidates(params, vocab, distinct, cfg)
     assert sessions == [200]
+    # repeated acts decode once each, and every repeat gets the same list
+    sessions.clear()
+    cfg = DecodeConfig(n_candidates=5, max_new_tokens=24, seed=1)
+    repeated = generate_candidates(params, vocab, [ex.acts for ex in corpus] * 10, cfg)
+    assert sessions == [20]
+    assert repeated == generate_candidates(params, vocab, [ex.acts for ex in corpus], cfg) * 10
 
-    acts_list = [ex.acts for ex in corpus] * 2
+    acts_list = distinct[::5]
     cfg = DecodeConfig(n_candidates=3, max_new_tokens=24, seed=6)
     whole = generate_candidates(params, vocab, acts_list, cfg)
     monkeypatch.setattr(decoding, "MAX_SESSION_ROWS", 7)  # two acts a session
@@ -173,9 +181,31 @@ def test_long_act_lists_decode_in_bounded_sessions(overfit, monkeypatch):
     grouped = generate_candidates(params, vocab, acts_list, cfg)
     assert sessions == [6, 6, 6, 6]
     assert grouped[:2] == generate_candidates(params, vocab, acts_list[:2], cfg)
-    # sampled streams stay keyed by each act's index in the whole call
     for a, b in zip(sum(whole, []), sum(grouped, [])):
         assert (a.text, a.err) == (b.text, b.err)
+        assert abs(a.token_logprob_mean - b.token_logprob_mean) < 1e-5
+
+
+POOL = [
+    act_set("inform", [("name", "ix")]),  # memorized
+    act_set("inform", [("name", "zulu")]),  # unseen
+    act_set("inform", [("name", "rex bloom")]),
+    act_set("request", [("name", "?")]),
+    act_set("inform", [("name", " ".join(["aria"] * 12))]),
+]
+
+
+@given(st.sampled_from(POOL), st.lists(st.sampled_from(POOL), max_size=6), st.data())
+@settings(max_examples=25, deadline=None)
+def test_act_candidates_do_not_depend_on_the_rest_of_the_call(overfit, acts, others, data):
+    params, vocab, _ = overfit
+    dc = DecodeConfig(n_candidates=4, max_new_tokens=12, top_k=20, temperature=2.0, seed=7)
+    at = data.draw(st.integers(0, len(others)))
+    alone = generate_candidates(params, vocab, [acts], dc)[0]
+    beside = generate_candidates(params, vocab, others[:at] + [acts] + others[at:], dc)[at]
+    assert [c.text for c in beside] == [c.text for c in alone]
+    assert [c.err for c in beside] == [c.err for c in alone]
+    for a, b in zip(alone, beside):
         assert abs(a.token_logprob_mean - b.token_logprob_mean) < 1e-5
 
 
@@ -222,9 +252,10 @@ def test_every_row_decodes_as_it_would_alone(overfit, monkeypatch):
     batched = generate_candidates(params, vocab, acts_list, dc)
 
     ends = []
-    for i, acts in enumerate(acts_list):
-        for j, cand in enumerate(batched[i]):
-            rng = np.random.default_rng(np.random.SeedSequence((dc.seed, i, j))) if j else None
+    for acts, cands in zip(acts_list, batched):
+        prefix = encode(vocab, linearize(acts)) + [vocab.bos_id]
+        for j, cand in enumerate(cands):
+            rng = np.random.default_rng(np.random.SeedSequence((dc.seed, j, *prefix))) if j else None
             text, mean_lp, n_emitted, at_eos = _decode_alone(params, vocab, acts, rng, dc)
             assert cand.text == text
             assert abs(cand.token_logprob_mean - mean_lp) < 1e-5
@@ -254,8 +285,10 @@ def test_generate_corpus_returns_winner_per_act(overfit):
 def test_context_overflow(overfit):
     params, vocab, corpus = overfit
     big = act_set("inform", [("blurb", "word " * 60 + "word")])
-    with pytest.raises(ContextOverflowError):
+    with pytest.raises(ContextOverflowError) as info:
         greedy(params, vocab, big)
+    # the message names the act, so a corpus run says which line failed
+    assert linearize(big) in str(info.value)
 
 
 def test_select_next_token_strategies():
