@@ -57,13 +57,19 @@ HELDOUT_GRAMMARS = ("museum", "taxi")
 
 @dataclass(frozen=True)
 class Template:
-    """One response pattern: required slots, optional slots, fixed pairs."""
+    """One response pattern: required slots, optional slots, fixed pairs.
+
+    ``body`` holds the response's tokens, braces dropped, as ``(word,
+    slot, group)`` triples: ``slot`` is the slot a ``[slot]`` placeholder
+    stands for, and ``group`` the optional slot of the ``{ }`` group the
+    token sits in; each is None where it does not apply.
+    """
 
     intent: str
     required: tuple
     optional: tuple
     fixed: tuple
-    body_tokens: tuple
+    body: tuple
 
 
 @dataclass(frozen=True)
@@ -113,65 +119,59 @@ def _parse_head(head: str, source: str, lineno: int):
     return intent, tuple(required), tuple(optional), tuple(fixed)
 
 
-def _parse_body(tokens, template, source, lineno):
-    """Check group structure and placeholder placement for one template."""
-    placed = {}  # slot -> "outside" | "group"
-    in_group = False
-    group_slots = []
+def _parse_body(tokens, required, optional, source, lineno) -> tuple:
+    """Check group structure and placeholder placement for one template;
+    return its body as :class:`Template` ``(word, slot, group)`` triples."""
+    body = []
+    start = None  # index in body where the open { } group begins
     for tok in tokens:
         if tok == "{":
-            if in_group:
+            if start is not None:
                 _fail(source, lineno, "nested { } groups are not allowed")
-            in_group = True
-            group_slots = []
+            start = len(body)
             continue
         if tok == "}":
-            if not in_group:
+            if start is None:
                 _fail(source, lineno, "unmatched } in template body")
-            if len(group_slots) != 1:
+            slots = [slot for _, slot, _ in body[start:] if slot]
+            if len(slots) != 1:
                 _fail(source, lineno,
                       "each { } group must contain exactly one optional-slot placeholder")
-            in_group = False
+            body[start:] = [(word, slot, slots[0]) for word, slot, _ in body[start:]]
+            start = None
             continue
         m = _PLACEHOLDER_RE.fullmatch(tok)
-        if m is None:
+        slot = m.group(1) if m else None
+        if slot is None:
             if "[" in tok or "]" in tok or "{" in tok or "}" in tok:
                 _fail(source, lineno,
                       f"token {tok!r} mixes brackets with text; placeholders and "
                       "braces must be whole whitespace-separated tokens")
-            continue
-        slot = m.group(1)
-        if slot in placed:
+        elif any(slot == s for _, s, _ in body):
             _fail(source, lineno, f"placeholder [{slot}] appears more than once")
-        if slot in template.required:
-            if in_group:
+        elif slot in required:
+            if start is not None:
                 _fail(source, lineno, f"required slot [{slot}] may not sit in a {{ }} group")
-            placed[slot] = "outside"
-        elif slot in template.optional:
-            if not in_group:
+        elif slot in optional:
+            if start is None:
                 _fail(source, lineno, f"optional slot [{slot}] must sit inside a {{ }} group")
-            placed[slot] = "group"
-            group_slots.append(slot)
         else:
             _fail(source, lineno, f"placeholder [{slot}] names no lexical slot of this template")
-    if in_group:
+        body.append((tok, slot, None))
+    if start is not None:
         _fail(source, lineno, "unclosed { in template body")
-    for slot in template.required + template.optional:
+    placed = {slot for _, slot, _ in body}
+    for slot in required + optional:
         if slot not in placed:
             _fail(source, lineno, f"lexical slot {slot!r} has no [{slot}] placeholder")
-
-
-def _literal_text(tokens) -> str:
-    """Body text with structural tokens removed, for collision checks."""
-    return " ".join(t for t in tokens
-                    if t not in ("{", "}") and not _PLACEHOLDER_RE.fullmatch(t))
+    return tuple(body)
 
 
 def _check_collisions(grammar: DomainGrammar, source: str):
     """Reject value placements that could break the zero-slot-error invariant."""
     for t in grammar.templates:
         lexical = t.required + t.optional
-        literal = _literal_text(t.body_tokens)
+        literal = " ".join(word for word, slot, _ in t.body if slot is None)
         for slot in lexical:
             for value in grammar.lexicon(slot):
                 if match_count(value, literal):
@@ -239,16 +239,15 @@ def parse_grammar(text: str, source: str = "<string>") -> DomainGrammar:
             if not sep:
                 _fail(source, lineno, "template line needs 'template head : body'")
             intent, required, optional, fixed = _parse_head(head, source, lineno)
-            body_tokens = tuple(body.split())
-            if not body_tokens:
+            tokens = body.split()
+            if not tokens:
                 _fail(source, lineno, "template body is empty")
-            t = Template(intent, required, optional, fixed, body_tokens)
             for slot in required + optional:
                 if slot not in seen_slots:
                     _fail(source, lineno,
                           f"template uses undeclared slot {slot!r}")
-            _parse_body(body_tokens, t, source, lineno)
-            templates.append(t)
+            body = _parse_body(tokens, required, optional, source, lineno)
+            templates.append(Template(intent, required, optional, fixed, body))
         else:
             raise ParseError(f"{source}:{lineno}: unknown directive {keyword!r}")
     if domain is None:
@@ -282,29 +281,9 @@ def render(grammar: DomainGrammar, template: Template, values: dict) -> Example:
     ``values`` maps every required slot, plus each optional slot being
     realized, to its value; groups of unrealized optional slots drop out.
     """
-    out = []
-    group = None  # buffered tokens of the current { } group
-    keep_group = True
-    for tok in template.body_tokens:
-        if tok == "{":
-            group, keep_group = [], True
-            continue
-        if tok == "}":
-            if keep_group:
-                out.extend(group)
-            group = None
-            continue
-        m = _PLACEHOLDER_RE.fullmatch(tok)
-        if m:
-            slot = m.group(1)
-            if slot not in values:
-                keep_group = False  # only an unrealized optional slot lands here
-                continue
-            word = values[slot]
-        else:
-            word = tok
-        (out if group is None else group).append(word)
-    text = " ".join(out)
+    text = " ".join(values[slot] if slot else word
+                    for word, slot, group in template.body
+                    if group is None or group in values)
     pairs = [(s, values[s]) for s in template.required]
     pairs += [(s, values[s]) for s in template.optional if s in values]
     pairs += list(template.fixed)
@@ -352,23 +331,6 @@ def generate(grammars, n_per_domain: int, seed: int = 0) -> Corpus:
 
 _COPY_SYLLABLES = ("ba", "re", "mo", "ku", "zi", "ta", "lo", "ven",
                    "dar", "sul", "pri", "osh", "gla", "tev", "nim", "war")
-
-# intent names, slot names, and template bodies for the coined-value domains
-_COPY_SHAPES = (
-    ("copydesk", ("record", "lookup", "purge"), ("ref", "tag", "owner"),
-     ("entry [ref] { marked [tag] } { held by [owner] } is stored now .",
-      "fetching [ref] { for [owner] } right away .",
-      "dropped [ref] { and its [tag] note } from the ledger .")),
-    ("copywire", ("relay", "trace", "flag"), ("code", "label", "batch"),
-     ("signal [code] { labeled [label] } { in batch [batch] } went out .",
-      "tracing [code] { across [batch] } as requested .",
-      "raised a flag on [code] { over [label] } this morning .")),
-    ("copyyard", ("stash", "fetch", "audit"), ("item", "mark", "crate"),
-     ("placed [item] { with mark [mark] } { into crate [crate] } today .",
-      "bringing [item] { out of [crate] } shortly .",
-      "checked [item] { against [mark] } and all was fine .")),
-)
-
 
 _VALUE_UNITS = ("euros", "dollars", "pounds", "minutes", "hours", "miles",
                 "seats", "nights", "rooms", "tickets", "people", "floors")
@@ -432,60 +394,6 @@ def _varied_value(rng, n_words=None) -> str:
             return value
 
 
-def _varied_values(rng, n: int, avoid: str) -> list:
-    """n distinct varied values, none occurring in ``avoid`` or in another."""
-    values = []
-    text = avoid
-    while len(values) < n:
-        value = _varied_value(rng)
-        if match_count(value, text) or any(match_count(v, value) for v in values):
-            continue
-        values.append(value)
-        text += " | " + value
-    return values
-
-
-def copy_task_grammars(n_values: int = 150, seed: int = 7) -> tuple:
-    """Auxiliary domains whose slot values are fresh and unpredictable.
-
-    With lexicons this large and random, a language model cannot predict
-    a value from the response context; the only way to reduce loss on
-    these domains is to copy the value out of the dialog-act prefix.
-    The values come in the surface shapes real slot values take (names,
-    phrases of ordinary words, codes, quantities, clock times; see
-    :func:`_varied_value`), so that copying is learnt over the token
-    inventory of real values and not over one family of coined
-    syllables.  No value of a held-out grammar is ever drawn.
-
-    On their own these domains teach copying inside their nine templates
-    only: a model pretrained with them copies values there, yet realizes
-    almost none of an unseen domain's values, even after few-shot
-    fine-tuning.  Fine-tuned on a few examples of an unseen domain, a
-    model realizes its values far more often when the ordinary domains
-    were pretrained alongside, rewritten by :func:`inject_coined_values`
-    so that their own templates' slots are copy exercises too.
-
-    Each of the three domains draws its own ``3 * n_values`` distinct
-    values so the usual collision validation still applies.
-    """
-    rng = np.random.default_rng(seed)
-    grammars = []
-    for name, intents, slots, bodies in _COPY_SHAPES:
-        pool = _varied_values(rng, 3 * n_values, " ".join(bodies))
-        lines = [f"domain {name}"]
-        for i, slot in enumerate(slots):
-            vals = " | ".join(pool[i * n_values:(i + 1) * n_values])
-            lines.append(f"slot {slot} : {vals}")
-        a, b, c = slots
-        heads = (f"{intents[0]} ( {a} , {b}* , {c}* )",
-                 f"{intents[1]} ( {a} , {c}* )",
-                 f"{intents[2]} ( {a} , {b}* )")
-        for head, body in zip(heads, bodies):
-            lines.append(f"template {head} : {body}")
-        grammars.append(parse_grammar("\n".join(lines), source=name))
-    return tuple(grammars)
-
-
 def inject_coined_values(corpus: Corpus, fraction: float, seed: int = 0) -> Corpus:
     """Rewrite a share of lexical slot values to fresh, unpredictable values.
 
@@ -493,13 +401,12 @@ def inject_coined_values(corpus: Corpus, fraction: float, seed: int = 0) -> Corp
     the response, so every rewritten example still has slot error 0.  The
     coined values are unpredictable from context, which turns the chosen
     slots of every domain into copy exercises: the model can only realize
-    them by reading the prefix.  Unlike :func:`copy_task_grammars`, the
-    surrounding text keeps each domain's natural register, so the copying
-    pressure is spread across all template shapes instead of being tied
-    to dedicated domains.
+    them by reading the prefix.  The surrounding text keeps each domain's
+    natural register, so the copying pressure is spread across all
+    template shapes instead of being tied to dedicated domains.
 
     The new values have two words each, in the mixed shapes of
-    :func:`copy_task_grammars` (coined names, ordinary words, codes,
+    :func:`_varied_value` (coined names, ordinary words, codes,
     quantities, clock times), so that copying is not tied to one token
     family.  A new value never occurs in the response already and never
     contains another value of the example.

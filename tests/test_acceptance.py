@@ -5,9 +5,10 @@ One test per release criterion, each printing a single PASS/FAIL line
 The assertions carry the same message, so a quiet run fails loudly too.
 
 The three few-shot transfer checks (ordering, reranking, act-edit
-robustness) share one module-scoped fixture that pretrains two models
-on the same synthetic mix: one conditioned on dialog-act prefixes, one
-on bare response text.  Fine-tuning and decoding happen inside each
+robustness) and the copy check share one module-scoped fixture that
+pretrains two bases on the same synthetic mix, as the paper does: a
+plain base on bare response text, and a da base that continues it on
+dialog-act prefixes.  Fine-tuning and decoding happen inside each
 test; every random stream is seeded, so the whole suite is
 reproducible run to run.
 """
@@ -53,12 +54,12 @@ from scgpt.synthetic import (
     PRETRAIN_GRAMMARS,
     builtin_grammar,
     builtin_grammars,
-    copy_task_grammars,
     generate,
     inject_coined_values,
 )
 from scgpt.training import TrainConfig, run_stage
 
+from copy_task import copy_task_grammars
 from gradcheck import fd_gradient, op_max_rel_error, rel_error
 import oracles
 
@@ -246,7 +247,7 @@ def test_eight_pair_overfit():
 
 
 # ---------------------------------------------------------------------------
-# shared fixture for the transfer checks (5, 6, 10)
+# shared fixture for the transfer checks (5, 6, 10) and the copy check (11)
 
 PRE_N_BASE = 1200         # examples per ordinary pretraining domain
 PRE_COINED = 0.6          # share of their slot values swapped for fresh ones
@@ -262,7 +263,7 @@ SEEDS = (0, 1, 2, 3, 4)
 
 
 class Transfer:
-    """Pretrained bases plus memoized fine-tuning shared by three tests."""
+    """Pretrained bases plus memoized fine-tuning for the transfer and copy tests."""
 
     def __init__(self):
         started = time.perf_counter()
@@ -278,14 +279,16 @@ class Transfer:
         self.mc = ModelConfig(vocab_size=self.vocab.size, n_layers=2, n_heads=4,
                               d_model=64, d_ff=256, max_context=160, dropout=0.0)
 
-        def pretrain(stage, data):
+        def pretrain(stage, data, start):
             tc = TrainConfig(stage=stage, start_lr=PRE_LR, batch_size=16,
                              max_epochs=PRE_EPOCHS, early_stop_patience=10**6,
                              seed=0, val_fraction=0.05)
-            return run_stage(tc, data, init_params(self.mc, seed=0), self.vocab)[0]
+            return run_stage(tc, data, start, self.vocab)[0]
 
-        self.da_base = pretrain("da_pretrain", self.pre_corpus)
-        self.plain_base = pretrain("plain", [ex.response for ex in self.pre_corpus])
+        self.plain_base = pretrain("plain", [ex.response for ex in self.pre_corpus],
+                                   init_params(self.mc, seed=0))
+        self.da_base = pretrain("da_pretrain", self.pre_corpus,
+                                copy.deepcopy(self.plain_base))
 
         taxi = generate([builtin_grammar("taxi")], n_per_domain=2000, seed=23)
         self.train8, rest = build_fewshot(taxi, {"taxi": 8}, seed=0)
@@ -657,4 +660,22 @@ def test_act_edit_robustness(transfer):
         means["da"] < means["plain"],
         f"mean ERR over {len(edited)} edited acts x {len(SEEDS)} seeds: "
         f"da {means['da']:.3f} < plain {means['plain']:.3f}",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 11. the da base copies held-out values out of the act
+
+
+def test_da_base_copies_heldout_values(transfer):
+    # copy-task acts from lexicons drawn afresh (the pretraining mix drew seed 7's)
+    held_out = generate(copy_task_grammars(seed=99), 34, seed=5).examples[:100]
+    cfg = DecodeConfig(n_candidates=1, max_new_tokens=DECODE["max_new_tokens"])
+    winners = generate_corpus(transfer.da_base, transfer.vocab,
+                              [ex.acts for ex in held_out], cfg)
+    err = float(np.mean([w.err for w in winners]))
+    verdict(
+        "da base copies held-out values",
+        err <= 0.4,
+        f"greedy ERR on {len(held_out)} held-out copy-task acts {err:.3f} (<=0.4)",
     )

@@ -1,0 +1,74 @@
+"""The package ships only names that the CLI, the benchmark or a demo use."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _defined(stmt) -> set:
+    """Names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _references(path: Path, module: str) -> set:
+    """Names of ``scgpt.<module>`` the file at path refers to: imported
+    from it, or looked up on a name it is imported as."""
+    tree = ast.parse(path.read_text())
+    aliases, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"scgpt.{module}"):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "scgpt"):
+            aliases |= {a.asname or a.name for a in node.names if a.name == module}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            found.add(node.attr)
+    return found
+
+
+def _wrapped_sites() -> dict:
+    """{module: attribute names} of the lookup sites that ``WRAP_SITES``
+    in ``perfbench/tracer.py`` lists."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    sites = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and _defined(stmt) == {"WRAP_SITES"}:
+            for site in stmt.value.elts:
+                module, attr = site.elts[:2]
+                sites.setdefault(module.id, set()).add(attr.value)
+    return sites
+
+
+#: The modules whose public names need a caller: every module of scgpt.
+CHECKED_MODULES = sorted(p.stem for p in (ROOT / "src" / "scgpt").glob("*.py"))
+
+
+def test_every_public_name_has_a_caller():
+    # the package, the benchmark or a demo uses each public name of every
+    # module of scgpt; what only the tests need lives under tests/ (the
+    # autograd ops and tape in oracles.py, the copy-task grammars in
+    # copy_task.py).  A name the tracer wraps counts as used.
+    wrapped = _wrapped_sites()
+    unused = {}
+    for name in CHECKED_MODULES:
+        module = ROOT / "src" / "scgpt" / f"{name}.py"
+        tree = ast.parse(module.read_text())
+        public = {n for stmt in tree.body for n in _defined(stmt) if not n.startswith("_")}
+        used = {  # inside the module, outside each name's own definition
+            node.id
+            for stmt in tree.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and node.id not in _defined(stmt)
+        } | wrapped.get(name, set())
+        for folder in ("src", "perfbench", "demos"):
+            for path in (ROOT / folder).rglob("*.py"):
+                if path != module:
+                    used |= _references(path, name)
+        unused[name] = sorted(public - used)
+    assert unused == {name: [] for name in CHECKED_MODULES}

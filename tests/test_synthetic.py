@@ -7,7 +7,6 @@ from scgpt.dialog_act import act_set, canonicalize, linearize, match_count
 from scgpt.errors import GrammarValidationError, ParseError
 from scgpt.metrics import slot_error
 from scgpt.synthetic import (
-    copy_task_grammars,
     HELDOUT_GRAMMARS,
     PRETRAIN_GRAMMARS,
     builtin_grammar,
@@ -17,6 +16,8 @@ from scgpt.synthetic import (
     parse_grammar,
     render,
 )
+
+from copy_task import copy_task_grammars
 
 
 def _grammar(body: str):
@@ -106,6 +107,10 @@ def test_generate_rejects_bad_args():
         ("template show ( a , b* ) : the { [a] } { on [b] } .", "may not sit in"),
         ("template show ( a , b* ) : the [a] { { [b] } } .", "nested"),
         ("template show ( a , b* ) : the [a] { on [b] .", "unclosed"),
+        ("template show ( a ) : the [a] } .", "unmatched }"),
+        ("template show ( a , b* ) : the [a] { x } { [b] } .", "exactly one"),
+        ("slot c : up | down\ntemplate show ( a , b* , c* ) : the [a] { [b] [c] } .",
+         "exactly one"),
         ("template show ( a ) : the [a]. done .", "mixes brackets"),
         ("template show ( a=red ) : fixed .", "is lexical"),
         ("template show ( a , a ) : [a] [a] .", "duplicate slot"),
