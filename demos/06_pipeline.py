@@ -13,7 +13,7 @@ import time
 
 from scgpt.bpe import train_bpe
 from scgpt.dataset import Corpus, build_fewshot
-from scgpt.decoding import DecodeConfig, generate_candidates, generate_corpus
+from scgpt.decoding import DecodeConfig, generate_candidates, generate_corpus, pick_best
 from scgpt.dialog_act import linearize
 from scgpt.metrics import corpus_bleu
 from scgpt.model import ModelConfig, init_params
@@ -52,14 +52,14 @@ def main() -> None:
     params, flog = run_stage(ft_cfg, few, params, vocab)
     print(f"finetuned {len(flog)} epochs, train loss {flog[-1]['train_loss']:.3f}")
 
-    print("\ncandidates for one unseen act, best (lowest ERR) marked:")
+    print("\ncandidates for one unseen act, the reranked winner marked:")
     dc = DecodeConfig(n_candidates=5, max_new_tokens=40, seed=0)
     showcase = next(
         ex for ex in held if any(p.value not in "?" for p in ex.acts.all_pairs())
     )
     acts = showcase.acts
     cands = generate_candidates(params, vocab, [acts], dc)[0]
-    best = min(range(len(cands)), key=lambda i: (cands[i].err, i))
+    best = pick_best(cands)  # lowest ERR, ties to the higher mean log-prob
     print(f"  DA: {linearize(acts)}")
     for i, c in enumerate(cands):
         mark = "*" if i == best else " "

@@ -41,8 +41,10 @@ def gelu_kernel(x: np.ndarray):
 
 def softmax_kernel(x: np.ndarray):
     """Row-stable softmax over the last axis; returns (out, backward)."""
-    # the same bits as x.max and out.sum, without their wrappers' overhead
-    out = np.exp(x - np.maximum.reduce(x, -1, keepdims=True))
+    # the same bits as x.max and out.sum, without their wrappers' overhead;
+    # exp and the division overwrite the shifted scores, the only temporary
+    out = x - np.maximum.reduce(x, -1, keepdims=True)
+    np.exp(out, out=out)
     out /= np.add.reduce(out, -1, keepdims=True)
 
     def backward(g):

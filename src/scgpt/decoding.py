@@ -13,20 +13,28 @@ run as 2-D GEMMs over the rows, and :func:`select_tokens` picks every
 row's next token at once.  Each distinct act of a call decodes once:
 its prefix is prefilled, left-padded with per-row position offsets, its
 caches are copied to its candidate rows, and its repeats in the call get
-copies of its candidates.  Finished rows leave the batch once they make
-up a quarter of it.  Every row has its own budget,
+copies of its candidates.  A session holds its acts longest prefix
+first, so a row's left padding grows down the batch, and every step
+after the prefill attends each group of rows only over the key columns
+from the group's first real key on (the session's key windows, see
+:class:`~scgpt.model.DecodeSession`).  Finished rows leave the batch
+once they make up a quarter of it.  Every row has its own budget,
 ``min(max_new_tokens, max_context - prefix length)``, and its own RNG
 stream, seeded by the act's prefix and the candidate index, so identical
 acts get identical candidates, whatever else shares the call.
 
 A step with few rows costs array-call overhead, not arithmetic, so the
 loop keeps its fixed work small: the session multiplies by a contiguous
-copy of the tied head, the select takes one log-sum-exp per row and the
-log-prob of the picked token only, and the live slots, their rows and
-their generators are worked out again only on a step where some row
-finished.  The candidate texts are those of the plain per-step loop; a
-log-prob may differ by float32 rounding when one or two rows are left,
-where numpy multiplies by the head as a matrix-vector product.
+copy of the tied head; each sampled row draws its whole budget of
+uniforms before the first step (the same doubles as one draw per step),
+so the select reads a step's uniforms from one array and makes no call
+per row; the select takes one log-sum-exp per row and the log-prob of
+the picked token only; and the live slots and their rows are worked
+out again only on a step where some row finished.  The candidate texts
+are those of the plain per-step loop.  A log-prob may differ by float32
+rounding where the sums in attention span other columns than the row's
+own (an act beside acts of other lengths), or when one or two rows are
+left, where numpy multiplies by the head as a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -75,15 +83,17 @@ class Candidate:
     err: float
 
 
-def select_tokens(logits: np.ndarray, rngs, k: int, temperature: float):
+def select_tokens(logits: np.ndarray, uniforms: np.ndarray, k: int, temperature: float):
     """Next token id of every row of ``logits`` [n,V], and its log-prob.
 
-    A row whose entry in ``rngs`` is None takes the argmax.  Every other
-    row draws from its k largest logits divided by ``temperature`` (at
-    least 1e-6), with one uniform from its own generator; the draw is
-    the arithmetic of ``rng.choice(k, p=...)`` over the k in descending
-    order, so the same uniform gives the same pick.  The log-probability
-    (float64) is that of the unscaled distribution over the vocabulary.
+    ``uniforms`` [n] holds each row's draw in [0, 1), NaN for a greedy
+    row, which takes the argmax.  Every other row draws from its k
+    largest logits divided by ``temperature`` (at least 1e-6) with its
+    uniform; the draw is the arithmetic of ``rng.choice(k, p=...)`` over
+    the k in descending order, so the uniform that ``rng.choice`` would
+    have taken from a generator gives the same pick.  The
+    log-probability (float64) is that of the unscaled distribution over
+    the vocabulary.
 
     Ties: a greedy row takes the first largest index.  Among sampled
     logits tied at the k-th largest value, ``argpartition`` decides which
@@ -92,40 +102,44 @@ def select_tokens(logits: np.ndarray, rngs, k: int, temperature: float):
     largest values, though not always the index a full ``argsort`` would
     have ordered there.
     """
-    picked = logits.argmax(axis=-1)
-    sampled = [i for i, rng in enumerate(rngs) if rng is not None]
-    if sampled:
+    r = np.arange(len(logits))  # indexes [n,V] arrays by row
+    best = picked = logits.argmax(axis=-1)
+    sampled = np.flatnonzero(~np.isnan(uniforms))
+    if len(sampled):
         block = logits[sampled]
         V = block.shape[1]
         k = min(k, V)
-        r = np.arange(len(sampled))[:, None]  # indexes [s,k] arrays by row
+        rs = r[: len(sampled), None]  # indexes [s,k] arrays by row
         top = np.argpartition(block, V - k, axis=1)[:, V - k :]
-        vals = block[r, top]
+        vals = block[rs, top]
         order = vals.argsort(axis=1)[:, ::-1]  # largest first
-        top = top[r, order]
-        scaled = vals[r, order] / max(temperature, 1e-6)
+        top = top[rs, order]
+        scaled = vals[rs, order] / max(temperature, 1e-6)
         cdf = np.exp(log_softmax(scaled.astype(np.float64))).cumsum(axis=1)
         cdf /= cdf[:, -1:]
-        u = np.array([rngs[i].random() for i in sampled])
         # searchsorted(cdf, u, side="right") row by row
-        draw = (cdf <= u[:, None]).sum(axis=1)
-        picked[sampled] = top[r[:, 0], draw]
-    # log_softmax's arithmetic, evaluated at the picked tokens only
-    x = logits.astype(np.float64)
-    shifted = x - np.maximum.reduce(x, -1, keepdims=True)
-    lse = np.log(np.add.reduce(np.exp(shifted), -1))
-    return picked, shifted[np.arange(len(picked)), picked] - lse
+        draw = (cdf <= uniforms[sampled, None]).sum(axis=1)
+        picked = best.copy()
+        picked[sampled] = top[rs[:, 0], draw]
+    # log_softmax's arithmetic, evaluated at the picked tokens only; the
+    # row maximum is the logit at the argmax
+    shifted = logits.astype(np.float64)
+    shifted -= shifted[r, best, None]
+    logp = shifted[r, picked]
+    np.exp(shifted, out=shifted)
+    return picked, logp - np.log(np.add.reduce(shifted, -1))
 
 
 def select_next_token(logits: np.ndarray, rng, k: int, temperature: float) -> int:
     """Next token id of one logits row: a one-row :func:`select_tokens`,
-    greedy when ``rng`` is None.
+    greedy when ``rng`` is None, else drawing one uniform from ``rng``.
 
     Decoding calls :func:`select_tokens` directly.  This name stays as
     the lookup site that ``perfbench/tracer.py`` wraps, until the package
     records its own spans (ROADMAP item 2).
     """
-    return int(select_tokens(logits[None], [rng], k, temperature)[0][0])
+    u = np.nan if rng is None else rng.random()
+    return int(select_tokens(logits[None], np.array([u]), k, temperature)[0][0])
 
 
 def _candidate_rng(seed: int, cand_index: int, prefix) -> np.random.Generator:
@@ -135,11 +149,15 @@ def _candidate_rng(seed: int, cand_index: int, prefix) -> np.random.Generator:
 def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):
     """Decode ``cfg.n_candidates`` rows per act prefix in one batched session.
 
-    The prefixes are distinct.  Row ``i * n + j`` is candidate j of
-    ``prefixes[i]``: candidate 0 is greedy, the others draw top-k with a
-    generator seeded by (seed, j, the prefix's token ids).  Each prefix
-    is prefilled once and its caches are copied to its n rows.  A row
-    stops at EOS or after ``min(max_new_tokens, max_context -
+    The prefixes are distinct.  Row ``i * n + j`` of the result is
+    candidate j of ``prefixes[i]``: candidate 0 is greedy, the others
+    draw top-k with a generator seeded by (seed, j, the prefix's token
+    ids), which draws the row's whole budget of uniforms up front.  The
+    session holds the prefixes longest first, so the rows' first kept
+    columns rise down the batch and the session's key windows skip most
+    of the left padding; the result is in the caller's order.  Each
+    prefix is prefilled once and its caches are copied to its n rows.  A
+    row stops at EOS or after ``min(max_new_tokens, max_context -
     len(prefix))`` tokens, whatever the other rows do.  Finished rows
     leave the session once they make up a quarter of it: copying the
     caches on every finish costs more than carrying a few dead rows.
@@ -148,6 +166,8 @@ def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):
     The mean covers every emitted token including the terminating EOS.
     """
     mc, n = params.config, cfg.n_candidates
+    order = sorted(range(len(prefixes)), key=lambda u: -len(prefixes[u]))
+    prefixes = [prefixes[u] for u in order]
     prefix_lens = np.array([len(p) for p in prefixes])
     T0 = int(prefix_lens.max())
     ids = np.full((len(prefixes), T0), v.pad_id, dtype=np.int64)
@@ -168,20 +188,23 @@ def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):
     sess.take(prefill_row)
 
     B = len(prefill_row)
-    rngs = [
-        _candidate_rng(cfg.seed, b % n, prefixes[b // n]) if b % n else None
-        for b in range(B)
-    ]
     tokens = np.zeros((B, int(budget.max())), dtype=np.int64)
+    # the uniform each row's select takes at each step; NaN marks greedy rows
+    uniforms = np.full(tokens.shape, np.nan)
+    for b in range(B):
+        if b % n:
+            rng = _candidate_rng(cfg.seed, b % n, prefixes[b // n])
+            uniforms[b, : budget[b]] = rng.random(budget[b])
     counts = np.zeros(B, dtype=np.int64)
     logprob_sums = np.zeros(B)
     row = np.arange(B)  # the row each session slot decodes
     live = np.ones(B, dtype=bool)  # per session slot
     # set again only on a step where some row finished
-    slots, live_rows, live_rngs = row, row, rngs
+    slots, live_rows = row, row
     slot_start, keep = start_pos[:, None], live[:, None]  # position of step 0
     for step in range(tokens.shape[1]):
-        picked, logp = select_tokens(logits[slots], live_rngs, cfg.top_k, cfg.temperature)
+        picked, logp = select_tokens(logits[slots], uniforms[live_rows, step], cfg.top_k,
+                                     cfg.temperature)
         logprob_sums[live_rows] += logp
         tokens[live_rows, step] = picked
         ended = (picked == v.eos_id) | (step + 1 >= budget[live_rows])
@@ -196,17 +219,16 @@ def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):
                 row, live = row[kept], live[kept]
             slots = np.flatnonzero(live)
             live_rows = row[slots]
-            live_rngs = [rngs[b] for b in live_rows.tolist()]
             # finished slots feed an inert masked column; its position is arbitrary
             slot_start, keep = np.where(live, start_pos[row], 0)[:, None], live[:, None]
         logits = sess.append(tokens[row, step, None], slot_start + step, keep)
 
-    out = []
+    out = [None] * B
     for b in range(B):
         emitted = tokens[b, : counts[b]].tolist()
         if emitted[-1] == v.eos_id:
             emitted.pop()
-        out.append((emitted, float(logprob_sums[b] / counts[b])))
+        out[order[b // n] * n + b % n] = (emitted, float(logprob_sums[b] / counts[b]))
     return out
 
 

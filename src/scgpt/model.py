@@ -60,6 +60,10 @@ from .errors import (
 #: the per-kernel NaN/Inf checks stay meaningful.
 NEG_BIAS = -1e9
 
+#: Width in columns of the blocks by which :class:`DecodeSession` groups
+#: rows into key windows.
+WINDOW_BLOCK = 32
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -282,10 +286,13 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
     [H,L,L] attention probabilities, example by example, then of the
     [N,d] output.
 
-    Decoding: ``x`` is [B,T,d], ``bias`` broadcasts to the [B,H,T,S]
-    scores, and ``cache=(keys, vals, lo)`` stores the new keys and
-    values at columns lo..lo+T of the [B,H,max_len,dh] buffers and
-    attends over columns 0..lo+T.  No dropout; backward is None.
+    Decoding: ``x`` is [B,T,d], ``bias`` broadcasts to the [B,H,T,hi]
+    scores, and ``cache=(keys, vals, lo, windows)`` stores the new keys
+    and values at columns lo..hi=lo+T of the [B,H,max_len,dh] buffers.
+    Each ``(rows, start)`` of ``windows`` attends its slice of rows over
+    columns start..hi alone, so the windows must cover every row and
+    every column whose bias is not NEG_BIAS.  No dropout; backward is
+    None.
     """
     ln_g, ln_b, wqkv, bqkv, wo, bo = weights
     d = x.shape[-1]
@@ -296,9 +303,13 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
     if cache is not None:
         B, T = x.shape[:2]
         q, keys, vals = qkv.reshape(B, T, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
-        k_buf, v_buf, lo = cache
-        k_buf[:, :, lo : lo + T], v_buf[:, :, lo : lo + T] = keys, vals
-        ctx = _attend(q, k_buf[:, :, : lo + T], v_buf[:, :, : lo + T], bias)[0]
+        k_buf, v_buf, lo, windows = cache
+        hi = lo + T
+        k_buf[:, :, lo:hi], v_buf[:, :, lo:hi] = keys, vals
+        ctx = np.empty_like(q)
+        for rows, start in windows:
+            ctx[rows] = _attend(q[rows], k_buf[rows, :, start:hi], v_buf[rows, :, start:hi],
+                                bias[rows, ..., start:hi])[0]
         ctx = ctx.transpose(0, 2, 1, 3).reshape(B * T, d)
         return (x2 + ctx @ wo + bo).reshape(x.shape), None
 
@@ -522,6 +533,15 @@ class DecodeSession:
     mark PAD slots in the key mask.  Logits match a full re-forward to
     within float32 noise.
 
+    The first append (the prefill) attends over every column.  It also
+    fixes each row's first kept column, which :meth:`take` carries with
+    the row.  Later appends group contiguous rows whose first kept
+    columns fall in the same ``WINDOW_BLOCK``-column block, and each
+    group attends from its earliest first kept column on, not from
+    column 0, so left padding shared by a group's rows is skipped.  A
+    batch decodes in few windows when its rows are ordered by prefix
+    length; any order gives the same logits, within float32 noise.
+
     All rows share the ``max_len`` buffer columns, so left-padded rows
     with their own step budgets may need more columns than
     ``max_context``; the context bound applies to positions instead.  An
@@ -553,6 +573,7 @@ class DecodeSession:
         self._v = np.zeros(shape, dtype=np.float32)
         # additive key bias of every filled column: 0, or NEG_BIAS at PAD
         self._bias = np.zeros((batch_size, max_len), dtype=np.float32)
+        self._set_first(np.zeros(batch_size, dtype=np.intp))
         self._w = {name: t.astype(np.float32, copy=False) for name, t in params.named()}
         self._layers = [[[self._w[n] for n in names] for names in _layer_names(i)]
                         for i in range(cfg.n_layers)]
@@ -584,9 +605,14 @@ class DecodeSession:
             bias = np.where(np.tri(T, hi, lo, dtype=bool), self._bias[:, None, :hi],
                             np.float32(NEG_BIAS))[:, None]
 
+        if lo == 0:
+            self._set_first(keep.argmax(axis=1))
+        # a padded query column of the prefill has no kept key inside a window
+        windows = self._windows if lo else [(slice(None), 0)]
+
         x = w["tok_emb"][ids] + w["pos_emb"][positions]
         for i, (attn_w, mlp_w) in enumerate(self._layers):
-            cache = (self._k[i], self._v[i], lo)
+            cache = (self._k[i], self._v[i], lo, windows)
             x, _ = attention_block(x, attn_w, bias, cfg.n_heads, cache=cache)
             x, _ = mlp_block(x, mlp_w)
         self.t = hi
@@ -599,4 +625,14 @@ class DecodeSession:
         self._k = self._k[:, index]
         self._v = self._v[:, index]
         self._bias = self._bias[index]
+        self._set_first(self._first[index])
         self.B = len(index)
+
+    def _set_first(self, first: np.ndarray) -> None:
+        """Store each row's first kept column and regroup the rows into
+        windows, ``(rows, first column)`` pairs for :func:`attention_block`."""
+        self._first = first
+        block = first // WINDOW_BLOCK
+        cuts = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
+        self._windows = [(slice(a, b), int(first[a:b].min()))
+                         for a, b in zip([0, *cuts], [*cuts, len(first)]) if b > a]

@@ -456,6 +456,50 @@ def test_decode_session_take(vocab):
     assert np.abs(step(gathered, [a, b], 1) - kept[[0, 2]]).max() < 1e-5
 
 
+def test_decode_session_windows_match_full_forward(vocab):
+    cfg = tiny_config(vocab, n_layers=2, d_model=16, d_ff=32, max_context=128)
+    params = init_params(cfg, seed=11)
+    rng = np.random.default_rng(3)
+    # first kept columns 0, 10, 40, 45, 78, 85: two rows in each of three blocks
+    lengths = [90, 80, 50, 45, 12, 5]
+    seqs = [list(rng.integers(0, vocab.size, L)) for L in lengths]
+    T = max(lengths)
+    ids = np.full((len(seqs), T), vocab.pad_id)
+    keep = np.zeros(ids.shape, dtype=bool)
+    pos = np.zeros(ids.shape, dtype=int)
+    for r, seq in enumerate(seqs):
+        ids[r, T - len(seq) :] = seq
+        keep[r, T - len(seq) :] = True
+        pos[r, T - len(seq) :] = np.arange(len(seq))
+    sess = DecodeSession(params, batch_size=len(seqs), max_len=T + 4)
+    sess.append(ids, pos, keep)
+    assert [w[0] for w in sess._windows] == [slice(0, 2), slice(2, 4), slice(4, 6)]
+
+    def step(rows):
+        new = rng.integers(0, vocab.size, len(rows))
+        for r, tok in zip(rows, new):
+            seqs[r].append(tok)
+        positions = np.array([[len(seqs[r]) - 1] for r in rows])
+        logits = sess.append(new[:, None], positions, np.ones((len(rows), 1), dtype=bool))
+        for got, r in zip(logits, rows):
+            seq = np.array([seqs[r]])
+            full = forward_logits_reference(params, seq, np.ones(seq.shape, dtype=bool))
+            assert np.abs(got - full[0].data[0, -1]).max() < 1e-5
+
+    rows = list(range(len(seqs)))
+    step(rows)
+    step(rows)
+    # dropping rows keeps each remaining group contiguous and in order
+    sess.take([0, 2, 3, 5])
+    rows = [0, 2, 3, 5]
+    assert [w[0] for w in sess._windows] == [slice(0, 1), slice(1, 3), slice(3, 4)]
+    step(rows)
+    sess.take([1, 2])  # both left rows in one block: one window
+    rows = [2, 3]
+    assert [w[0] for w in sess._windows] == [slice(0, 2)]
+    step(rows)
+
+
 def test_decode_session_overflow(vocab):
     params = init_params(tiny_config(vocab, max_context=8), seed=9)
     # the buffer may be wider than max_context, but no position may reach it

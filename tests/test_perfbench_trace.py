@@ -12,7 +12,8 @@ the metric reads its true value 0, and ``model.nll_loss.ms`` checks the
 loss site instead.
 
 The untraced mode is the one whose end-to-end metrics compare two
-commits, so it runs too, on the workloads without a serving set-up.
+commits, so it runs too, with its output checks, on ``offline_corpus``
+and on the workloads without a serving set-up.
 """
 
 import json
@@ -53,7 +54,7 @@ def test_traced_run_passes_its_checks(workload):
         assert report["metrics"][metric]["value"] > 0, (metric, report["metrics"][metric])
 
 
-@pytest.mark.parametrize("workload", ["train_da", "prepare_corpus"])
+@pytest.mark.parametrize("workload", ["offline_corpus", "train_da", "prepare_corpus"])
 def test_untraced_run_reports_every_end_to_end_metric(workload):
     report = _run(workload, trace=0)
     assert report["failed"] == 0
