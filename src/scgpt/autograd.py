@@ -63,15 +63,20 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
 LAYERNORM_EPS = 1e-5
 
 
-def layernorm_kernel(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    """Layer norm over the last axis, then affine; returns (out, backward)."""
+def layernorm_kernel(x: np.ndarray, gain: np.ndarray | None, bias: np.ndarray | None):
+    """Layer norm over the last axis, then affine; returns (out, backward).
+
+    With ``gain`` and ``bias`` None the affine is skipped: the output has
+    the bits of a unit gain and zero bias, for a forward that folded the
+    affine into the weights after it; only the forward may skip it.
+    """
     n = x.shape[-1]
     # the same bits as x.mean and x.var, without their wrappers' overhead
     mu = np.add.reduce(x, -1, keepdims=True) / n
     xc = x - mu
     std = np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / n + LAYERNORM_EPS)
     y = xc / std
-    out = y * gain + bias
+    out = y if gain is None else y * gain + bias
 
     def backward(g):
         sum_axes = tuple(range(g.ndim - 1))

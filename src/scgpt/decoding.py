@@ -24,17 +24,20 @@ stream, seeded by the act's prefix and the candidate index, so identical
 acts get identical candidates, whatever else shares the call.
 
 A step with few rows costs array-call overhead, not arithmetic, so the
-loop keeps its fixed work small: the session multiplies by a contiguous
-copy of the tied head; each sampled row draws its whole budget of
-uniforms before the first step (the same doubles as one draw per step),
-so the select reads a step's uniforms from one array and makes no call
-per row; the select takes one log-sum-exp per row and the log-prob of
-the picked token only; and the live slots and their rows are worked
-out again only on a step where some row finished.  The candidate texts
-are those of the plain per-step loop.  A log-prob may differ by float32
-rounding where the sums in attention span other columns than the row's
-own (an act beside acts of other lengths), or when one or two rows are
-left, where numpy multiplies by the head as a matrix-vector product.
+loop keeps its fixed work small: the session folds the layer norms'
+affines and the query scale into its weights once; a finished row keeps
+feeding kept columns that only it attends, so a session without left
+padding, such as one act's, adds no key bias after the prefill; each
+sampled row draws its whole budget of uniforms before the first step
+(the same doubles as one draw per step), so the select reads a step's
+uniforms from one array and makes no call per row; the select takes one
+log-sum-exp per row and the log-prob of the picked token only; and the
+live slots and their rows are worked out again only on a step where
+some row finished.  The candidate texts are those of the plain per-step
+loop.  A log-prob may differ by float32 rounding where the sums in
+attention span other columns than the row's own (an act beside acts of
+other lengths), or when one or two rows are left, where numpy
+multiplies by the head as a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -201,7 +204,10 @@ def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):
     live = np.ones(B, dtype=bool)  # per session slot
     # set again only on a step where some row finished
     slots, live_rows = row, row
-    slot_start, keep = start_pos[:, None], live[:, None]  # position of step 0
+    slot_start = start_pos[:, None]  # position of step 0
+    # a finished slot feeds a kept column: only its own row attends it, and
+    # no row reads that row's logits, so the session needs no key bias
+    keep = np.ones((B, 1), dtype=bool)
     for step in range(tokens.shape[1]):
         picked, logp = select_tokens(logits[slots], uniforms[live_rows, step], cfg.top_k,
                                      cfg.temperature)
@@ -219,9 +225,9 @@ def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):
                 row, live = row[kept], live[kept]
             slots = np.flatnonzero(live)
             live_rows = row[slots]
-            # finished slots feed an inert masked column; its position is arbitrary
-            slot_start, keep = np.where(live, start_pos[row], 0)[:, None], live[:, None]
-        logits = sess.append(tokens[row, step, None], slot_start + step, keep)
+            # a finished slot's position is arbitrary, within max_context
+            slot_start = np.where(live, start_pos[row], 0)[:, None]
+        logits = sess.append(tokens[row, step, None], slot_start + step, keep[: len(row)])
 
     out = [None] * B
     for b in range(B):

@@ -256,18 +256,31 @@ def embed(ids, weights, positions, drop=None):
     return out, backward
 
 
-def _attend(q, keys, vals, bias, mask=None):
+def _attend(q, keys, vals, bias, scale=None, mask=None):
     """Softmax attention of queries q [...,T,dh] over keys and values
-    [...,S,dh]: ``bias`` is added to the scaled scores and ``mask``, if
-    given, multiplies the probabilities.  Returns (context [...,T,dh],
-    the probabilities as applied, the softmax's backward)."""
+    [...,S,dh]: the scores are multiplied by ``scale`` and ``bias`` is
+    added, each unless None, and ``mask``, if given, multiplies the
+    probabilities.  Returns (context [...,T,dh], the probabilities as
+    applied, the softmax's backward)."""
     scores = q @ keys.swapaxes(-1, -2)
-    scores *= q.shape[-1] ** -0.5
-    scores += bias
+    if scale is not None:
+        scores *= scale
+    if bias is not None:
+        scores += bias
     attn, softmax_backward = ag.softmax_kernel(scores)
     if mask is not None:
         attn = attn * mask
     return attn @ vals, attn, softmax_backward
+
+
+def _residual(x, o, b, mask=None):
+    """``x + (o + b) * mask``, or without a mask ``x + o + b`` summed in
+    place in o, with the bits of that sum."""
+    if mask is not None:
+        return x + (o + b) * mask
+    o += x
+    o += b
+    return o
 
 
 def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, drop=None):
@@ -289,29 +302,34 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
     Decoding: ``x`` is [B,T,d], ``bias`` broadcasts to the [B,H,T,hi]
     scores, and ``cache=(keys, vals, lo, windows)`` stores the new keys
     and values at columns lo..hi=lo+T of the [B,H,max_len,dh] buffers.
-    Each ``(rows, start)`` of ``windows`` attends its slice of rows over
-    columns start..hi alone, so the windows must cover every row and
-    every column whose bias is not NEG_BIAS.  No dropout; backward is
-    None.
+    Each ``(rows, start, masked)`` of ``windows`` attends its slice of
+    rows over columns start..hi alone, so the windows must cover every
+    row, as contiguous slices in row order, and every column whose bias
+    is not NEG_BIAS.  A window adds the bias only where ``masked`` is
+    true, so one without it must have no NEG_BIAS in its columns.  The
+    scores are not scaled: the caller folds ``dh**-0.5`` into the query
+    columns of ``wqkv`` and ``bqkv``, and passes the layer norm's gain
+    and bias as None, folded too.  No dropout; backward is None.
     """
     ln_g, ln_b, wqkv, bqkv, wo, bo = weights
     d = x.shape[-1]
     dh = d // n_heads
     x2 = x.reshape(-1, d)
     h, ln_backward = ag.layernorm_kernel(x2, ln_g, ln_b)
-    qkv = h @ wqkv + bqkv
+    qkv = h @ wqkv
+    qkv += bqkv
     if cache is not None:
         B, T = x.shape[:2]
         q, keys, vals = qkv.reshape(B, T, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
         k_buf, v_buf, lo, windows = cache
         hi = lo + T
         k_buf[:, :, lo:hi], v_buf[:, :, lo:hi] = keys, vals
-        ctx = np.empty_like(q)
-        for rows, start in windows:
-            ctx[rows] = _attend(q[rows], k_buf[rows, :, start:hi], v_buf[rows, :, start:hi],
-                                bias[rows, ..., start:hi])[0]
+        ctx = [_attend(q[rows], k_buf[rows, :, start:hi], v_buf[rows, :, start:hi],
+                       bias[rows, ..., start:hi] if masked else None)[0]
+               for rows, start, masked in windows]
+        ctx = ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
         ctx = ctx.transpose(0, 2, 1, 3).reshape(B * T, d)
-        return (x2 + ctx @ wo + bo).reshape(x.shape), None
+        return _residual(x2, ctx @ wo, bo).reshape(x.shape), None
 
     def heads(rows_qkv):  # [L,3d] rows -> [3,H,L,dh] view
         return rows_qkv.reshape(len(rows_qkv), 3, n_heads, dh).transpose(1, 2, 0, 3)
@@ -323,12 +341,12 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
         start += L
         q, keys, vals = heads(qkv[rows])
         mask = drop((n_heads, L, L)) if drop else None
-        c, attn, softmax_backward = _attend(q, keys, vals, bias[:L, :L], mask)
+        c, attn, softmax_backward = _attend(q, keys, vals, bias[:L, :L], dh**-0.5, mask)
         ctx.reshape(-1, n_heads, dh)[rows] = c.swapaxes(0, 1)
         saved.append((rows, q, keys, vals, mask, attn, softmax_backward))
     o = ctx @ wo
     out_mask = drop(o.shape) if drop else None
-    out = x2 + o + bo if out_mask is None else x2 + (o + bo) * out_mask
+    out = _residual(x2, o, bo, out_mask)
 
     def backward(g):
         go = g if out_mask is None else g * out_mask
@@ -360,10 +378,12 @@ def mlp_block(x, weights, drop=None):
     shape = x.shape
     x2 = x.reshape(-1, shape[-1])
     h, ln_backward = ag.layernorm_kernel(x2, ln_g, ln_b)
-    a, gelu_backward = ag.gelu_kernel(h @ w1 + b1)
+    z = h @ w1
+    z += b1
+    a, gelu_backward = ag.gelu_kernel(z)
     o = a @ w2
     out_mask = drop(o.shape) if drop else None
-    out = x2 + o + b2 if out_mask is None else x2 + (o + b2) * out_mask
+    out = _residual(x2, o, b2, out_mask)
 
     def backward(g):
         g = g.reshape(x2.shape)
@@ -553,12 +573,22 @@ class DecodeSession:
     several rows with the same prefix and finished rows can leave the
     batch.
 
-    The session keeps the tied head once, as a contiguous [d,V] copy of
-    ``tok_emb.T``: at a few rows the matmul with it is several times
-    faster than with the strided view.  From three rows up the logits
-    have the same bits as with the view; at one or two rows numpy takes
-    a matrix-vector path that may round differently, within float32
-    noise.
+    A step with few rows costs array calls, not arithmetic, so the
+    session folds each layer norm's gain and bias into the linear layer
+    after it, once, in float32 (see :func:`_fold`): ln1's into
+    ``attn.wqkv`` and ``attn.bqkv``, together with the ``dh**-0.5``
+    query scale, ln2's into ``mlp.w1`` and ``mlp.b1``, and lnf's into a
+    contiguous [d,V] head, ``tok_emb.T`` scaled by ``lnf.gain``, and a
+    [V] head bias.  Its appends then run the same kernels with no affine
+    and no scale (see :func:`attention_block`).  The folded weights are
+    the same for every row, so they add no dependence on the batch;
+    logits differ from the unfolded arithmetic by float32 rounding.
+
+    A window adds the key bias only if one of its rows has a masked
+    column at or after the window's start: the session tracks each
+    row's last masked column at the prefill, through :meth:`take` and at
+    every append with a False in ``keep``.  A session without padding,
+    such as one act's candidates, adds no bias after the prefill.
     """
 
     def __init__(self, params: ModelParams, batch_size: int, max_len: int):
@@ -573,11 +603,20 @@ class DecodeSession:
         self._v = np.zeros(shape, dtype=np.float32)
         # additive key bias of every filled column: 0, or NEG_BIAS at PAD
         self._bias = np.zeros((batch_size, max_len), dtype=np.float32)
-        self._set_first(np.zeros(batch_size, dtype=np.intp))
-        self._w = {name: t.astype(np.float32, copy=False) for name, t in params.named()}
-        self._layers = [[[self._w[n] for n in names] for names in _layer_names(i)]
-                        for i in range(cfg.n_layers)]
-        self._head = np.ascontiguousarray(self._w["tok_emb"].T)
+        self._first = np.zeros(batch_size, dtype=np.intp)
+        self._masked_end = np.zeros(batch_size, dtype=np.intp)  # last masked column + 1
+        w = {name: t.astype(np.float32, copy=False) for name, t in params.named()}
+        self._emb = [w[n] for n in EMBED_WEIGHTS]
+        self._layers = []
+        for attn_names, mlp_names in map(_layer_names, range(cfg.n_layers)):
+            ln_g, ln_b, wqkv, bqkv, wo, bo = (w[n] for n in attn_names)
+            wqkv, bqkv = _fold(ln_g, ln_b, wqkv, bqkv)
+            wqkv[:, : cfg.d_model] *= dh**-0.5
+            bqkv[: cfg.d_model] *= dh**-0.5
+            ln_g, ln_b, w1, b1, w2, b2 = (w[n] for n in mlp_names)
+            self._layers.append([[None, None, wqkv, bqkv, wo, bo],
+                                 [None, None, *_fold(ln_g, ln_b, w1, b1), w2, b2]])
+        self._head, self._head_bias = _fold(w["lnf.gain"], w["lnf.bias"], w["tok_emb"].T)
 
     def append(self, ids: np.ndarray, positions: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Feed T new columns for every row; returns last-column logits [B,V].
@@ -585,7 +624,7 @@ class DecodeSession:
         ``ids``, ``positions``, ``keep`` are [B,T]; keep=False marks PAD
         slots that must never be attended to.
         """
-        cfg, w = self.cfg, self._w
+        cfg = self.cfg
         B, T = ids.shape
         if B != self.B:
             raise ValueError(f"session built for batch {self.B}, got {B}")
@@ -598,26 +637,36 @@ class DecodeSession:
             raise ContextOverflowError(
                 f"position {positions.max()} is beyond max_context {cfg.max_context}"
             )
-        self._bias[:, lo:hi] = np.where(keep, 0.0, NEG_BIAS)
+        masked = not keep.all()
+        if masked:
+            self._bias[:, lo:hi][~keep] = NEG_BIAS
+            ends = np.where(keep, 0, np.arange(lo + 1, hi + 1)).max(axis=1)
+            self._masked_end = np.maximum(self._masked_end, ends)
+        if lo == 0:
+            self._first = keep.argmax(axis=1)
+        if masked or lo == 0:
+            self._regroup()
+        # a padded query column of the prefill has no kept key inside a window
+        windows = self._windows if lo else [(slice(None), 0, True)]
         if T == 1:
             bias = self._bias[:, None, None, :hi]
         else:  # each new column attends the kept keys at or before it
             bias = np.where(np.tri(T, hi, lo, dtype=bool), self._bias[:, None, :hi],
                             np.float32(NEG_BIAS))[:, None]
+            windows = [(rows, start, True) for rows, start, _ in windows]
 
-        if lo == 0:
-            self._set_first(keep.argmax(axis=1))
-        # a padded query column of the prefill has no kept key inside a window
-        windows = self._windows if lo else [(slice(None), 0)]
-
-        x = w["tok_emb"][ids] + w["pos_emb"][positions]
+        tok_emb, pos_emb = self._emb
+        x = tok_emb[ids]
+        x += pos_emb[positions]
         for i, (attn_w, mlp_w) in enumerate(self._layers):
             cache = (self._k[i], self._v[i], lo, windows)
             x, _ = attention_block(x, attn_w, bias, cfg.n_heads, cache=cache)
             x, _ = mlp_block(x, mlp_w)
         self.t = hi
-        x_last, _ = ag.layernorm_kernel(x[:, -1], w["lnf.gain"], w["lnf.bias"])
-        return x_last @ self._head
+        x_last, _ = ag.layernorm_kernel(x[:, -1], None, None)
+        logits = x_last @ self._head
+        logits += self._head_bias
+        return logits
 
     def take(self, index) -> None:
         """Make row ``r`` of the batch a copy of current row ``index[r]``."""
@@ -625,14 +674,29 @@ class DecodeSession:
         self._k = self._k[:, index]
         self._v = self._v[:, index]
         self._bias = self._bias[index]
-        self._set_first(self._first[index])
+        self._first = self._first[index]
+        self._masked_end = self._masked_end[index]
+        self._regroup()
         self.B = len(index)
 
-    def _set_first(self, first: np.ndarray) -> None:
-        """Store each row's first kept column and regroup the rows into
-        windows, ``(rows, first column)`` pairs for :func:`attention_block`."""
-        self._first = first
+    def _regroup(self) -> None:
+        """Group the rows into windows, ``(rows, start, masked)`` triples
+        for :func:`attention_block`: contiguous rows whose first kept
+        columns fall in one block start at the earliest of them, and add
+        the key bias only if one of them has a masked column from there
+        on."""
+        first, ends = self._first, self._masked_end
         block = first // WINDOW_BLOCK
         cuts = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
-        self._windows = [(slice(a, b), int(first[a:b].min()))
-                         for a, b in zip([0, *cuts], [*cuts, len(first)]) if b > a]
+        self._windows = []
+        for a, b in zip([0, *cuts], [*cuts, len(first)]):
+            if b > a:
+                start = int(first[a:b].min())
+                self._windows.append((slice(a, b), start, bool(ends[a:b].max() > start)))
+
+
+def _fold(ln_g, ln_b, w, b=0.0):
+    """The weights and bias of ``(y * ln_g + ln_b) @ w + b`` as one linear
+    layer of the normalized y: ``ln_g[:, None] * w``, C-contiguous even
+    for a transposed w, and ``ln_b @ w + b``."""
+    return np.multiply(ln_g[:, None], w, order="C"), ln_b @ w + b

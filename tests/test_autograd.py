@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scgpt.autograd import layernorm_kernel
 from scgpt.errors import NumericFaultError, RangeError, ShapeMismatchError
 from scgpt.model import LinearizedExample, ModelConfig, init_params, nll_loss
 
@@ -39,6 +40,15 @@ def test_layernorm_statistics():
     out = ref.layernorm(x, constant(np.ones(16)), constant(np.zeros(16)))
     assert np.abs(out.data.mean(axis=-1)).max() < 1e-5
     assert np.abs(out.data.var(axis=-1) - 1.0).max() < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layernorm_kernel_without_affine_has_unit_affine_bits(dtype):
+    x = np.random.default_rng(3).standard_normal((7, 16)).astype(dtype)
+    plain = layernorm_kernel(x, None, None)[0]
+    unit = layernorm_kernel(x, np.ones(16, dtype), np.zeros(16, dtype))[0]
+    assert plain.dtype == unit.dtype == dtype
+    assert plain.tobytes() == unit.tobytes()
 
 
 def test_cross_entropy_all_masked_out():

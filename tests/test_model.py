@@ -39,6 +39,20 @@ def tiny_config(vocab, **kw):
     return ModelConfig(**defaults)
 
 
+def affine_params(cfg, seed):
+    """``init_params`` with random layer-norm gains and biases and non-zero
+    ``bqkv`` and ``b1``, so that a decode session that drops or misfolds
+    an affine gives other logits."""
+    params = init_params(cfg, seed=seed)
+    rng = np.random.default_rng(seed + 1000)
+    for name, t in params.named():
+        if name.endswith(".gain"):
+            t[...] = rng.uniform(0.5, 1.5, t.shape)
+        elif name.endswith((".bias", ".bqkv", ".b1")):
+            t[...] = rng.normal(0.0, 0.5, t.shape)
+    return params
+
+
 def one_position(ids, t):
     """``ids`` as an example whose loss is position t's prediction alone."""
     return LinearizedExample(tuple(ids), tuple(int(s == t) for s in range(len(ids))))
@@ -376,7 +390,7 @@ def test_checkpoint_rejects_corrupt_metadata(tmp_path, vocab, old, new):
 @pytest.mark.parametrize("rows", [1, 2, 3, 5])
 def test_decode_session_matches_full_forward(vocab, rows):
     cfg = tiny_config(vocab, n_layers=2, d_model=16, d_ff=32)
-    params = init_params(cfg, seed=7)
+    params = affine_params(cfg, seed=7)
     ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
     ids = np.array([np.roll(ex.ids, r) for r in range(rows)])  # distinct rows
     keep = np.ones_like(ids, dtype=bool)
@@ -394,7 +408,7 @@ def test_decode_session_matches_full_forward(vocab, rows):
 
 def test_decode_session_left_padding(vocab):
     cfg = tiny_config(vocab, n_layers=2, d_model=16, d_ff=32)
-    params = init_params(cfg, seed=8)
+    params = affine_params(cfg, seed=8)
     a = build_example(act_set("bye"), "", vocab)
     b = build_example(act_set("inform", [("name", "hilton")]), "", vocab)
     La, Lb = len(a.ids), len(b.ids)
@@ -424,7 +438,7 @@ def test_decode_session_left_padding(vocab):
 
 def test_decode_session_take(vocab):
     cfg = tiny_config(vocab, n_layers=2, d_model=16, d_ff=32)
-    params = init_params(cfg, seed=10)
+    params = affine_params(cfg, seed=10)
     a = build_example(act_set("bye"), "", vocab).ids
     b = build_example(act_set("inform", [("name", "hilton")]), "", vocab).ids
     T = max(len(a), len(b))
@@ -458,7 +472,7 @@ def test_decode_session_take(vocab):
 
 def test_decode_session_windows_match_full_forward(vocab):
     cfg = tiny_config(vocab, n_layers=2, d_model=16, d_ff=32, max_context=128)
-    params = init_params(cfg, seed=11)
+    params = affine_params(cfg, seed=11)
     rng = np.random.default_rng(3)
     # first kept columns 0, 10, 40, 45, 78, 85: two rows in each of three blocks
     lengths = [90, 80, 50, 45, 12, 5]
@@ -498,6 +512,30 @@ def test_decode_session_windows_match_full_forward(vocab):
     rows = [2, 3]
     assert [w[0] for w in sess._windows] == [slice(0, 2)]
     step(rows)
+
+
+def test_decode_session_masked_step_stays_masked(vocab):
+    cfg = tiny_config(vocab, n_layers=2, d_model=16, d_ff=32)
+    params = affine_params(cfg, seed=12)
+    rng = np.random.default_rng(4)
+    prefix = list(rng.integers(0, vocab.size, 6))
+    L = len(prefix)
+    sess = DecodeSession(params, batch_size=2, max_len=L + 4)
+    sess.append(np.array([prefix, prefix]), np.tile(np.arange(L), (2, 1)),
+                np.ones((2, L), dtype=bool))
+    assert sess._windows == [(slice(0, 2), 0, False)]  # no padding: no key bias
+    # row 1's column L is never attended, and its next token takes position L
+    sess.append(np.array([[5], [5]]), np.array([[L], [L]]), np.array([[True], [False]]))
+    assert sess._windows == [(slice(0, 2), 0, True)]
+    seqs = [prefix + [5], list(prefix)]
+    for _ in range(3):
+        new = rng.integers(0, vocab.size, 2)
+        positions = np.array([[len(seq)] for seq in seqs])
+        logits = sess.append(new[:, None], positions, np.ones((2, 1), dtype=bool))
+        for got, seq, tok in zip(logits, seqs, new):
+            seq.append(tok)
+            full = forward_logits_reference(params, np.array([seq]), np.ones((1, len(seq)), bool))
+            assert np.abs(got - full[0].data[0, -1]).max() < 1e-5
 
 
 def test_decode_session_overflow(vocab):
