@@ -25,9 +25,9 @@ acts get identical candidates, whatever else shares the call.
 
 A step with few rows costs array-call overhead, not arithmetic, so the
 loop keeps its fixed work small: the session folds the layer norms'
-affines and the query scale into its weights once; a finished row keeps
-feeding kept columns that only it attends, so a session without left
-padding, such as one act's, adds no key bias after the prefill; each
+affines and the query scale into its weights once, and builds its key
+windows' biases only when it regroups its rows, so a session without
+left padding, such as one act's, adds no key bias after the prefill; each
 sampled row draws its whole budget of uniforms before the first step
 (the same doubles as one draw per step), so the select reads a step's
 uniforms from one array and makes no call per row; the select takes one
@@ -205,8 +205,8 @@ def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):
     # set again only on a step where some row finished
     slots, live_rows = row, row
     slot_start = start_pos[:, None]  # position of step 0
-    # a finished slot feeds a kept column: only its own row attends it, and
-    # no row reads that row's logits, so the session needs no key bias
+    # after the prefill the session takes one kept column per row; a finished
+    # slot's column is attended by its own row alone, whose logits no one reads
     keep = np.ones((B, 1), dtype=bool)
     for step in range(tokens.shape[1]):
         picked, logp = select_tokens(logits[slots], uniforms[live_rows, step], cfg.top_k,

@@ -299,17 +299,17 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
     [H,L,L] attention probabilities, example by example, then of the
     [N,d] output.
 
-    Decoding: ``x`` is [B,T,d], ``bias`` broadcasts to the [B,H,T,hi]
-    scores, and ``cache=(keys, vals, lo, windows)`` stores the new keys
-    and values at columns lo..hi=lo+T of the [B,H,max_len,dh] buffers.
-    Each ``(rows, start, masked)`` of ``windows`` attends its slice of
-    rows over columns start..hi alone, so the windows must cover every
-    row, as contiguous slices in row order, and every column whose bias
-    is not NEG_BIAS.  A window adds the bias only where ``masked`` is
-    true, so one without it must have no NEG_BIAS in its columns.  The
-    scores are not scaled: the caller folds ``dh**-0.5`` into the query
-    columns of ``wqkv`` and ``bqkv``, and passes the layer norm's gain
-    and bias as None, folded too.  No dropout; backward is None.
+    Decoding: ``x`` is [B,T,d], ``bias`` is unused, and ``cache=(keys,
+    vals, lo, windows)`` stores the new keys and values at columns
+    lo..hi=lo+T of the [B,H,max_len,dh] buffers.  Each ``(rows, start,
+    bias)`` of ``windows`` attends its slice of rows over columns
+    start..hi alone, adding ``bias[..., :hi - start]`` to their
+    [rows,H,T,hi-start] scores unless the bias is None, so the windows
+    must cover every row, as contiguous slices in row order, and every
+    column a row may attend.  The scores are not scaled: the caller
+    folds ``dh**-0.5`` into the query columns of ``wqkv`` and ``bqkv``,
+    and passes the layer norm's gain and bias as None, folded too.  No
+    dropout; backward is None.
     """
     ln_g, ln_b, wqkv, bqkv, wo, bo = weights
     d = x.shape[-1]
@@ -325,8 +325,8 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
         hi = lo + T
         k_buf[:, :, lo:hi], v_buf[:, :, lo:hi] = keys, vals
         ctx = [_attend(q[rows], k_buf[rows, :, start:hi], v_buf[rows, :, start:hi],
-                       bias[rows, ..., start:hi] if masked else None)[0]
-               for rows, start, masked in windows]
+                       None if key_bias is None else key_bias[..., : hi - start])[0]
+               for rows, start, key_bias in windows]
         ctx = ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
         ctx = ctx.transpose(0, 2, 1, 3).reshape(B * T, d)
         return _residual(x2, ctx @ wo, bo).reshape(x.shape), None
@@ -545,22 +545,24 @@ class DecodeSession:
     """Incremental batched decoding with per-layer key/value caches.
 
     Runs the same sublayer kernels as :func:`nll_loss`, on raw float32
-    numpy, forward only.  :func:`attention_block` shares its layer
-    norm, linear layers and its scores, softmax and context code with
-    training, but runs them batched on the dense [B,T] layout under a
-    key bias, writing each new column's keys and values into the
-    caches.  Rows may be left-padded: pass per-row position indices and
-    mark PAD slots in the key mask.  Logits match a full re-forward to
-    within float32 noise.
+    numpy, forward only, batched on the dense [B,T] layout, and writes
+    each new column's keys and values into the caches.  Logits match a
+    full re-forward to within float32 noise.
 
-    The first append (the prefill) attends over every column.  It also
-    fixes each row's first kept column, which :meth:`take` carries with
-    the row.  Later appends group contiguous rows whose first kept
-    columns fall in the same ``WINDOW_BLOCK``-column block, and each
-    group attends from its earliest first kept column on, not from
-    column 0, so left padding shared by a group's rows is skipped.  A
-    batch decodes in few windows when its rows are ordered by prefix
-    length; any order gives the same logits, within float32 noise.
+    The first append (the prefill) may left-pad its rows, and every
+    later append feeds one kept column per row (see :meth:`append`), so
+    a row's masked columns are those before its first kept column.  That
+    column is all the session keeps of a row's masks, and :meth:`take`
+    carries it with the row.  The prefill attends over every column
+    under a causal-and-padding bias built from its ``keep``.  Later
+    appends group contiguous rows whose first kept columns fall in the
+    same ``WINDOW_BLOCK``-column block, and each group attends from its
+    earliest first kept column on, so left padding shared by its rows
+    is skipped.  Its key bias, built once per grouping, masks each row
+    up to the row's own first kept column; a group whose rows all start
+    there, such as the rows of one act's session, adds none.  A batch
+    decodes in few windows when its rows are ordered by prefix length;
+    any order gives the same logits, within float32 noise.
 
     All rows share the ``max_len`` buffer columns, so left-padded rows
     with their own step budgets may need more columns than
@@ -583,12 +585,6 @@ class DecodeSession:
     and no scale (see :func:`attention_block`).  The folded weights are
     the same for every row, so they add no dependence on the batch;
     logits differ from the unfolded arithmetic by float32 rounding.
-
-    A window adds the key bias only if one of its rows has a masked
-    column at or after the window's start: the session tracks each
-    row's last masked column at the prefill, through :meth:`take` and at
-    every append with a False in ``keep``.  A session without padding,
-    such as one act's candidates, adds no bias after the prefill.
     """
 
     def __init__(self, params: ModelParams, batch_size: int, max_len: int):
@@ -601,10 +597,7 @@ class DecodeSession:
         shape = (cfg.n_layers, batch_size, cfg.n_heads, max_len, dh)
         self._k = np.zeros(shape, dtype=np.float32)
         self._v = np.zeros(shape, dtype=np.float32)
-        # additive key bias of every filled column: 0, or NEG_BIAS at PAD
-        self._bias = np.zeros((batch_size, max_len), dtype=np.float32)
-        self._first = np.zeros(batch_size, dtype=np.intp)
-        self._masked_end = np.zeros(batch_size, dtype=np.intp)  # last masked column + 1
+        self._first = np.zeros(batch_size, dtype=np.intp)  # each row's first kept column
         w = {name: t.astype(np.float32, copy=False) for name, t in params.named()}
         self._emb = [w[n] for n in EMBED_WEIGHTS]
         self._layers = []
@@ -621,8 +614,12 @@ class DecodeSession:
     def append(self, ids: np.ndarray, positions: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Feed T new columns for every row; returns last-column logits [B,V].
 
-        ``ids``, ``positions``, ``keep`` are [B,T]; keep=False marks PAD
-        slots that must never be attended to.
+        ``ids``, ``positions``, ``keep`` are [B,T].  The prefill's
+        ``keep`` must be each row's left padding: False before the row's
+        first kept column, True from it on, with at least one True.  A
+        later append must be one column per row with ``keep`` all True.
+        Either breach raises ValueError, and a negative position
+        :class:`RangeError`.
         """
         cfg = self.cfg
         B, T = ids.shape
@@ -637,30 +634,29 @@ class DecodeSession:
             raise ContextOverflowError(
                 f"position {positions.max()} is beyond max_context {cfg.max_context}"
             )
-        masked = not keep.all()
-        if masked:
-            self._bias[:, lo:hi][~keep] = NEG_BIAS
-            ends = np.where(keep, 0, np.arange(lo + 1, hi + 1)).max(axis=1)
-            self._masked_end = np.maximum(self._masked_end, ends)
+        if positions.min() < 0:
+            raise RangeError(f"position {positions.min()} passed to append is negative")
         if lo == 0:
-            self._first = keep.argmax(axis=1)
-        if masked or lo == 0:
+            first = T - keep.sum(axis=1)
+            if not keep[:, -1].all() or (keep != (np.arange(T) >= first[:, None])).any():
+                raise ValueError("the prefill's keep must be False before each row's "
+                                 "first kept column and True from it on")
+            self._first = first
             self._regroup()
-        # a padded query column of the prefill has no kept key inside a window
-        windows = self._windows if lo else [(slice(None), 0, True)]
-        if T == 1:
-            bias = self._bias[:, None, None, :hi]
-        else:  # each new column attends the kept keys at or before it
-            bias = np.where(np.tri(T, hi, lo, dtype=bool), self._bias[:, None, :hi],
-                            np.float32(NEG_BIAS))[:, None]
-            windows = [(rows, start, True) for rows, start, _ in windows]
+            # each column attends the kept keys at or before it
+            masked = ~(np.tri(T, dtype=bool) & keep[:, None, None])
+            windows = [(slice(None), 0, _key_bias(masked))]
+        elif T != 1 or not keep.all():
+            raise ValueError("after the prefill, append one kept column per row")
+        else:
+            windows = self._windows
 
         tok_emb, pos_emb = self._emb
         x = tok_emb[ids]
         x += pos_emb[positions]
         for i, (attn_w, mlp_w) in enumerate(self._layers):
             cache = (self._k[i], self._v[i], lo, windows)
-            x, _ = attention_block(x, attn_w, bias, cfg.n_heads, cache=cache)
+            x, _ = attention_block(x, attn_w, None, cfg.n_heads, cache=cache)
             x, _ = mlp_block(x, mlp_w)
         self.t = hi
         x_last, _ = ag.layernorm_kernel(x[:, -1], None, None)
@@ -673,26 +669,29 @@ class DecodeSession:
         index = np.asarray(index, dtype=np.intp)
         self._k = self._k[:, index]
         self._v = self._v[:, index]
-        self._bias = self._bias[index]
         self._first = self._first[index]
-        self._masked_end = self._masked_end[index]
         self._regroup()
         self.B = len(index)
 
     def _regroup(self) -> None:
-        """Group the rows into windows, ``(rows, start, masked)`` triples
+        """Group the rows into windows, ``(rows, start, bias)`` triples
         for :func:`attention_block`: contiguous rows whose first kept
-        columns fall in one block start at the earliest of them, and add
-        the key bias only if one of them has a masked column from there
-        on."""
-        first, ends = self._first, self._masked_end
+        columns fall in one block start at the earliest of them, and the
+        [rows,1,1,max_len-start] bias masks each row's columns before its
+        own first kept column, or is None if no row has one."""
+        first = self._first
         block = first // WINDOW_BLOCK
         cuts = (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()
         self._windows = []
         for a, b in zip([0, *cuts], [*cuts, len(first)]):
-            if b > a:
-                start = int(first[a:b].min())
-                self._windows.append((slice(a, b), start, bool(ends[a:b].max() > start)))
+            start = int(first[a:b].min())
+            masked = np.arange(start, self.max_len) < first[a:b, None, None, None]
+            self._windows.append((slice(a, b), start, _key_bias(masked) if masked.any() else None))
+
+
+def _key_bias(masked):
+    """The float32 key bias of a boolean mask: NEG_BIAS where masked, else 0."""
+    return np.where(masked, np.float32(NEG_BIAS), np.float32(0))
 
 
 def _fold(ln_g, ln_b, w, b=0.0):

@@ -2,11 +2,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scgpt.autograd import backward, dropout_mask
 from scgpt.bpe import train_bpe
 from scgpt.dialog_act import act_set
-from scgpt.errors import ConfigMismatchError, ContextOverflowError, UnknownFormatError
+from scgpt.errors import (
+    ConfigMismatchError,
+    ContextOverflowError,
+    RangeError,
+    UnknownFormatError,
+)
 from scgpt.model import (
     DecodeSession,
     LinearizedExample,
@@ -56,6 +63,21 @@ def affine_params(cfg, seed):
 def one_position(ids, t):
     """``ids`` as an example whose loss is position t's prediction alone."""
     return LinearizedExample(tuple(ids), tuple(int(s == t) for s in range(len(ids))))
+
+
+def _left_pad(seqs, pad_id):
+    """``(ids, positions, keep)`` [B,T] arrays of ``seqs`` left-padded to
+    the longest: each row ends at column T-1, its tokens take positions
+    0.., and its PAD slots are False in ``keep``."""
+    T = max(len(seq) for seq in seqs)
+    ids = np.full((len(seqs), T), pad_id)
+    pos = np.zeros(ids.shape, dtype=int)
+    keep = np.zeros(ids.shape, dtype=bool)
+    for r, seq in enumerate(seqs):
+        ids[r, T - len(seq) :] = seq
+        pos[r, T - len(seq) :] = np.arange(len(seq))
+        keep[r, T - len(seq) :] = True
+    return ids, pos, keep
 
 
 def position_loss(params, ids, t):
@@ -411,20 +433,8 @@ def test_decode_session_left_padding(vocab):
     params = affine_params(cfg, seed=8)
     a = build_example(act_set("bye"), "", vocab)
     b = build_example(act_set("inform", [("name", "hilton")]), "", vocab)
-    La, Lb = len(a.ids), len(b.ids)
-    T = max(La, Lb)
-    pad = vocab.pad_id
-    ids = np.full((2, T), pad)
-    keep = np.zeros((2, T), dtype=bool)
-    pos = np.zeros((2, T), dtype=int)
-    ids[0, T - La :] = a.ids
-    keep[0, T - La :] = True
-    pos[0, T - La :] = np.arange(La)
-    ids[1, T - Lb :] = b.ids
-    keep[1, T - Lb :] = True
-    pos[1, T - Lb :] = np.arange(Lb)
-
-    sess = DecodeSession(params, batch_size=2, max_len=T)
+    ids, pos, keep = _left_pad([a.ids, b.ids], vocab.pad_id)
+    sess = DecodeSession(params, batch_size=2, max_len=ids.shape[1])
     batched = sess.append(ids, pos, keep)
 
     for row, ex in enumerate([a, b]):
@@ -444,15 +454,8 @@ def test_decode_session_take(vocab):
     T = max(len(a), len(b))
 
     def prefill(rows):
-        ids = np.full((len(rows), T), vocab.pad_id)
-        keep = np.zeros((len(rows), T), dtype=bool)
-        pos = np.zeros((len(rows), T), dtype=int)
-        for r, row in enumerate(rows):
-            ids[r, T - len(row) :] = row
-            keep[r, T - len(row) :] = True
-            pos[r, T - len(row) :] = np.arange(len(row))
         sess = DecodeSession(params, batch_size=len(rows), max_len=T + 2)
-        sess.append(ids, pos, keep)
+        sess.append(*_left_pad(rows, vocab.pad_id))
         return sess
 
     def step(sess, rows, t):
@@ -477,15 +480,8 @@ def test_decode_session_windows_match_full_forward(vocab):
     # first kept columns 0, 10, 40, 45, 78, 85: two rows in each of three blocks
     lengths = [90, 80, 50, 45, 12, 5]
     seqs = [list(rng.integers(0, vocab.size, L)) for L in lengths]
-    T = max(lengths)
-    ids = np.full((len(seqs), T), vocab.pad_id)
-    keep = np.zeros(ids.shape, dtype=bool)
-    pos = np.zeros(ids.shape, dtype=int)
-    for r, seq in enumerate(seqs):
-        ids[r, T - len(seq) :] = seq
-        keep[r, T - len(seq) :] = True
-        pos[r, T - len(seq) :] = np.arange(len(seq))
-    sess = DecodeSession(params, batch_size=len(seqs), max_len=T + 4)
+    ids, pos, keep = _left_pad(seqs, vocab.pad_id)
+    sess = DecodeSession(params, batch_size=len(seqs), max_len=ids.shape[1] + 4)
     sess.append(ids, pos, keep)
     assert [w[0] for w in sess._windows] == [slice(0, 2), slice(2, 4), slice(4, 6)]
 
@@ -514,28 +510,65 @@ def test_decode_session_windows_match_full_forward(vocab):
     step(rows)
 
 
-def test_decode_session_masked_step_stays_masked(vocab):
-    cfg = tiny_config(vocab, n_layers=2, d_model=16, d_ff=32)
-    params = affine_params(cfg, seed=12)
-    rng = np.random.default_rng(4)
-    prefix = list(rng.integers(0, vocab.size, 6))
+def test_decode_session_refuses_masks_other_than_left_padding(vocab):
+    params = init_params(tiny_config(vocab), seed=12)
+    prefix = list(np.random.default_rng(4).integers(0, vocab.size, 6))
     L = len(prefix)
-    sess = DecodeSession(params, batch_size=2, max_len=L + 4)
-    sess.append(np.array([prefix, prefix]), np.tile(np.arange(L), (2, 1)),
-                np.ones((2, L), dtype=bool))
-    assert sess._windows == [(slice(0, 2), 0, False)]  # no padding: no key bias
-    # row 1's column L is never attended, and its next token takes position L
-    sess.append(np.array([[5], [5]]), np.array([[L], [L]]), np.array([[True], [False]]))
-    assert sess._windows == [(slice(0, 2), 0, True)]
-    seqs = [prefix + [5], list(prefix)]
-    for _ in range(3):
-        new = rng.integers(0, vocab.size, 2)
+
+    def prefilled():
+        sess = DecodeSession(params, batch_size=2, max_len=L + 4)
+        sess.append(*_left_pad([prefix, prefix], vocab.pad_id))
+        return sess
+
+    assert prefilled()._windows == [(slice(0, 2), 0, None)]  # no padding: no key bias
+    ids, pos, keep = _left_pad([prefix, prefix[:3]], vocab.pad_id)
+    for row, cols in [(0, 2), (1, slice(None))]:  # a False after a True; no True
+        bad = keep.copy()
+        bad[row, cols] = False
+        with pytest.raises(ValueError, match="prefill"):
+            DecodeSession(params, batch_size=2, max_len=L + 4).append(ids, pos, bad)
+    step_ids, step_pos = np.full((2, 1), 5), np.full((2, 1), L)
+    with pytest.raises(ValueError, match="one kept column"):  # a masked step
+        prefilled().append(step_ids, step_pos, np.array([[True], [False]]))
+    with pytest.raises(ValueError, match="one kept column"):  # two columns
+        prefilled().append(np.full((2, 2), 5), np.tile([L, L + 1], (2, 1)),
+                           np.ones((2, 2), dtype=bool))
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_decode_session_masks_follow_each_row_through_take(vocab, data):
+    cfg = tiny_config(vocab, n_layers=2, d_model=16, d_ff=32, max_context=80)
+    params = affine_params(cfg, seed=13)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    # first kept columns 0 and 65 put rows in at least two 32-column blocks
+    lengths = data.draw(st.permutations(
+        [70, 5] + data.draw(st.lists(st.integers(1, 70), max_size=3), label="more")))
+    seqs = [list(rng.integers(0, vocab.size, L)) for L in lengths]
+    sess = DecodeSession(params, batch_size=len(seqs), max_len=72)
+    sess.append(*_left_pad(seqs, vocab.pad_id))
+    index = data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1,
+                               max_size=2 * len(seqs)), label="index")
+    sess.take(index)  # repeats, reorders and drops rows
+    seqs = [list(seqs[r]) for r in index]
+    for _ in range(2):
+        new = rng.integers(0, vocab.size, len(seqs))
         positions = np.array([[len(seq)] for seq in seqs])
-        logits = sess.append(new[:, None], positions, np.ones((2, 1), dtype=bool))
+        logits = sess.append(new[:, None], positions, np.ones((len(seqs), 1), dtype=bool))
         for got, seq, tok in zip(logits, seqs, new):
             seq.append(tok)
             full = forward_logits_reference(params, np.array([seq]), np.ones((1, len(seq)), bool))
             assert np.abs(got - full[0].data[0, -1]).max() < 1e-5
+
+
+def test_decode_session_rejects_negative_positions(vocab):
+    params = init_params(tiny_config(vocab), seed=9)
+    sess = DecodeSession(params, batch_size=1, max_len=4)
+    with pytest.raises(RangeError, match="negative"):
+        sess.append(np.zeros((1, 2), int), np.array([[-1, 0]]), np.ones((1, 2), bool))
+    sess.append(np.zeros((1, 2), int), np.arange(2)[None, :], np.ones((1, 2), bool))
+    with pytest.raises(RangeError, match="negative"):
+        sess.append(np.zeros((1, 1), int), np.array([[-1]]), np.ones((1, 1), bool))
 
 
 def test_decode_session_overflow(vocab):
@@ -546,6 +579,6 @@ def test_decode_session_overflow(vocab):
     with pytest.raises(ContextOverflowError):
         sess.append(np.zeros((1, 1), int), np.array([[8]]), np.ones((1, 1), bool))
     sess = DecodeSession(params, batch_size=1, max_len=4)
-    sess.append(np.zeros((1, 3), int), np.arange(3)[None, :], np.ones((1, 3), bool))
+    sess.append(np.zeros((1, 4), int), np.arange(4)[None, :], np.ones((1, 4), bool))
     with pytest.raises(ContextOverflowError):
-        sess.append(np.zeros((1, 2), int), np.arange(2)[None, :], np.ones((1, 2), bool))
+        sess.append(np.zeros((1, 1), int), np.array([[4]]), np.ones((1, 1), bool))
