@@ -11,17 +11,21 @@ The candidates of many acts decode together in batches of at most
 step is a few whole-batch array operations: the model's linear layers
 run as 2-D GEMMs over the rows, and :func:`select_tokens` picks every
 row's next token at once.  Each distinct act of a call decodes once:
-its prefix is prefilled, left-padded with per-row position offsets, its
-caches are copied to its candidate rows, and its repeats in the call get
-copies of its candidates.  A session holds its acts longest prefix
-first, so a row's left padding grows down the batch, and every step
-after the prefill attends each group of rows only over the key columns
-from the group's first real key on (the session's key windows, see
-:class:`~scgpt.model.DecodeSession`).  Finished rows leave the batch
-once they make up a quarter of it.  Every row has its own budget,
-``min(max_new_tokens, max_context - prefix length)``, and its own RNG
-stream, seeded by the act's prefix and the candidate index, so identical
-acts get identical candidates, whatever else shares the call.
+its prefix is prefilled, its caches are copied to its candidate rows,
+and its repeats in the call get copies of its candidates.  The prefill
+runs training's packed per-act attention on real tokens only: the
+session's prefixes are packed one after another, each attends on its own
+block, and each is stored left-padded in the caches, with per-row
+position offsets.  A session holds its acts longest prefix first, so a
+row's left padding grows down the batch, and every step after the
+prefill feeds one column per row and attends each group of rows only
+over the key columns from the group's first real key on (the session's
+key windows, see :class:`~scgpt.model.DecodeSession`).  Finished rows
+leave the batch once they make up a quarter of it.  Every row has its
+own budget, ``min(max_new_tokens, max_context - prefix length)``, and
+its own RNG stream, seeded by the act's prefix and the candidate index,
+so identical acts get identical candidates, whatever else shares the
+call.
 
 A step with few rows costs array-call overhead, not arithmetic, so the
 loop keeps its fixed work small: the session folds the layer norms'
@@ -34,9 +38,9 @@ uniforms from one array and makes no call per row; the select takes one
 log-sum-exp per row and the log-prob of the picked token only; and the
 live slots and their rows are worked out again only on a step where
 some row finished.  The candidate texts are those of the plain per-step
-loop.  A log-prob may differ by float32 rounding where the sums in
-attention span other columns than the row's own (an act beside acts of
-other lengths), or when one or two rows are left, where numpy
+loop.  A log-prob may differ by float32 rounding where the sums in a
+step's attention span other columns than the row's own (an act beside
+acts of other lengths), or when one or two rows are left, where numpy
 multiplies by the head as a matrix-vector product.
 """
 

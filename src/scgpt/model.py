@@ -31,6 +31,13 @@ alone, as one kernel (:func:`head_loss`).  Dropout masks are drawn at
 the packed shapes too: [N,d] for rows and [H,L,L] per example for
 attention.
 
+Decoding's prefill computes real tokens only in the same layout: it
+packs each act's prefix one after another, runs the same packed
+attention, one L x L block per act, and stores each act's keys and
+values in its left-padded place in the caches.  A decode step then
+feeds one token per row, as [B,d] rows, and attends each row over its
+cached keys.
+
 Checkpoint format: the text header line ``SCGPT-CKPT v1``, one
 ``key=value`` config line, then per tensor a ``name dim0 dim1 ...``
 metadata line followed by that many raw little-endian float32 bytes and
@@ -287,66 +294,71 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
     """``x + attn(ln1(x))`` on raw arrays; returns (out, backward), where
     ``backward(g)`` gives the gradients of x and of each weight.
 
-    ``weights`` are as named by ``ATTN_WEIGHTS``; the layer norm and the
-    linear layers run on 2-D rows, one GEMM each, and both layouts below
-    share the scores, softmax and context of :func:`_attend`.
+    ``weights`` are as named by ``ATTN_WEIGHTS``.  ``x`` is 2-D, one row
+    per token; the layer norm and the linear layers run on its rows, one
+    GEMM each, and both layouts below share the scores, softmax and
+    context of :func:`_attend`.
 
-    Training: ``x`` [N,d] holds the packed rows of examples of
-    ``lengths`` tokens, one after another.  Each example attends on its
-    own [H,L,dh] slice of the QKV rows, under ``bias[:L,:L]`` of a [T,T]
-    causal bias, and writes its context straight back into its rows.
-    ``drop(shape)`` draws the dropout multipliers of each example's
-    [H,L,L] attention probabilities, example by example, then of the
-    [N,d] output.
+    Packed (training and the decode prefill): ``x`` [N,d] holds the rows
+    of examples of ``lengths`` tokens, one after another.  Each example
+    attends on its own [H,L,dh] slice of the QKV rows, under
+    ``bias[:L,:L]`` of a [T,T] causal bias, and writes its context
+    straight back into its rows.  ``drop(shape)`` draws the dropout
+    multipliers of each example's [H,L,L] attention probabilities,
+    example by example, then of the [N,d] output.
 
-    Decoding: ``x`` is [B,T,d], ``bias`` is unused, and ``cache=(keys,
-    vals, lo, windows)`` stores the new keys and values at columns
-    lo..hi=lo+T of the [B,H,max_len,dh] buffers.  Each ``(rows, start,
-    bias)`` of ``windows`` attends its slice of rows over columns
-    start..hi alone, adding ``bias[..., :hi - start]`` to their
-    [rows,H,T,hi-start] scores unless the bias is None, so the windows
-    must cover every row, as contiguous slices in row order, and every
-    column a row may attend.  The scores are not scaled: the caller
+    Decoding passes ``cache=(keys, vals, hi, windows)``, the
+    [B,H,max_len,dh] key and value buffers of one layer, and no dropout,
+    and gets None for backward.  The scores are not scaled: the caller
     folds ``dh**-0.5`` into the query columns of ``wqkv`` and ``bqkv``,
-    and passes the layer norm's gain and bias as None, folded too.  No
-    dropout; backward is None.
+    and passes the layer norm's gain and bias as None, folded too.  The
+    prefill is packed, with B examples: example b's keys and values go
+    to row b of the buffers, columns hi-L..hi, its left-padded place;
+    ``windows`` is unused.  A step has no ``lengths`` and one row of
+    ``x`` per buffer row, whose key and value go to column hi-1.  Each
+    ``(rows, start, bias)`` of ``windows`` attends its slice of rows
+    over columns start..hi alone, adding ``bias[..., :hi - start]`` to
+    their [rows,H,1,hi-start] scores unless the bias is None, so the
+    windows must cover every row, as contiguous slices in row order, and
+    every column a row may attend.
     """
     ln_g, ln_b, wqkv, bqkv, wo, bo = weights
     d = x.shape[-1]
     dh = d // n_heads
-    x2 = x.reshape(-1, d)
-    h, ln_backward = ag.layernorm_kernel(x2, ln_g, ln_b)
+    h, ln_backward = ag.layernorm_kernel(x, ln_g, ln_b)
     qkv = h @ wqkv
     qkv += bqkv
-    if cache is not None:
-        B, T = x.shape[:2]
-        q, keys, vals = qkv.reshape(B, T, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
-        k_buf, v_buf, lo, windows = cache
-        hi = lo + T
-        k_buf[:, :, lo:hi], v_buf[:, :, lo:hi] = keys, vals
+    if lengths is None:
+        q, keys, vals = qkv.reshape(len(x), 1, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+        k_buf, v_buf, hi, windows = cache
+        k_buf[:, :, hi - 1 : hi], v_buf[:, :, hi - 1 : hi] = keys, vals
         ctx = [_attend(q[rows], k_buf[rows, :, start:hi], v_buf[rows, :, start:hi],
                        None if key_bias is None else key_bias[..., : hi - start])[0]
                for rows, start, key_bias in windows]
         ctx = ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
-        ctx = ctx.transpose(0, 2, 1, 3).reshape(B * T, d)
-        return _residual(x2, ctx @ wo, bo).reshape(x.shape), None
+        return _residual(x, ctx.reshape(len(x), d) @ wo, bo), None
 
     def heads(rows_qkv):  # [L,3d] rows -> [3,H,L,dh] view
         return rows_qkv.reshape(len(rows_qkv), 3, n_heads, dh).transpose(1, 2, 0, 3)
 
+    scale = dh**-0.5 if cache is None else None
     ctx = np.empty_like(h)
     saved, start = [], 0
-    for L in lengths:
+    for b, L in enumerate(lengths):
         rows = slice(start, start + L)
         start += L
         q, keys, vals = heads(qkv[rows])
         mask = drop((n_heads, L, L)) if drop else None
-        c, attn, softmax_backward = _attend(q, keys, vals, bias[:L, :L], dh**-0.5, mask)
+        c, attn, softmax_backward = _attend(q, keys, vals, bias[:L, :L], scale, mask)
         ctx.reshape(-1, n_heads, dh)[rows] = c.swapaxes(0, 1)
-        saved.append((rows, q, keys, vals, mask, attn, softmax_backward))
+        if cache is None:
+            saved.append((rows, q, keys, vals, mask, attn, softmax_backward))
+        else:  # a prefill keeps its keys and values, and nothing for a backward
+            k_buf, v_buf, hi, _ = cache
+            k_buf[b, :, hi - L : hi], v_buf[b, :, hi - L : hi] = keys, vals
     o = ctx @ wo
     out_mask = drop(o.shape) if drop else None
-    out = _residual(x2, o, bo, out_mask)
+    out = _residual(x, o, bo, out_mask)
 
     def backward(g):
         go = g if out_mask is None else g * out_mask
@@ -367,33 +379,30 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
         dx, dln_g, dln_b = ln_backward(dh_)
         return g + dx, dln_g, dln_b, dwqkv, dbqkv, dwo, dbo
 
-    return out, backward
+    return out, backward if cache is None else None
 
 
 def mlp_block(x, weights, drop=None):
     """``x + mlp(gelu(ln2(x)))`` on raw arrays, ``weights`` as named by
     ``MLP_WEIGHTS``; otherwise like :func:`attention_block`.  Token-wise,
-    so ``x`` may be [B,T,d] or packed rows [N,d]."""
+    so ``x`` may hold any rows [N,d]."""
     ln_g, ln_b, w1, b1, w2, b2 = weights
-    shape = x.shape
-    x2 = x.reshape(-1, shape[-1])
-    h, ln_backward = ag.layernorm_kernel(x2, ln_g, ln_b)
+    h, ln_backward = ag.layernorm_kernel(x, ln_g, ln_b)
     z = h @ w1
     z += b1
     a, gelu_backward = ag.gelu_kernel(z)
     o = a @ w2
     out_mask = drop(o.shape) if drop else None
-    out = _residual(x2, o, b2, out_mask)
+    out = _residual(x, o, b2, out_mask)
 
     def backward(g):
-        g = g.reshape(x2.shape)
         go = g if out_mask is None else g * out_mask
         da, dw2, db2 = _linear_grads(a, w2, go)
         dh_, dw1, db1 = _linear_grads(h, w1, gelu_backward(da)[0])
         dx, dln_g, dln_b = ln_backward(dh_)
-        return (g + dx).reshape(shape), dln_g, dln_b, dw1, db1, dw2, db2
+        return g + dx, dln_g, dln_b, dw1, db1, dw2, db2
 
-    return out.reshape(shape), backward
+    return out, backward
 
 
 def head_loss(x, weights, rows, targets):
@@ -460,8 +469,7 @@ def nll_loss(params: ModelParams, batch, rng: np.random.Generator | None = None)
     dtype = params["tok_emb"].dtype
     p_drop = cfg.dropout if rng is not None else 0.0
     drop = partial(ag.dropout_mask, p=p_drop, rng=rng, dtype=dtype) if p_drop else None
-    T = max(lengths)
-    causal = np.triu(np.full((T, T), NEG_BIAS, dtype=dtype), 1)
+    causal = _causal_bias(max(lengths), dtype)
     chain = []
     x = _link(chain, embed, ids, params, EMBED_WEIGHTS, positions, drop=drop)
     for i in range(cfg.n_layers):
@@ -545,24 +553,28 @@ class DecodeSession:
     """Incremental batched decoding with per-layer key/value caches.
 
     Runs the same sublayer kernels as :func:`nll_loss`, on raw float32
-    numpy, forward only, batched on the dense [B,T] layout, and writes
-    each new column's keys and values into the caches.  Logits match a
-    full re-forward to within float32 noise.
+    numpy, forward only, and writes each new token's keys and values
+    into the caches.  Logits match a full re-forward to within float32
+    noise.
 
     The first append (the prefill) may left-pad its rows, and every
     later append feeds one kept column per row (see :meth:`append`), so
     a row's masked columns are those before its first kept column.  That
     column is all the session keeps of a row's masks, and :meth:`take`
-    carries it with the row.  The prefill attends over every column
-    under a causal-and-padding bias built from its ``keep``.  Later
-    appends group contiguous rows whose first kept columns fall in the
-    same ``WINDOW_BLOCK``-column block, and each group attends from its
-    earliest first kept column on, so left padding shared by its rows
-    is skipped.  Its key bias, built once per grouping, masks each row
-    up to the row's own first kept column; a group whose rows all start
-    there, such as the rows of one act's session, adds none.  A batch
-    decodes in few windows when its rows are ordered by prefix length;
-    any order gives the same logits, within float32 noise.
+    carries it with the row.  The prefill computes the kept cells alone,
+    packed row after row as :func:`nll_loss` packs examples, and attends
+    each row on its own L x L block (the packed branch of
+    :func:`attention_block`), so a row's caches have the bits of its
+    prefill alone; it stores them at the row's left-padded columns.  A
+    step runs on [B,d] rows.  Steps group contiguous rows whose first
+    kept columns fall in the same ``WINDOW_BLOCK``-column block, and each
+    group attends from its earliest first kept column on, so left padding
+    shared by its rows is skipped.  Its key bias, built once per
+    grouping, masks each row up to the row's own first kept column; a
+    group whose rows all start there, such as the rows of one act's
+    session, adds none.  A batch decodes in few windows when its rows are
+    ordered by prefix length; any order gives the same logits, within
+    float32 noise.
 
     All rows share the ``max_len`` buffer columns, so left-padded rows
     with their own step budgets may need more columns than
@@ -614,14 +626,17 @@ class DecodeSession:
     def append(self, ids: np.ndarray, positions: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Feed T new columns for every row; returns last-column logits [B,V].
 
-        ``ids``, ``positions``, ``keep`` are [B,T].  The prefill's
-        ``keep`` must be each row's left padding: False before the row's
-        first kept column, True from it on, with at least one True.  A
-        later append must be one column per row with ``keep`` all True.
-        Either breach raises ValueError, and a negative position
-        :class:`RangeError`.
+        ``ids``, ``positions``, ``keep`` are [B,T] arrays of one shape.
+        The prefill's ``keep`` must be each row's left padding: False
+        before the row's first kept column, True from it on, with at
+        least one True.  A later append must be one column per row with
+        ``keep`` all True.  Any breach raises ValueError, and a token id
+        outside the vocabulary or a negative position :class:`RangeError`.
         """
         cfg = self.cfg
+        if not ids.shape == positions.shape == keep.shape or ids.ndim != 2:
+            raise ValueError(f"ids, positions and keep must share one [B,T] shape, got "
+                             f"{ids.shape}, {positions.shape} and {keep.shape}")
         B, T = ids.shape
         if B != self.B:
             raise ValueError(f"session built for batch {self.B}, got {B}")
@@ -636,6 +651,8 @@ class DecodeSession:
             )
         if positions.min() < 0:
             raise RangeError(f"position {positions.min()} passed to append is negative")
+        if ids.min() < 0 or ids.max() >= cfg.vocab_size:
+            raise RangeError(f"token ids outside [0, {cfg.vocab_size}) passed to append")
         if lo == 0:
             first = T - keep.sum(axis=1)
             if not keep[:, -1].all() or (keep != (np.arange(T) >= first[:, None])).any():
@@ -643,24 +660,28 @@ class DecodeSession:
                                  "first kept column and True from it on")
             self._first = first
             self._regroup()
-            # each column attends the kept keys at or before it
-            masked = ~(np.tri(T, dtype=bool) & keep[:, None, None])
-            windows = [(slice(None), 0, _key_bias(masked))]
+            # each row's kept cells alone, packed one row after another
+            lengths = (T - first).tolist()
+            bias = _causal_bias(max(lengths), np.float32)
+            ids, positions = ids[keep], positions[keep]
         elif T != 1 or not keep.all():
             raise ValueError("after the prefill, append one kept column per row")
         else:
-            windows = self._windows
+            lengths = bias = None
+            ids, positions = ids[:, 0], positions[:, 0]
 
         tok_emb, pos_emb = self._emb
         x = tok_emb[ids]
         x += pos_emb[positions]
         for i, (attn_w, mlp_w) in enumerate(self._layers):
-            cache = (self._k[i], self._v[i], lo, windows)
-            x, _ = attention_block(x, attn_w, None, cfg.n_heads, cache=cache)
+            cache = (self._k[i], self._v[i], hi, self._windows)
+            x, _ = attention_block(x, attn_w, bias, cfg.n_heads, lengths, cache=cache)
             x, _ = mlp_block(x, mlp_w)
         self.t = hi
-        x_last, _ = ag.layernorm_kernel(x[:, -1], None, None)
-        logits = x_last @ self._head
+        if lengths is not None:
+            x = x[np.cumsum(lengths) - 1]  # each row's last token
+        x, _ = ag.layernorm_kernel(x, None, None)
+        logits = x @ self._head
         logits += self._head_bias
         return logits
 
@@ -686,12 +707,13 @@ class DecodeSession:
         for a, b in zip([0, *cuts], [*cuts, len(first)]):
             start = int(first[a:b].min())
             masked = np.arange(start, self.max_len) < first[a:b, None, None, None]
-            self._windows.append((slice(a, b), start, _key_bias(masked) if masked.any() else None))
+            bias = np.where(masked, np.float32(NEG_BIAS), np.float32(0)) if masked.any() else None
+            self._windows.append((slice(a, b), start, bias))
 
 
-def _key_bias(masked):
-    """The float32 key bias of a boolean mask: NEG_BIAS where masked, else 0."""
-    return np.where(masked, np.float32(NEG_BIAS), np.float32(0))
+def _causal_bias(T: int, dtype):
+    """The [T,T] causal attention bias: NEG_BIAS above the diagonal, else 0."""
+    return np.triu(np.full((T, T), NEG_BIAS, dtype=dtype), 1)
 
 
 def _fold(ln_g, ln_b, w, b=0.0):

@@ -15,6 +15,7 @@ from scgpt.errors import (
     UnknownFormatError,
 )
 from scgpt.model import (
+    WINDOW_BLOCK,
     DecodeSession,
     LinearizedExample,
     ModelConfig,
@@ -65,11 +66,11 @@ def one_position(ids, t):
     return LinearizedExample(tuple(ids), tuple(int(s == t) for s in range(len(ids))))
 
 
-def _left_pad(seqs, pad_id):
+def _left_pad(seqs, pad_id, T=None):
     """``(ids, positions, keep)`` [B,T] arrays of ``seqs`` left-padded to
-    the longest: each row ends at column T-1, its tokens take positions
-    0.., and its PAD slots are False in ``keep``."""
-    T = max(len(seq) for seq in seqs)
+    T columns, by default the longest: each row ends at column T-1, its
+    tokens take positions 0.., and its PAD slots are False in ``keep``."""
+    T = T or max(len(seq) for seq in seqs)
     ids = np.full((len(seqs), T), pad_id)
     pos = np.zeros(ids.shape, dtype=int)
     keep = np.zeros(ids.shape, dtype=bool)
@@ -559,6 +560,51 @@ def test_decode_session_masks_follow_each_row_through_take(vocab, data):
             seq.append(tok)
             full = forward_logits_reference(params, np.array([seq]), np.ones((1, len(seq)), bool))
             assert np.abs(got - full[0].data[0, -1]).max() < 1e-5
+
+
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_decode_session_prefills_each_row_as_it_would_alone(vocab, data):
+    T = 5 * WINDOW_BLOCK
+    cfg = tiny_config(vocab, n_layers=2, d_model=16, d_ff=32, max_context=T)
+    params = affine_params(cfg, seed=14)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    # 1-5 rows, each first kept column in a block of its own, each row of 2 tokens or more
+    blocks = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True),
+                       label="blocks")
+    firsts = [data.draw(st.integers(b * WINDOW_BLOCK, min((b + 1) * WINDOW_BLOCK, T - 1) - 1))
+              for b in blocks]
+    seqs = [list(rng.integers(0, vocab.size, T - first)) for first in firsts]
+    sess = DecodeSession(params, batch_size=len(seqs), max_len=T)
+    logits = sess.append(*_left_pad(seqs, vocab.pad_id, T))
+    for r, seq in enumerate(seqs):
+        L = len(seq)
+        alone = DecodeSession(params, batch_size=1, max_len=L)
+        alone.append(*_left_pad([seq], vocab.pad_id))
+        for packed, solo in [(sess._k, alone._k), (sess._v, alone._v)]:
+            assert np.array_equal(packed[:, r, :, T - L :], solo[:, 0])
+        full = forward_logits_reference(params, np.array([seq]), np.ones((1, L), bool))
+        assert np.abs(logits[r] - full[0].data[0, -1]).max() < 1e-5
+
+
+@pytest.mark.parametrize("bad", [-1, None])  # None: the vocabulary size
+def test_decode_session_rejects_token_ids_outside_the_vocabulary(vocab, bad):
+    params = init_params(tiny_config(vocab), seed=9)
+    bad = vocab.size if bad is None else bad
+    sess = DecodeSession(params, batch_size=1, max_len=4)
+    with pytest.raises(RangeError, match="token ids"):
+        sess.append(np.array([[3, bad]]), np.arange(2)[None, :], np.ones((1, 2), bool))
+    sess.append(np.array([[3, 4]]), np.arange(2)[None, :], np.ones((1, 2), bool))
+    with pytest.raises(RangeError, match="token ids"):
+        sess.append(np.array([[bad]]), np.array([[2]]), np.ones((1, 1), bool))
+
+
+def test_decode_session_rejects_arrays_of_different_shapes(vocab):
+    params = init_params(tiny_config(vocab), seed=9)
+    ids, pos, keep = np.zeros((1, 3), int), np.arange(3)[None, :], np.ones((1, 3), bool)
+    for args in [(ids, pos[:, :1], keep), (ids, pos, keep[:, 1:]), (ids[0], pos[0], keep[0])]:
+        with pytest.raises(ValueError, match="one \\[B,T\\] shape"):
+            DecodeSession(params, batch_size=1, max_len=4).append(*args)
 
 
 def test_decode_session_rejects_negative_positions(vocab):

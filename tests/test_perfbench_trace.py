@@ -5,11 +5,13 @@ moved import breaks it without any other test noticing.  The traced
 workloads cover the lookup sites in decoding, training, ``model``,
 ``bpe``, ``synthetic`` and ``dataset``.  A site the tracer no longer
 reaches leaves its metric at 0, so each workload also requires the
-metrics of the sites it runs to be positive.  The select metrics are left
-out: they read 0 at every site the decode loop reaches today.  So is
-``model.train_pad_frac``: the training loss builds no padded batch, so
-the metric reads its true value 0, and ``model.nll_loss.ms`` checks the
-loss site instead.
+metrics of the sites it runs to be positive; on the serving workloads
+that includes ``model.decode_prefill.ms``, so a prefill that no longer
+runs through the wrapped ``DecodeSession.append`` fails here instead of
+reading 0.  The select metrics are left out: they read 0 at every site
+the decode loop reaches today.  So is ``model.train_pad_frac``: the
+training loss builds no padded batch, so the metric reads its true value
+0, and ``model.nll_loss.ms`` checks the loss site instead.
 
 The untraced mode is the one whose end-to-end metrics compare two
 commits, so it runs too, with its output checks, on ``offline_corpus``
@@ -27,8 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Per-layer metrics that each workload's traced run must read above 0.
 LIVE_METRICS = {
-    "online_reranked": ("model.decode_step.calls",),
-    "offline_corpus": ("model.decode_step.calls",),
+    "online_reranked": ("model.decode_step.calls", "model.decode_prefill.ms"),
+    "offline_corpus": ("model.decode_step.calls", "model.decode_prefill.ms"),
     # run_stage's nll_loss and encode sites
     "train_da": ("model.nll_loss.ms", "bpe.encode.calls"),
     "prepare_corpus": ("bpe.train_bpe.ms", "bpe.encode.calls"),
