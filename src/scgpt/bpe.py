@@ -35,8 +35,8 @@ from itertools import chain
 
 from .errors import (
     CorpusEmptyError,
-    InvalidTokenIdError,
     ParseError,
+    RangeError,
     UnknownFormatError,
 )
 
@@ -224,7 +224,7 @@ def decode(v: Vocab, ids) -> str:
         if t in special_ids:
             continue
         if not 0 <= t < len(v.id_to_token):
-            raise InvalidTokenIdError(
+            raise RangeError(
                 f"token id {t} out of range for vocabulary of size {v.size}"
             )
         chunks.append(v.id_to_token[t])

@@ -13,7 +13,9 @@ run as 2-D GEMMs over the rows, and :func:`select_tokens` picks every
 row's next token at once.  Each distinct act of a call decodes once:
 its prefix is prefilled, its caches are copied to its candidate rows,
 and its repeats in the call get copies of its candidates.  The prefill
-runs training's packed per-act attention on real tokens only: the
+is a left-padded grid of the prefixes whose kept cells and positions
+follow from the prefix lengths alone, and it sets the session's rows.
+It runs training's packed per-act attention on real tokens only: the
 session's prefixes are packed one after another, each attends on its own
 block, and each is stored left-padded in the caches, with per-row
 position offsets.  A session holds its acts longest prefix first, so a
@@ -177,20 +179,16 @@ def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):
     prefixes = [prefixes[u] for u in order]
     prefix_lens = np.array([len(p) for p in prefixes])
     T0 = int(prefix_lens.max())
-    ids = np.full((len(prefixes), T0), v.pad_id, dtype=np.int64)
-    keep = np.zeros(ids.shape, dtype=bool)
-    pos = np.zeros(ids.shape, dtype=np.int64)
-    for u, prefix in enumerate(prefixes):
-        L = len(prefix)
-        ids[u, T0 - L :] = prefix
-        keep[u, T0 - L :] = True
-        pos[u, T0 - L :] = np.arange(L)
+    keep = np.arange(T0) >= T0 - prefix_lens[:, None]  # each prefix left-padded to T0
+    ids = np.full(keep.shape, v.pad_id, dtype=np.int64)
+    ids[keep] = np.concatenate(prefixes)
+    pos = keep.cumsum(axis=1) - keep  # 0 on the padding
 
     prefill_row = np.repeat(np.arange(len(prefixes)), n)
     start_pos = prefix_lens[prefill_row]
     budget = np.minimum(cfg.max_new_tokens, mc.max_context - start_pos)
     # a row's last token is never fed back
-    sess = DecodeSession(params, batch_size=len(prefixes), max_len=T0 + int(budget.max()) - 1)
+    sess = DecodeSession(params, max_len=T0 + int(budget.max()) - 1)
     logits = sess.append(ids, pos, keep)[prefill_row]
     sess.take(prefill_row)
 

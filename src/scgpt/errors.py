@@ -34,16 +34,12 @@ class CorpusEmptyError(UsageError):
     """An operation that needs data was given an empty corpus."""
 
 
-class InvalidTokenIdError(ScgptError):
-    """Token id outside the vocabulary."""
-
-
 class ShapeMismatchError(ScgptError):
     """A gradient's shape differs from its parameter's."""
 
 
 class NumericFaultError(ScgptError):
-    """A forward computation produced NaN or Inf."""
+    """A forward computation produced NaN or Inf, or a loaded tensor holds one."""
 
 
 class ContextOverflowError(UsageError):

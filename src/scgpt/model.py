@@ -3,9 +3,12 @@
 Sequences look like ``A' [BOS] x' [EOS]`` where A' is the linearized
 dialog act and x' the response; the loss is computed only at positions
 whose prediction target lies in the response (first response token
-through EOS).  Architecture: learned absolute position embeddings,
-pre-layernorm blocks, multi-head causal self-attention, GELU MLP, and an
-output head tied to the token embedding.
+through EOS).  Plain text, the first training stage, is the case with
+no act: ``[BOS] x' [EOS]``, every prediction in the loss
+(:func:`build_example` builds both).  Architecture: learned absolute
+position embeddings, pre-layernorm blocks, multi-head causal
+self-attention, GELU MLP, and an output head tied to the token
+embedding.
 
 Each block's two sublayers are written once, as numpy kernels
 (:func:`attention_block`, :func:`mlp_block`) that return their output
@@ -24,19 +27,19 @@ a batch one after another into one [N,d] array of rows, with no padded
 [B,T] grid; the embeddings, layer norms, linear layers, MLP and
 residuals run on those N rows, and :func:`attention_block` attends
 within each example on its own L x L block of them (Krell et al., 2021,
-"Efficient sequence packing without cross-contamination"), so the
-attention work scales with the sum of L^2, not B * T^2.  The final
-layer norm, the tied head and the cross-entropy run on the M loss rows
-alone, as one kernel (:func:`head_loss`).  Dropout masks are drawn at
-the packed shapes too: [N,d] for rows and [H,L,L] per example for
-attention.
+"Efficient sequence packing without cross-contamination"), under a
+causal mask it builds from the lengths alone, so the attention work
+scales with the sum of L^2, not B * T^2.  The final layer norm, the
+tied head and the cross-entropy run on the M loss rows alone, as one
+kernel (:func:`head_loss`).  Dropout masks are drawn at the packed
+shapes too: [N,d] for rows and [H,L,L] per example for attention.
 
 Decoding's prefill computes real tokens only in the same layout: it
 packs each act's prefix one after another, runs the same packed
 attention, one L x L block per act, and stores each act's keys and
-values in its left-padded place in the caches.  A decode step then
-feeds one token per row, as [B,d] rows, and attends each row over its
-cached keys.
+values in its left-padded place in the caches, which it sizes by its
+rows.  A decode step then feeds one token per row, as [B,d] rows, and
+attends each row over its cached keys.
 
 Checkpoint format: the text header line ``SCGPT-CKPT v1``, one
 ``key=value`` config line, then per tensor a ``name dim0 dim1 ...``
@@ -176,10 +179,15 @@ class LinearizedExample:
 
 
 def build_example(
-    acts: DialogActSet, response: str, v: Vocab, max_context: int = 256
+    acts: DialogActSet | None, response: str, v: Vocab, max_context: int = 256
 ) -> LinearizedExample:
-    """Linearize (acts, response) into ids and response-only loss mask."""
-    prefix = encode(v, linearize(acts))
+    """Linearize (acts, response) into ids and a response-only loss mask.
+
+    The sequence is ``A' [BOS] x' [EOS]``.  With ``acts`` None (plain
+    text) there is no prefix: BOS comes first and every next-token
+    prediction counts.
+    """
+    prefix = [] if acts is None else encode(v, linearize(acts))
     body = encode(v, response)
     ids = prefix + [v.bos_id] + body + [v.eos_id]
     if len(ids) > max_context:
@@ -189,17 +197,6 @@ def build_example(
         )
     bos_index = len(prefix)
     mask = [1 if bos_index <= t < len(ids) - 1 else 0 for t in range(len(ids))]
-    return LinearizedExample(tuple(ids), tuple(mask))
-
-
-def build_plain_example(text: str, v: Vocab, max_context: int = 256) -> LinearizedExample:
-    """Linearize raw text with every next-token prediction masked in."""
-    ids = [v.bos_id] + encode(v, text) + [v.eos_id]
-    if len(ids) > max_context:
-        raise ContextOverflowError(
-            f"text of {len(ids)} tokens exceeds max_context {max_context}"
-        )
-    mask = [1] * (len(ids) - 1) + [0]
     return LinearizedExample(tuple(ids), tuple(mask))
 
 
@@ -290,7 +287,7 @@ def _residual(x, o, b, mask=None):
     return o
 
 
-def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, drop=None):
+def attention_block(x, weights, n_heads: int, lengths=None, cache=None, drop=None):
     """``x + attn(ln1(x))`` on raw arrays; returns (out, backward), where
     ``backward(g)`` gives the gradients of x and of each weight.
 
@@ -301,11 +298,11 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
 
     Packed (training and the decode prefill): ``x`` [N,d] holds the rows
     of examples of ``lengths`` tokens, one after another.  Each example
-    attends on its own [H,L,dh] slice of the QKV rows, under
-    ``bias[:L,:L]`` of a [T,T] causal bias, and writes its context
-    straight back into its rows.  ``drop(shape)`` draws the dropout
-    multipliers of each example's [H,L,L] attention probabilities,
-    example by example, then of the [N,d] output.
+    attends on its own [H,L,dh] slice of the QKV rows, under the
+    ``[:L,:L]`` corner of one causal bias built for the longest example,
+    and writes its context straight back into its rows.  ``drop(shape)``
+    draws the dropout multipliers of each example's [H,L,L] attention
+    probabilities, example by example, then of the [N,d] output.
 
     Decoding passes ``cache=(keys, vals, hi, windows)``, the
     [B,H,max_len,dh] key and value buffers of one layer, and no dropout,
@@ -315,7 +312,9 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
     prefill is packed, with B examples: example b's keys and values go
     to row b of the buffers, columns hi-L..hi, its left-padded place;
     ``windows`` is unused.  A step has no ``lengths`` and one row of
-    ``x`` per buffer row, whose key and value go to column hi-1.  Each
+    ``x`` per buffer row, whose key and value go to column hi-1, and
+    needs no causal mask: its one query per row may attend every cached
+    column.  Each
     ``(rows, start, bias)`` of ``windows`` attends its slice of rows
     over columns start..hi alone, adding ``bias[..., :hi - start]`` to
     their [rows,H,1,hi-start] scores unless the bias is None, so the
@@ -342,6 +341,7 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
         return rows_qkv.reshape(len(rows_qkv), 3, n_heads, dh).transpose(1, 2, 0, 3)
 
     scale = dh**-0.5 if cache is None else None
+    causal = _causal_bias(max(lengths), x.dtype)
     ctx = np.empty_like(h)
     saved, start = [], 0
     for b, L in enumerate(lengths):
@@ -349,7 +349,7 @@ def attention_block(x, weights, bias, n_heads: int, lengths=None, cache=None, dr
         start += L
         q, keys, vals = heads(qkv[rows])
         mask = drop((n_heads, L, L)) if drop else None
-        c, attn, softmax_backward = _attend(q, keys, vals, bias[:L, :L], scale, mask)
+        c, attn, softmax_backward = _attend(q, keys, vals, causal[:L, :L], scale, mask)
         ctx.reshape(-1, n_heads, dh)[rows] = c.swapaxes(0, 1)
         if cache is None:
             saved.append((rows, q, keys, vals, mask, attn, softmax_backward))
@@ -469,13 +469,11 @@ def nll_loss(params: ModelParams, batch, rng: np.random.Generator | None = None)
     dtype = params["tok_emb"].dtype
     p_drop = cfg.dropout if rng is not None else 0.0
     drop = partial(ag.dropout_mask, p=p_drop, rng=rng, dtype=dtype) if p_drop else None
-    causal = _causal_bias(max(lengths), dtype)
     chain = []
     x = _link(chain, embed, ids, params, EMBED_WEIGHTS, positions, drop=drop)
     for i in range(cfg.n_layers):
         attn_names, mlp_names = _layer_names(i)
-        x = _link(chain, attention_block, x, params, attn_names, causal, cfg.n_heads, lengths,
-                  drop=drop)
+        x = _link(chain, attention_block, x, params, attn_names, cfg.n_heads, lengths, drop=drop)
         x = _link(chain, mlp_block, x, params, mlp_names, drop=drop)
     loss = _link(chain, head_loss, x, params, HEAD_WEIGHTS, rows, ids[rows + 1])
     return loss, chain
@@ -500,7 +498,12 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a checkpoint, validating every tensor shape against the config."""
+    """Read a checkpoint, validating every tensor shape against the config.
+
+    A tensor that holds a NaN or Inf raises :class:`NumericFaultError`
+    naming it, so a broken checkpoint fails at load, not as NaN
+    log-probs in decoding.
+    """
     with open(path, "rb") as f:
         if f.readline().decode("ascii", "replace").strip() != CKPT_MAGIC:
             raise UnknownFormatError(f"{path}: not a {CKPT_MAGIC} checkpoint")
@@ -542,6 +545,8 @@ def load_checkpoint(path) -> ModelParams:
             if len(raw) != 4 * n:
                 raise ConfigMismatchError(f"{path}: truncated tensor {name}")
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            if not np.isfinite(tensors[name]).all():
+                raise NumericFaultError(f"{path}: tensor {name} holds NaN or Inf")
             if f.read(1) != b"\n":
                 raise ConfigMismatchError(f"{path}: no newline after tensor {name}")
         if f.read(1):
@@ -557,24 +562,24 @@ class DecodeSession:
     into the caches.  Logits match a full re-forward to within float32
     noise.
 
-    The first append (the prefill) may left-pad its rows, and every
-    later append feeds one kept column per row (see :meth:`append`), so
-    a row's masked columns are those before its first kept column.  That
-    column is all the session keeps of a row's masks, and :meth:`take`
-    carries it with the row.  The prefill computes the kept cells alone,
-    packed row after row as :func:`nll_loss` packs examples, and attends
-    each row on its own L x L block (the packed branch of
-    :func:`attention_block`), so a row's caches have the bits of its
-    prefill alone; it stores them at the row's left-padded columns.  A
-    step runs on [B,d] rows.  Steps group contiguous rows whose first
-    kept columns fall in the same ``WINDOW_BLOCK``-column block, and each
-    group attends from its earliest first kept column on, so left padding
-    shared by its rows is skipped.  Its key bias, built once per
-    grouping, masks each row up to the row's own first kept column; a
-    group whose rows all start there, such as the rows of one act's
-    session, adds none.  A batch decodes in few windows when its rows are
-    ordered by prefix length; any order gives the same logits, within
-    float32 noise.
+    The first append (the prefill) sets the session's rows and allocates the
+    caches for them, ``max_len`` columns each.  It may left-pad its rows,
+    and every later append feeds one kept column for each row the session
+    holds (see :meth:`append`), so a row's masked columns are those before
+    its first kept column.  That column is all the session keeps of a row's
+    masks, and :meth:`take` carries it with the row.  The prefill computes
+    the kept cells alone, packed row after row as :func:`nll_loss` packs
+    examples, and attends each row on its own L x L block (the packed branch
+    of :func:`attention_block`), so a row's caches have the bits of its
+    prefill alone; it stores them at the row's left-padded columns.  A step
+    runs on [B,d] rows.  Steps group contiguous rows whose first kept
+    columns fall in the same ``WINDOW_BLOCK``-column block, and each group
+    attends from its earliest first kept column on, so left padding shared
+    by its rows is skipped.  Its key bias, built once per grouping, masks
+    each row up to the row's own first kept column; a group whose rows all
+    start there, such as the rows of one act's session, adds none.  A batch
+    decodes in few windows when its rows are ordered by prefix length; any
+    order gives the same logits, within float32 noise.
 
     All rows share the ``max_len`` buffer columns, so left-padded rows
     with their own step budgets may need more columns than
@@ -599,17 +604,12 @@ class DecodeSession:
     logits differ from the unfolded arithmetic by float32 rounding.
     """
 
-    def __init__(self, params: ModelParams, batch_size: int, max_len: int):
+    def __init__(self, params: ModelParams, max_len: int):
         cfg = params.config
         self.cfg = cfg
-        self.B = batch_size
         self.max_len = max_len
         self.t = 0  # filled columns
         dh = cfg.d_model // cfg.n_heads
-        shape = (cfg.n_layers, batch_size, cfg.n_heads, max_len, dh)
-        self._k = np.zeros(shape, dtype=np.float32)
-        self._v = np.zeros(shape, dtype=np.float32)
-        self._first = np.zeros(batch_size, dtype=np.intp)  # each row's first kept column
         w = {name: t.astype(np.float32, copy=False) for name, t in params.named()}
         self._emb = [w[n] for n in EMBED_WEIGHTS]
         self._layers = []
@@ -629,8 +629,9 @@ class DecodeSession:
         ``ids``, ``positions``, ``keep`` are [B,T] arrays of one shape.
         The prefill's ``keep`` must be each row's left padding: False
         before the row's first kept column, True from it on, with at
-        least one True.  A later append must be one column per row with
-        ``keep`` all True.  Any breach raises ValueError, and a token id
+        least one True, and its B sets the session's rows.  A later
+        append must be one column for each of those rows with ``keep``
+        all True.  Any breach raises ValueError, and a token id
         outside the vocabulary or a negative position :class:`RangeError`.
         """
         cfg = self.cfg
@@ -638,8 +639,8 @@ class DecodeSession:
             raise ValueError(f"ids, positions and keep must share one [B,T] shape, got "
                              f"{ids.shape}, {positions.shape} and {keep.shape}")
         B, T = ids.shape
-        if B != self.B:
-            raise ValueError(f"session built for batch {self.B}, got {B}")
+        if self.t and B != len(self._first):
+            raise ValueError(f"session holds {len(self._first)} rows, got {B}")
         lo, hi = self.t, self.t + T
         if hi > self.max_len:
             raise ContextOverflowError(
@@ -660,14 +661,15 @@ class DecodeSession:
                                  "first kept column and True from it on")
             self._first = first
             self._regroup()
+            shape = (cfg.n_layers, B, cfg.n_heads, self.max_len, cfg.d_model // cfg.n_heads)
+            self._k, self._v = np.zeros(shape, np.float32), np.zeros(shape, np.float32)
             # each row's kept cells alone, packed one row after another
             lengths = (T - first).tolist()
-            bias = _causal_bias(max(lengths), np.float32)
             ids, positions = ids[keep], positions[keep]
         elif T != 1 or not keep.all():
             raise ValueError("after the prefill, append one kept column per row")
         else:
-            lengths = bias = None
+            lengths = None
             ids, positions = ids[:, 0], positions[:, 0]
 
         tok_emb, pos_emb = self._emb
@@ -675,7 +677,7 @@ class DecodeSession:
         x += pos_emb[positions]
         for i, (attn_w, mlp_w) in enumerate(self._layers):
             cache = (self._k[i], self._v[i], hi, self._windows)
-            x, _ = attention_block(x, attn_w, bias, cfg.n_heads, lengths, cache=cache)
+            x, _ = attention_block(x, attn_w, cfg.n_heads, lengths, cache=cache)
             x, _ = mlp_block(x, mlp_w)
         self.t = hi
         if lengths is not None:
@@ -692,7 +694,6 @@ class DecodeSession:
         self._v = self._v[:, index]
         self._first = self._first[index]
         self._regroup()
-        self.B = len(index)
 
     def _regroup(self) -> None:
         """Group the rows into windows, ``(rows, start, bias)`` triples

@@ -20,7 +20,7 @@ from . import autograd as ag
 from .bpe import Vocab
 from .dataset import Corpus
 from .errors import ContextOverflowError, CorpusEmptyError, RangeError, ShapeMismatchError
-from .model import ModelParams, build_example, build_plain_example, nll_loss
+from .model import ModelParams, build_example, nll_loss
 
 STAGES = ("plain", "da_pretrain", "finetune")
 
@@ -133,30 +133,25 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
 
 
 def _build_examples(cfg: TrainConfig, data, vocab: Vocab, max_context: int):
-    """Linearize the stage's data; returns (examples, number skipped).
+    """Linearize the stage's data as (acts, text) pairs, with no acts for
+    plain text; returns (examples, number skipped).
 
     An example whose linearization exceeds ``max_context`` is skipped and
     counted instead of failing the whole run.
     """
     if cfg.stage == "plain":
-        items = [str(ln) for ln in data if str(ln).strip()]
-
-        def build(line):
-            return build_plain_example(line, vocab, max_context)
+        pairs = [(None, str(ln)) for ln in data if str(ln).strip()]
     else:
         if not isinstance(data, Corpus):
             raise TypeError(f"stage {cfg.stage} expects a Corpus, got {type(data).__name__}")
-        items = list(data)
-
-        def build(ex):
-            return build_example(ex.acts, ex.response, vocab, max_context)
+        pairs = [(ex.acts, ex.response) for ex in data]
     examples = []
-    for item in items:
+    for acts, text in pairs:
         try:
-            examples.append(build(item))
+            examples.append(build_example(acts, text, vocab, max_context))
         except ContextOverflowError:
             pass
-    return examples, len(items) - len(examples)
+    return examples, len(pairs) - len(examples)
 
 
 def _batches(examples, batch_size):

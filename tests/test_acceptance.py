@@ -4,8 +4,9 @@ One test per release criterion, each printing a single PASS/FAIL line
 (run with ``pytest -s tests/test_acceptance.py`` for the scoreboard).
 The assertions carry the same message, so a quiet run fails loudly too.
 
-The three few-shot transfer checks (ordering, reranking, act-edit
-robustness) and the copy check share one module-scoped fixture that
+The four few-shot transfer checks (ordering, reranking, act-edit
+robustness, data efficiency) and the copy check share one module-scoped
+fixture that
 pretrains two bases on the same synthetic mix, as the paper does: a
 plain base on bare response text, and a da base that continues it on
 dialog-act prefixes.  Fine-tuning and decoding happen inside each
@@ -40,6 +41,7 @@ from scgpt.manifest import sha256_file
 from scgpt.metrics import (
     corpus_bleu,
     entity_f1,
+    evaluate,
     make_entity_extractor,
     seen_unseen_split,
     slot_error,
@@ -247,7 +249,7 @@ def test_eight_pair_overfit():
 
 
 # ---------------------------------------------------------------------------
-# shared fixture for the transfer checks (5, 6, 10) and the copy check (11)
+# shared fixture for the transfer checks (5, 6, 10, 12) and the copy check (11)
 
 PRE_N_BASE = 1200         # examples per ordinary pretraining domain
 PRE_COINED = 0.6          # share of their slot values swapped for fresh ones
@@ -678,4 +680,34 @@ def test_da_base_copies_heldout_values(transfer):
         "da base copies held-out values",
         err <= 0.4,
         f"greedy ERR on {len(held_out)} held-out copy-task acts {err:.3f} (<=0.4)",
+    )
+
+
+# ---------------------------------------------------------------------------
+# 12. more labelled data helps, and act-conditioned pretraining stays ahead
+
+
+def test_fewshot_data_efficiency(transfer):
+    # decodes models the transfer checks fine-tune; train16 shares some
+    # acts with test100, so the unseen-only figures are printed too
+    acts = [ex.acts for ex in transfer.test100]
+    err, unseen = {}, {}
+    for kind, shots in (("da", 8), ("da", 16), ("plain", 16)):
+        train = getattr(transfer, f"train{shots}")
+        reports = []
+        for seed in SEEDS:
+            params = transfer.finetuned(kind, seed, f"train{shots}")
+            winners = transfer.decode(params, acts, seed)
+            reports.append(evaluate(train, transfer.test100, [w.text for w in winners]))
+        err[kind, shots] = float(np.mean([r.err for r in reports]))
+        unseen[kind, shots] = (float(np.mean([r.err_unseen for r in reports])),
+                               reports[0].n_unseen)
+    da16, da8, plain16 = err["da", 16], err["da", 8], err["plain", 16]
+    verdict(
+        "few-shot data efficiency",
+        da16 < da8 and da16 < plain16,
+        f"mean ERR over {len(SEEDS)} seeds: da 16-shot {da16:.3f} < da 8-shot {da8:.3f}, "
+        f"< plain 16-shot {plain16:.3f}; unseen acts only: "
+        + ", ".join(f"{kind} {shots}-shot {e:.3f} ({n} acts)"
+                    for (kind, shots), (e, n) in unseen.items()),
     )

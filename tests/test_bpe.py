@@ -16,7 +16,7 @@ from scgpt.bpe import (
     train_bpe,
 )
 from scgpt.dialog_act import linearize
-from scgpt.errors import CorpusEmptyError, InvalidTokenIdError, ParseError, UnknownFormatError
+from scgpt.errors import CorpusEmptyError, ParseError, RangeError, UnknownFormatError
 from scgpt.synthetic import (
     PRETRAIN_GRAMMARS,
     builtin_grammars,
@@ -115,9 +115,9 @@ def test_vocab_rejects_merges_that_break_learned_order(tokens, merges, match):
 
 def test_decode_invalid_id():
     v = train_bpe(["ab", "ab"], target_vocab_size=260)
-    with pytest.raises(InvalidTokenIdError):
+    with pytest.raises(RangeError, match="out of range"):
         decode(v, [v.size])
-    with pytest.raises(InvalidTokenIdError):
+    with pytest.raises(RangeError, match="out of range"):
         decode(v, [-1])
 
 

@@ -153,11 +153,16 @@ def test_long_act_lists_decode_in_bounded_sessions(overfit, monkeypatch):
     class Recording(DecodeSession):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            sessions.append(self.B)
+            sessions.append(0)
+
+        def append(self, ids, positions, keep):
+            if self.t == 0:  # the prefill sets the session's rows
+                sessions[-1] = max(sessions[-1], len(ids))
+            return super().append(ids, positions, keep)
 
         def take(self, index):
             super().take(index)
-            sessions[-1] = max(sessions[-1], self.B)
+            sessions[-1] = max(sessions[-1], len(index))
 
     monkeypatch.setattr(decoding, "DecodeSession", Recording)
     distinct = [act_set("inform", [("name", f"{name} {i}")])
@@ -216,7 +221,7 @@ def _decode_alone(params, vocab, acts, rng, dc):
     prefix = encode(vocab, linearize(acts)) + [vocab.bos_id]
     L = len(prefix)
     budget = min(dc.max_new_tokens, params.config.max_context - L)
-    sess = DecodeSession(params, batch_size=1, max_len=L + budget - 1)
+    sess = DecodeSession(params, max_len=L + budget - 1)
     logits = sess.append(np.array([prefix]), np.arange(L)[None], np.ones((1, L), bool))[0]
     emitted, logps = [], []
     while True:

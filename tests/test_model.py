@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scgpt.autograd import backward, dropout_mask
-from scgpt.bpe import train_bpe
+from scgpt.bpe import encode, train_bpe
 from scgpt.dialog_act import act_set
 from scgpt.errors import (
     ConfigMismatchError,
     ContextOverflowError,
+    NumericFaultError,
     RangeError,
     UnknownFormatError,
 )
@@ -20,7 +21,6 @@ from scgpt.model import (
     LinearizedExample,
     ModelConfig,
     build_example,
-    build_plain_example,
     init_params,
     load_checkpoint,
     nll_loss,
@@ -120,9 +120,9 @@ def test_build_example_overflow(vocab):
 
 
 def test_build_plain_example(vocab):
-    ex = build_plain_example("the hilton", vocab)
-    assert ex.ids[0] == vocab.bos_id and ex.ids[-1] == vocab.eos_id
-    assert sum(ex.loss_mask) == len(ex.ids) - 1
+    ex = build_example(None, "the hilton", vocab)  # no acts: plain text
+    assert ex.ids == (vocab.bos_id, *encode(vocab, "the hilton"), vocab.eos_id)
+    assert ex.loss_mask == (1,) * (len(ex.ids) - 1) + (0,)
 
 
 def test_linearized_example_validation():
@@ -382,6 +382,16 @@ def test_checkpoint_rejects_truncation(tmp_path, vocab):
         load_checkpoint(p)
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_checkpoint_rejects_non_finite_tensors(tmp_path, vocab, value):
+    params = init_params(tiny_config(vocab), seed=6)
+    params["layers.0.mlp.w1"][3, 2] = value
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(params, p)
+    with pytest.raises(NumericFaultError, match=r"layers\.0\.mlp\.w1"):
+        load_checkpoint(p)
+
+
 #: The last tensor of a tiny_config checkpoint: zero biases, then newline.
 CKPT_TAIL = b"lnf.bias 8\n" + bytes(4 * 8) + b"\n"
 
@@ -420,7 +430,7 @@ def test_decode_session_matches_full_forward(vocab, rows):
     full = forward_logits_reference(params, ids, keep)[0].data
 
     T = ids.shape[1]
-    sess = DecodeSession(params, batch_size=rows, max_len=T)
+    sess = DecodeSession(params, max_len=T)
     T0 = T - 3
     pre = sess.append(ids[:, :T0], np.tile(np.arange(T0), (rows, 1)), keep[:, :T0])
     assert np.abs(pre - full[:, T0 - 1]).max() < 1e-5
@@ -435,7 +445,7 @@ def test_decode_session_left_padding(vocab):
     a = build_example(act_set("bye"), "", vocab)
     b = build_example(act_set("inform", [("name", "hilton")]), "", vocab)
     ids, pos, keep = _left_pad([a.ids, b.ids], vocab.pad_id)
-    sess = DecodeSession(params, batch_size=2, max_len=ids.shape[1])
+    sess = DecodeSession(params, max_len=ids.shape[1])
     batched = sess.append(ids, pos, keep)
 
     for row, ex in enumerate([a, b]):
@@ -455,7 +465,7 @@ def test_decode_session_take(vocab):
     T = max(len(a), len(b))
 
     def prefill(rows):
-        sess = DecodeSession(params, batch_size=len(rows), max_len=T + 2)
+        sess = DecodeSession(params, max_len=T + 2)
         sess.append(*_left_pad(rows, vocab.pad_id))
         return sess
 
@@ -482,7 +492,7 @@ def test_decode_session_windows_match_full_forward(vocab):
     lengths = [90, 80, 50, 45, 12, 5]
     seqs = [list(rng.integers(0, vocab.size, L)) for L in lengths]
     ids, pos, keep = _left_pad(seqs, vocab.pad_id)
-    sess = DecodeSession(params, batch_size=len(seqs), max_len=ids.shape[1] + 4)
+    sess = DecodeSession(params, max_len=ids.shape[1] + 4)
     sess.append(ids, pos, keep)
     assert [w[0] for w in sess._windows] == [slice(0, 2), slice(2, 4), slice(4, 6)]
 
@@ -517,7 +527,7 @@ def test_decode_session_refuses_masks_other_than_left_padding(vocab):
     L = len(prefix)
 
     def prefilled():
-        sess = DecodeSession(params, batch_size=2, max_len=L + 4)
+        sess = DecodeSession(params, max_len=L + 4)
         sess.append(*_left_pad([prefix, prefix], vocab.pad_id))
         return sess
 
@@ -527,13 +537,15 @@ def test_decode_session_refuses_masks_other_than_left_padding(vocab):
         bad = keep.copy()
         bad[row, cols] = False
         with pytest.raises(ValueError, match="prefill"):
-            DecodeSession(params, batch_size=2, max_len=L + 4).append(ids, pos, bad)
+            DecodeSession(params, max_len=L + 4).append(ids, pos, bad)
     step_ids, step_pos = np.full((2, 1), 5), np.full((2, 1), L)
     with pytest.raises(ValueError, match="one kept column"):  # a masked step
         prefilled().append(step_ids, step_pos, np.array([[True], [False]]))
     with pytest.raises(ValueError, match="one kept column"):  # two columns
         prefilled().append(np.full((2, 2), 5), np.tile([L, L + 1], (2, 1)),
                            np.ones((2, 2), dtype=bool))
+    with pytest.raises(ValueError, match="holds 2 rows"):  # not the prefill's rows
+        prefilled().append(np.full((3, 1), 5), np.full((3, 1), L), np.ones((3, 1), bool))
 
 
 @given(st.data())
@@ -546,7 +558,7 @@ def test_decode_session_masks_follow_each_row_through_take(vocab, data):
     lengths = data.draw(st.permutations(
         [70, 5] + data.draw(st.lists(st.integers(1, 70), max_size=3), label="more")))
     seqs = [list(rng.integers(0, vocab.size, L)) for L in lengths]
-    sess = DecodeSession(params, batch_size=len(seqs), max_len=72)
+    sess = DecodeSession(params, max_len=72)
     sess.append(*_left_pad(seqs, vocab.pad_id))
     index = data.draw(st.lists(st.integers(0, len(seqs) - 1), min_size=1,
                                max_size=2 * len(seqs)), label="index")
@@ -575,11 +587,11 @@ def test_decode_session_prefills_each_row_as_it_would_alone(vocab, data):
     firsts = [data.draw(st.integers(b * WINDOW_BLOCK, min((b + 1) * WINDOW_BLOCK, T - 1) - 1))
               for b in blocks]
     seqs = [list(rng.integers(0, vocab.size, T - first)) for first in firsts]
-    sess = DecodeSession(params, batch_size=len(seqs), max_len=T)
+    sess = DecodeSession(params, max_len=T)
     logits = sess.append(*_left_pad(seqs, vocab.pad_id, T))
     for r, seq in enumerate(seqs):
         L = len(seq)
-        alone = DecodeSession(params, batch_size=1, max_len=L)
+        alone = DecodeSession(params, max_len=L)
         alone.append(*_left_pad([seq], vocab.pad_id))
         for packed, solo in [(sess._k, alone._k), (sess._v, alone._v)]:
             assert np.array_equal(packed[:, r, :, T - L :], solo[:, 0])
@@ -591,7 +603,7 @@ def test_decode_session_prefills_each_row_as_it_would_alone(vocab, data):
 def test_decode_session_rejects_token_ids_outside_the_vocabulary(vocab, bad):
     params = init_params(tiny_config(vocab), seed=9)
     bad = vocab.size if bad is None else bad
-    sess = DecodeSession(params, batch_size=1, max_len=4)
+    sess = DecodeSession(params, max_len=4)
     with pytest.raises(RangeError, match="token ids"):
         sess.append(np.array([[3, bad]]), np.arange(2)[None, :], np.ones((1, 2), bool))
     sess.append(np.array([[3, 4]]), np.arange(2)[None, :], np.ones((1, 2), bool))
@@ -604,12 +616,12 @@ def test_decode_session_rejects_arrays_of_different_shapes(vocab):
     ids, pos, keep = np.zeros((1, 3), int), np.arange(3)[None, :], np.ones((1, 3), bool)
     for args in [(ids, pos[:, :1], keep), (ids, pos, keep[:, 1:]), (ids[0], pos[0], keep[0])]:
         with pytest.raises(ValueError, match="one \\[B,T\\] shape"):
-            DecodeSession(params, batch_size=1, max_len=4).append(*args)
+            DecodeSession(params, max_len=4).append(*args)
 
 
 def test_decode_session_rejects_negative_positions(vocab):
     params = init_params(tiny_config(vocab), seed=9)
-    sess = DecodeSession(params, batch_size=1, max_len=4)
+    sess = DecodeSession(params, max_len=4)
     with pytest.raises(RangeError, match="negative"):
         sess.append(np.zeros((1, 2), int), np.array([[-1, 0]]), np.ones((1, 2), bool))
     sess.append(np.zeros((1, 2), int), np.arange(2)[None, :], np.ones((1, 2), bool))
@@ -620,11 +632,11 @@ def test_decode_session_rejects_negative_positions(vocab):
 def test_decode_session_overflow(vocab):
     params = init_params(tiny_config(vocab, max_context=8), seed=9)
     # the buffer may be wider than max_context, but no position may reach it
-    sess = DecodeSession(params, batch_size=1, max_len=9)
+    sess = DecodeSession(params, max_len=9)
     sess.append(np.zeros((1, 8), int), np.arange(8)[None, :], np.ones((1, 8), bool))
     with pytest.raises(ContextOverflowError):
         sess.append(np.zeros((1, 1), int), np.array([[8]]), np.ones((1, 1), bool))
-    sess = DecodeSession(params, batch_size=1, max_len=4)
+    sess = DecodeSession(params, max_len=4)
     sess.append(np.zeros((1, 4), int), np.arange(4)[None, :], np.ones((1, 4), bool))
     with pytest.raises(ContextOverflowError):
         sess.append(np.zeros((1, 1), int), np.array([[4]]), np.ones((1, 1), bool))

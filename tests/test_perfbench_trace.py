@@ -31,8 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 LIVE_METRICS = {
     "online_reranked": ("model.decode_step.calls", "model.decode_prefill.ms"),
     "offline_corpus": ("model.decode_step.calls", "model.decode_prefill.ms"),
-    # run_stage's nll_loss and encode sites
-    "train_da": ("model.nll_loss.ms", "bpe.encode.calls"),
+    # run_stage's build_example, nll_loss and encode sites
+    "train_da": ("model.build_example.ms", "model.nll_loss.ms", "bpe.encode.calls"),
     "prepare_corpus": ("bpe.train_bpe.ms", "bpe.encode.calls"),
 }
 
