@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dialog_act import DialogAct, DialogActSet, SlotValuePair, canonicalize
-from .errors import EmptyTestError, InsufficientGroupsError, ParseError
+from .errors import InsufficientGroupsError, ParseError
 
 #: Per-domain few-shot sizes used when no explicit map is given.
 DEFAULT_K = 50
@@ -197,21 +197,16 @@ def build_fewshot(source: Corpus, k_per_domain: dict, seed: int):
     return Corpus(tuple(train)), Corpus(tuple(test))
 
 
-def _distinct_keys(corpus: Corpus) -> set:
-    return {canonicalize(ex.acts) for ex in corpus}
-
-
-def overlap_pct(train: Corpus, test: Corpus) -> float:
-    """Share of distinct test canonical acts also present in train, in percent."""
-    test_keys = _distinct_keys(test)
-    if not test_keys:
-        raise EmptyTestError("test corpus has no examples")
-    train_keys = _distinct_keys(train)
-    return 100.0 * len(test_keys & train_keys) / len(test_keys)
-
-
 def stats(train: Corpus, test: Corpus) -> DatasetStats:
-    """Descriptive statistics over a train/test split."""
+    """Descriptive statistics over a train/test split.
+
+    ``n_train_das`` and ``n_test_das`` count each side's distinct
+    canonical acts; ``overlap_pct`` is the share of the test side's
+    distinct canonical acts that also occur in train, in percent, and 0.0
+    when the test side is empty.
+    """
+    train_keys = {canonicalize(ex.acts) for ex in train}
+    test_keys = {canonicalize(ex.acts) for ex in test}
     both = list(train) + list(test)
     intents = {act.intent for ex in both for act in ex.acts.acts}
     slots = {p.name for ex in both for p in ex.acts.all_pairs()}
@@ -219,9 +214,9 @@ def stats(train: Corpus, test: Corpus) -> DatasetStats:
     return DatasetStats(
         n_intents=len(intents),
         n_slots=len(slots),
-        n_train_das=len(_distinct_keys(train)),
-        n_test_das=len(_distinct_keys(test)),
-        overlap_pct=overlap_pct(train, test) if len(test) else 0.0,
+        n_train_das=len(train_keys),
+        n_test_das=len(test_keys),
+        overlap_pct=100.0 * len(test_keys & train_keys) / len(test_keys) if test_keys else 0.0,
         avg_das_per_instance=n_acts / len(both) if both else 0.0,
         n_train=len(train),
         n_test=len(test),

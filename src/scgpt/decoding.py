@@ -158,21 +158,24 @@ def _candidate_rng(seed: int, cand_index: int, prefix) -> np.random.Generator:
 def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):
     """Decode ``cfg.n_candidates`` rows per act prefix in one batched session.
 
-    The prefixes are distinct.  Row ``i * n + j`` of the result is
-    candidate j of ``prefixes[i]``: candidate 0 is greedy, the others
-    draw top-k with a generator seeded by (seed, j, the prefix's token
-    ids), which draws the row's whole budget of uniforms up front.  The
-    session holds the prefixes longest first, so the rows' first kept
-    columns rise down the batch and the session's key windows skip most
-    of the left padding; the result is in the caller's order.  Each
-    prefix is prefilled once and its caches are copied to its n rows.  A
-    row stops at EOS or after ``min(max_new_tokens, max_context -
-    len(prefix))`` tokens, whatever the other rows do.  Finished rows
-    leave the session once they make up a quarter of it: copying the
-    caches on every finish costs more than carrying a few dead rows.
+    The prefixes are distinct.  Candidate 0 of a prefix is greedy; every
+    other candidate j draws top-k with a generator seeded by (seed, j,
+    the prefix's token ids), which draws the row's whole budget of
+    uniforms up front.  The session holds the prefixes longest first, so
+    the rows' first kept columns rise down the batch and the session's
+    key windows skip most of the left padding.  Each prefix is prefilled
+    once and its caches are copied to its n rows.  A row stops at EOS or
+    after ``min(max_new_tokens, max_context - len(prefix))`` tokens,
+    whatever the other rows do.  Finished rows leave the session once
+    they make up a quarter of it: copying the caches on every finish
+    costs more than carrying a few dead rows.
 
-    Returns per row (token ids without specials, mean token logprob).
-    The mean covers every emitted token including the terminating EOS.
+    Returns, in the caller's order of ``prefixes``, one list per prefix
+    of n ``(ids, mean token log-prob)``, candidate j at index j.  The ids
+    are every token the row emitted, the terminating EOS included, and
+    may hold other special ids too, since BOS or PAD can be sampled;
+    :func:`~scgpt.bpe.decode` renders none of them.  The mean covers
+    every emitted id.
     """
     mc, n = params.config, cfg.n_candidates
     order = sorted(range(len(prefixes)), key=lambda u: -len(prefixes[u]))
@@ -231,12 +234,11 @@ def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):
             slot_start = np.where(live, start_pos[row], 0)[:, None]
         logits = sess.append(tokens[row, step, None], slot_start + step, keep[: len(row)])
 
-    out = [None] * B
-    for b in range(B):
-        emitted = tokens[b, : counts[b]].tolist()
-        if emitted[-1] == v.eos_id:
-            emitted.pop()
-        out[order[b // n] * n + b % n] = (emitted, float(logprob_sums[b] / counts[b]))
+    rows = [(tokens[b, : counts[b]].tolist(), float(logprob_sums[b] / counts[b]))
+            for b in range(B)]
+    out = [None] * len(prefixes)
+    for i, u in enumerate(order):
+        out[u] = rows[i * n : (i + 1) * n]
     return out
 
 
@@ -262,10 +264,12 @@ def generate_candidates(
     depend only on (seed, candidate index, the act's prefix).  Each
     distinct act decodes once and its repeats get copies of its list;
     the distinct acts decode in sessions of at most ``MAX_SESSION_ROWS``
-    candidate rows (at least one act each).  Re-running the same call is
-    bitwise deterministic, and identical acts get identical candidates,
-    whatever else shares the call, up to float32 accumulation order in
-    the log-probs.  An act whose prefix leaves no room to generate
+    candidate rows (at least one act each); each act's decoded rows
+    become its candidates, their texts rendered by
+    :func:`~scgpt.bpe.decode` and scored by slot error.  Re-running the
+    same call is bitwise deterministic, and identical acts get identical
+    candidates, whatever else shares the call, up to float32 accumulation
+    order in the log-probs.  An act whose prefix leaves no room to generate
     raises :class:`ContextOverflowError`, naming it, before any decoding.
     """
     acts_list = list(acts_list)
@@ -286,8 +290,8 @@ def generate_candidates(
     cands_of = {}
     for lo in range(0, len(distinct), per_session):
         decoded = _generate_rows(params, v, prefixes[lo : lo + per_session], cfg)
-        for i, acts in enumerate(distinct[lo : lo + per_session]):
-            texts = [(decode(v, ids), lp) for ids, lp in decoded[i * n : (i + 1) * n]]
+        for acts, rows in zip(distinct[lo : lo + per_session], decoded):
+            texts = [(decode(v, ids), lp) for ids, lp in rows]
             cands_of[acts] = [Candidate(t, lp, slot_error(acts, t).err) for t, lp in texts]
     return [list(cands_of[acts]) for acts in acts_list]
 

@@ -7,7 +7,8 @@ A dialog act bundles an intent with slot-value pairs, e.g.
   (:func:`linearize`) and its inverse (:func:`parse_linearized`),
 * the delexicalised canonical key used for grouping, overlap statistics
   and seen/unseen splits (:func:`canonicalize`),
-* word-boundary counting of slot values in text (:func:`match_count`),
+* word-boundary matching of slot values in text (:func:`boundary_pattern`,
+  :func:`match_count`),
 * slot editing used by robustness probes (:func:`edit_act`).
 
 Everything here is a pure function over immutable values.
@@ -53,6 +54,12 @@ def _check_name(kind: str, name: str) -> None:
         raise ValueError(f"{kind} {name!r} contains reserved characters {sorted(bad)}")
 
 
+def _check_slot_name(name: str) -> None:
+    _check_name("slot name", name)
+    if name != name.lower():
+        raise ValueError(f"slot name {name!r} must be lowercase")
+
+
 @dataclass(frozen=True)
 class SlotValuePair:
     """One category/content pair inside a dialog act.
@@ -66,9 +73,7 @@ class SlotValuePair:
     value: str
 
     def __post_init__(self):
-        _check_name("slot name", self.name)
-        if self.name != self.name.lower():
-            raise ValueError(f"slot name {self.name!r} must be lowercase")
+        _check_slot_name(self.name)
         if not self.value:
             raise ValueError(f"slot {self.name!r} has an empty value")
         if ";" in self.value or ")" in self.value:
@@ -139,15 +144,15 @@ def linearize(acts: DialogActSet) -> str:
     return " ".join(parts)
 
 
-def _name_token(token: str) -> bool:
-    return not (RESERVED_CHARS.intersection(token) or any(c.isspace() for c in token))
-
-
 def parse_linearized(s: str) -> DialogActSet:
     """Parse a control-code string back into a :class:`DialogActSet`.
 
-    Raises :class:`MalformedInputError` naming the first offending token
-    position.
+    Intents, slot names and values must pass the rules that
+    :class:`DialogAct` and :class:`SlotValuePair` apply, so every act set
+    this returns linearizes back to ``s`` up to whitespace.  Any other
+    string raises :class:`MalformedInputError` naming the position of the
+    first offending token; a value that breaks a value rule (``a;b``,
+    ``x)``) is named by its first token.
     """
     tokens = s.split()
     n = len(tokens)
@@ -156,12 +161,17 @@ def parse_linearized(s: str) -> DialogActSet:
         found = tokens[i] if i < n else "end of input"
         raise MalformedInputError(f"expected {expected} at token {i}, found {found!r}")
 
+    def name(i: int, check, expected: str) -> str:
+        try:
+            check(tokens[i])
+        except ValueError:
+            fail(i, expected)
+        return tokens[i]
+
     i = 0
     acts = []
     while i < n:
-        intent = tokens[i]
-        if not _name_token(intent):
-            fail(i, "an intent name")
+        intent = name(i, functools.partial(_check_name, "intent"), "an intent name")
         i += 1
         if i >= n or tokens[i] != "(":
             fail(i, "'('")
@@ -173,20 +183,20 @@ def parse_linearized(s: str) -> DialogActSet:
             while True:
                 if i >= n:
                     fail(i, "a slot name or ')'")
-                slot = tokens[i]
-                if not _name_token(slot):
-                    fail(i, "a slot name")
+                slot = name(i, _check_slot_name, "a slot name")
                 i += 1
                 if i >= n or tokens[i] != "=":
                     fail(i, f"'=' after slot {slot!r}")
                 i += 1
-                value_tokens = []
+                start = i
                 while i < n and tokens[i] not in (";", ")"):
-                    value_tokens.append(tokens[i])
                     i += 1
-                if not value_tokens:
+                if i == start:
                     fail(i, f"a value for slot {slot!r}")
-                pairs.append(SlotValuePair(slot, " ".join(value_tokens)))
+                try:
+                    pairs.append(SlotValuePair(slot, " ".join(tokens[start:i])))
+                except ValueError as e:
+                    raise MalformedInputError(f"{e} at token {start}") from None
                 if i >= n:
                     fail(i, "';' or ')'")
                 if tokens[i] == ";":
@@ -213,9 +223,10 @@ def canonicalize(acts: DialogActSet) -> str:
 
 
 @functools.lru_cache(maxsize=4096)
-def _boundary_pattern(value: str) -> re.Pattern:
-    # Word-boundary match that also refuses a value glued to "[" or "]",
-    # so text inside [slot] placeholders never counts as a value.
+def boundary_pattern(value: str) -> re.Pattern:
+    """Case-insensitive word-boundary pattern of ``value`` that also
+    refuses a value glued to "[" or "]", so text inside [slot]
+    placeholders never counts as a value."""
     return re.compile(
         r"(?<![\w\[])" + re.escape(value) + r"(?![\w\]])", re.IGNORECASE
     )
@@ -223,7 +234,7 @@ def _boundary_pattern(value: str) -> re.Pattern:
 
 def match_count(value: str, text: str) -> int:
     """Non-overlapping, case-insensitive, word-boundary occurrence count."""
-    return len(_boundary_pattern(value).findall(text))
+    return len(boundary_pattern(value).findall(text))
 
 
 @dataclass(frozen=True)
@@ -263,28 +274,23 @@ def edit_act(acts: DialogActSet, op: EditOp) -> DialogActSet:
     ``InsertSlot`` appends the pair to the first act.  ``DeleteSlot`` and
     ``SubstituteValue`` require the slot to occur in exactly one act;
     otherwise :class:`UnknownSlotError` / :class:`AmbiguousSlotError` is
-    raised.  The input set is never modified.
+    raised.  Each op picks the act it edits and that act's new pairs;
+    the act and the set are rebuilt from them, so the edited pairs pass
+    the same checks as any other.  The input set is never modified.
     """
     if isinstance(op, InsertSlot):
-        first = acts.acts[0]
-        new_first = DialogAct(first.intent, first.pairs + (SlotValuePair(op.slot, op.value),))
-        return DialogActSet((new_first,) + acts.acts[1:])
-
-    if isinstance(op, DeleteSlot):
+        idx = 0
+        pairs = acts.acts[0].pairs + (SlotValuePair(op.slot, op.value),)
+    elif isinstance(op, DeleteSlot):
         idx = _single_act_with_slot(acts, op.slot)
-        act = acts.acts[idx]
-        kept = tuple(p for p in act.pairs if p.name != op.slot)
-        new_act = DialogAct(act.intent, kept)
-        return DialogActSet(acts.acts[:idx] + (new_act,) + acts.acts[idx + 1:])
-
-    if isinstance(op, SubstituteValue):
+        pairs = tuple(p for p in acts.acts[idx].pairs if p.name != op.slot)
+    elif isinstance(op, SubstituteValue):
         idx = _single_act_with_slot(acts, op.slot)
-        act = acts.acts[idx]
-        swapped = tuple(
+        pairs = tuple(
             SlotValuePair(p.name, op.new_value) if p.name == op.slot else p
-            for p in act.pairs
+            for p in acts.acts[idx].pairs
         )
-        new_act = DialogAct(act.intent, swapped)
-        return DialogActSet(acts.acts[:idx] + (new_act,) + acts.acts[idx + 1:])
-
-    raise TypeError(f"unknown edit op {op!r}")
+    else:
+        raise TypeError(f"unknown edit op {op!r}")
+    edited = DialogAct(acts.acts[idx].intent, pairs)
+    return DialogActSet(acts.acts[:idx] + (edited,) + acts.acts[idx + 1:])

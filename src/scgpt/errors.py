@@ -66,10 +66,6 @@ class InsufficientGroupsError(UsageError):
     """A domain has fewer dialog-act groups than requested samples."""
 
 
-class EmptyTestError(UsageError):
-    """Overlap computation needs a non-empty test corpus."""
-
-
 class ConfigMismatchError(UsageError):
     """Checkpoint and configuration disagree (shapes, vocab size, ...)."""
 

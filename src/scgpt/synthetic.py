@@ -42,6 +42,7 @@ from .dialog_act import (
     DialogActSet,
     SlotValuePair,
     act_set,
+    boundary_pattern,
     is_lexical_value,
     match_count,
 )
@@ -411,8 +412,6 @@ def inject_coined_values(corpus: Corpus, fraction: float, seed: int = 0) -> Corp
     family.  A new value never occurs in the response already and never
     contains another value of the example.
     """
-    from .dialog_act import _boundary_pattern
-
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be between 0 and 1")
 
@@ -433,7 +432,7 @@ def inject_coined_values(corpus: Corpus, fraction: float, seed: int = 0) -> Corp
                         match_count(v, coined) for v in taken
                     ):
                         coined = _varied_value(rng, n_words=2)
-                    swapped = _boundary_pattern(value).sub(coined, response, count=1)
+                    swapped = boundary_pattern(value).sub(coined, response, count=1)
                     if swapped != response:
                         taken.add(coined)
                         response = swapped

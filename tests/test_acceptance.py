@@ -25,7 +25,7 @@ import pytest
 from scgpt.autograd import backward
 from scgpt.bpe import encode, train_bpe
 from scgpt.cli import main as cli_main
-from scgpt.dataset import Corpus, Example, build_fewshot, default_k_map, overlap_pct, stats
+from scgpt.dataset import Corpus, Example, build_fewshot, default_k_map, stats
 from scgpt.decoding import DecodeConfig, generate_candidates, generate_corpus, pick_best
 from scgpt.dialog_act import (
     DeleteSlot,
@@ -265,7 +265,8 @@ SEEDS = (0, 1, 2, 3, 4)
 
 
 class Transfer:
-    """Pretrained bases plus memoized fine-tuning for the transfer and copy tests."""
+    """Pretrained bases plus memoized fine-tuning and test100 decoding for
+    the transfer and copy tests."""
 
     def __init__(self):
         started = time.perf_counter()
@@ -297,6 +298,7 @@ class Transfer:
         self.test100 = Corpus(rest.examples[:100])
         self.train16, _ = build_fewshot(taxi, {"taxi": 16}, seed=1)
         self._cache = {}
+        self._winners = {}
         self.setup_seconds = time.perf_counter() - started
 
     def finetuned(self, kind: str, seed: int, shots: str = "train8"):
@@ -314,6 +316,14 @@ class Transfer:
     def decode(self, params, acts_list, seed: int):
         cfg = DecodeConfig(seed=seed, **DECODE)
         return generate_corpus(params, self.vocab, acts_list, cfg)
+
+    def test100_winners(self, kind: str, seed: int, shots: str = "train8"):
+        """Reranked winners on test100 of ``finetuned(kind, seed, shots)``."""
+        key = (kind, seed, shots)
+        if key not in self._winners:
+            params = self.finetuned(kind, seed, shots)
+            self._winners[key] = self.decode(params, [ex.acts for ex in self.test100], seed)
+        return self._winners[key]
 
 
 @pytest.fixture(scope="module")
@@ -339,14 +349,13 @@ def test_transfer_vocab_fits_taxi_references(transfer):
 
 def test_fewshot_transfer_ordering(transfer):
     started = time.perf_counter()
-    acts = [ex.acts for ex in transfer.test100]
     refs = [[ex.response] for ex in transfer.test100]
     err = {}
     bleu = {}
     for kind in ("da", "plain", "random"):
         errs, bleus = [], []
         for seed in SEEDS:
-            winners = transfer.decode(transfer.finetuned(kind, seed), acts, seed)
+            winners = transfer.test100_winners(kind, seed)
             errs.append(float(np.mean([w.err for w in winners])))
             bleus.append(corpus_bleu([w.text for w in winners], refs))
         err[kind] = float(np.mean(errs))
@@ -525,10 +534,10 @@ def test_fewshot_protocol():
         b_keys = {oracles.structural_key(ex.acts) for ex in b}
         return 100.0 * len(b_keys & a_keys) / len(b_keys)
 
-    built_ok = overlap_pct(train, test) == 0.0 == brute_overlap(train, test)
+    built_ok = stats(train, test).overlap_pct == 0.0 == brute_overlap(train, test)
     slice_a = Corpus(source.examples[:500])
     slice_b = Corpus(source.examples[300:900])
-    sliced_ok = overlap_pct(slice_a, slice_b) == brute_overlap(slice_a, slice_b)
+    sliced_ok = stats(slice_a, slice_b).overlap_pct == brute_overlap(slice_a, slice_b)
 
     verdict(
         "few-shot dataset protocol",
@@ -688,16 +697,15 @@ def test_da_base_copies_heldout_values(transfer):
 
 
 def test_fewshot_data_efficiency(transfer):
-    # decodes models the transfer checks fine-tune; train16 shares some
-    # acts with test100, so the unseen-only figures are printed too
-    acts = [ex.acts for ex in transfer.test100]
+    # reuses the ordering test's da 8-shot winners and the act-edit test's
+    # 16-shot models; train16 shares some acts with test100, so the
+    # unseen-only figures are printed too
     err, unseen = {}, {}
     for kind, shots in (("da", 8), ("da", 16), ("plain", 16)):
         train = getattr(transfer, f"train{shots}")
         reports = []
         for seed in SEEDS:
-            params = transfer.finetuned(kind, seed, f"train{shots}")
-            winners = transfer.decode(params, acts, seed)
+            winners = transfer.test100_winners(kind, seed, f"train{shots}")
             reports.append(evaluate(train, transfer.test100, [w.text for w in winners]))
         err[kind, shots] = float(np.mean([r.err for r in reports]))
         unseen[kind, shots] = (float(np.mean([r.err_unseen for r in reports])),

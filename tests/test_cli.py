@@ -1,10 +1,12 @@
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -186,24 +188,28 @@ def test_generate_absent_domain_writes_no_lines(pipeline, tmp_path):
 
 
 def test_generate_malformed_da(pipeline, tmp_path, capsys):
-    code = run(["generate", "--config", pipeline / "run.cfg",
-                "--ckpt", pipeline / "da.ckpt", "--da", "inform ( name x )",
-                "--manifest", tmp_path / "m.json"])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    # a broken grammar, then a slot name the act types refuse
+    for da in ("inform ( name x )", "inform ( Name = x )"):
+        code = run(["generate", "--config", pipeline / "run.cfg",
+                    "--ckpt", pipeline / "da.ckpt", "--da", da,
+                    "--manifest", tmp_path / "m.json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_generate_interactive(pipeline, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         sys, "stdin",
-        io.StringIO("inform ( name = villa verde )\nbroken (\nbye ( )\n"),
+        io.StringIO("inform ( name = villa verde )\nbroken (\n"
+                    "inform ( Name = x )\nbye ( )\n"),
     )
     assert run(["generate", "--config", pipeline / "run.cfg",
                 "--ckpt", pipeline / "da.ckpt",
                 "--manifest", tmp_path / "m.json"]) == 0
     captured = capsys.readouterr()
     assert len(captured.out.strip().splitlines()) == 2  # two well-formed acts
-    assert "error:" in captured.err
+    # one error line per bad line, and the lines after each are answered
+    assert [line[:7] for line in captured.err.splitlines()] == ["error: "] * 2
 
 
 def test_generate_out_needs_da_or_corpus(pipeline, tmp_path, capsys, monkeypatch):
@@ -525,6 +531,22 @@ def test_module_entrypoint():
 
 @pytest.mark.skipif(shutil.which("scgpt") is None,
                     reason="console script not on PATH")
-def test_console_script():
-    out = subprocess.run(["scgpt", "--version"], capture_output=True, text=True)
-    assert out.returncode == 0
+def test_console_script(tmp_path):
+    # the installed package, package data included: no PYTHONPATH, and a
+    # working directory outside the checkout
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+    def call(*argv):
+        return subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path)
+
+    where = call(sys.executable, "-c", "import scgpt; print(scgpt.__file__)")
+    assert where.returncode == 0, where.stderr
+    checkout = Path(__file__).resolve().parents[1]
+    assert checkout not in Path(where.stdout.strip()).resolve().parents, (
+        "scgpt imports from the checkout; this test checks a `pip install .`"
+    )
+    assert call("scgpt", "--version").returncode == 0
+    out = call("scgpt", "synth", "--domains", "taxi", "--n-per-domain", "2",
+               "--out", str(tmp_path / "taxi.jsonl"))
+    assert out.returncode == 0, out.stderr
+    assert len(ingest(tmp_path / "taxi.jsonl")) == 2

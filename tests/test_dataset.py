@@ -11,13 +11,12 @@ from scgpt.dataset import (
     build_fewshot,
     default_k_map,
     ingest,
-    overlap_pct,
     render_stats,
     stats,
     write_jsonl,
 )
 from scgpt.dialog_act import act_set, canonicalize, parse_linearized
-from scgpt.errors import EmptyTestError, InsufficientGroupsError, ParseError
+from scgpt.errors import InsufficientGroupsError, ParseError
 
 
 def _ex(intent, pairs, response, domain="alpha"):
@@ -181,15 +180,17 @@ def _one_key_corpus(*keys):
 
 def test_overlap_pct_definition():
     train = _one_key_corpus("a", "b")
-    test = _one_key_corpus("a", "c", "d")
-    assert overlap_pct(train, test) == pytest.approx(100 / 3)
-    assert overlap_pct(train, train) == 100.0
-    assert overlap_pct(train, _one_key_corpus("x")) == 0.0
+    test = _one_key_corpus("a", "c", "d", "c")
+    s = stats(train, test)
+    assert s.overlap_pct == pytest.approx(100 / 3)
+    assert (s.n_train_das, s.n_test_das) == (2, 3)
+    assert stats(train, train).overlap_pct == 100.0
+    assert stats(train, _one_key_corpus("x")).overlap_pct == 0.0
 
 
 def test_overlap_pct_empty_test():
-    with pytest.raises(EmptyTestError):
-        overlap_pct(_one_key_corpus("a"), Corpus(()))
+    s = stats(_one_key_corpus("a"), Corpus(()))
+    assert (s.overlap_pct, s.n_train_das, s.n_test_das) == (0.0, 1, 0)
 
 
 def test_stats_matches_manual_recount():

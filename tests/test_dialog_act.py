@@ -54,6 +54,17 @@ def test_parse_missing_equals_reports_token_index():
     assert "at token 3," in str(exc.value)
 
 
+@pytest.mark.parametrize("bad, index", [
+    ("inform ( Name = x )", 2),  # slot names are lowercase
+    ("inform ( name = a;b )", 4),  # values hold no ';' or ')'
+    ("inform ( name = x) )", 4),
+])
+def test_parse_applies_the_act_types_rules(bad, index):
+    with pytest.raises(MalformedInputError) as exc:
+        parse_linearized(bad)
+    assert f"at token {index}" in str(exc.value)
+
+
 def test_parse_rejects_garbage():
     for bad in ["", "inform", "inform (", "inform ( name = )", "( )", "inform ( name = v ;"]:
         with pytest.raises(MalformedInputError):

@@ -72,3 +72,29 @@ def test_every_public_name_has_a_caller():
                     used |= _references(path, name)
         unused[name] = sorted(public - used)
     assert unused == {name: [] for name in CHECKED_MODULES}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_uses_another_modules_private_names():
+    # what one module of scgpt takes from another is public there: no
+    # underscore name is imported from, or looked up on, another module
+    found = []
+    for path in sorted((ROOT / "src" / "scgpt").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # names this file imports a module of scgpt as
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "scgpt"):
+                found += [f"{path.stem}: {a.name}" for a in node.names if _private(a.name)]
+                if node.module in (None, "scgpt"):
+                    modules |= {a.asname or a.name for a in node.names}
+        found += [
+            f"{path.stem}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _private(node.attr)
+        ]
+    assert found == []
