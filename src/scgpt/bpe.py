@@ -11,9 +11,13 @@ base ids, ``s.replace(chr(a) + chr(b), chr(new_id))`` applies a merge
 left to right without overlaps, and ``zip(s, s[1:])`` lists the adjacent
 pairs, overlaps included, so the per-token work runs in C.  A merge
 pairs only tokens older than itself, so it creates no earlier merge's pair.
-After a merge, training recounts only the pairs next to its occurrences:
-``s.split(pattern)`` cuts a string into the same pieces ``replace`` keeps,
-and a piece's inner pairs are the same before and after the merge.
+Training holds one string per occurrence count: the distinct texts that
+occur equally often, joined by a separator code point that is no token
+id, and no pair that touches the separator is counted.  After a merge,
+training recounts only the pairs that hold the new token:
+``s.split(pattern)`` cuts a string into the same pieces ``replace``
+keeps, a piece's inner pairs are the same before and after the merge,
+and each pair next to the new token replaces one next to the merged pair.
 
 Vocab file format (line-delimited text)::
 
@@ -28,10 +32,10 @@ Vocab file format (line-delimited text)::
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain
 
 from .errors import (
     CorpusEmptyError,
@@ -107,14 +111,6 @@ def _id_objects(n: int) -> tuple:
     return tuple(range(n)), tuple(map(chr, range(n)))
 
 
-def _pair_counts(seqs, weights) -> Counter:
-    """Adjacent pairs of the sequences, overlaps included, each sequence
-    counted ``weight`` times."""
-    return Counter(chain.from_iterable(
-        zip(s, s[1:]) for s, w in zip(seqs, weights) for _ in range(w)
-    ))
-
-
 def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
     """Learn merges from the corpus until the vocabulary reaches the target.
 
@@ -123,21 +119,30 @@ def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
     adjacent pair occurs at least twice.  Ties between equally frequent
     pairs go to the lexicographically smaller (left bytes, right bytes).
 
-    Identical strings are held once, with their number of occurrences, as
-    code-point sequences (see the module docstring).  All pairs are
-    counted once at the start.  Each merge then recounts a window around
-    its occurrences in the strings that contain the merged pair: each
-    string is split on the pair, each piece is shrunk to its first and
-    last code point, and the pairs of the pieces joined by the pair are
-    taken away while those of the pieces joined by the new token are
-    added.  That equals recounting the whole strings: ``split`` and
-    ``replace`` both match left to right without overlaps, so the
-    pieces are the same before and after, and a pair inside a piece (the
-    made-up pair of a shrunk piece too) is taken away and added alike.
-    Only the pairs that touch an occurrence change.  The best pair comes
-    from a heap keyed ``(-count, left bytes, right bytes)``, the tie rule
-    above, whose stale entries are dropped when they reach the top.  The
-    merges are those a full recount after every merge learns.
+    Each distinct string is held once, as a code-point sequence (see the
+    module docstring), and the strings that occur equally often, ``w``
+    times, are joined into one string with the separator
+    ``chr(min(target_vocab_size, sys.maxunicode))`` between them.  Token
+    ids stay below the target, so none is the separator; past
+    ``sys.maxunicode`` that holds until over a million merges, where ids
+    stop fitting a code point anyway.  A pair that touches the separator
+    is never counted, so no pair spans two texts.
+    All pairs are counted once at the start, each of a joined string's
+    pairs ``w`` times.  Each merge of ``(left, right)`` into ``new`` then
+    takes each joined string that holds the pair, splits it on the pair,
+    shrinks each piece to its first and last code point, joins the pieces
+    with ``new``, and counts that short string's pairs once.  Only the
+    pairs that hold ``new`` are kept, and each takes the place of one
+    pair of the old string: ``(x, new)`` gains ``w`` per occurrence and
+    ``(x, left)`` loses as much, as do ``(new, y)`` and ``(right, y)``,
+    and ``(new, new)`` and ``(right, left)``.  The merged pair's count becomes 0,
+    since ``replace`` matches left to right without overlaps and leaves
+    no occurrence.  That equals recounting the whole strings: ``split``
+    and ``replace`` cut the same pieces, and a pair inside a piece does
+    not change.  The best pair comes from a heap keyed ``(-count, left
+    bytes, right bytes)``, the tie rule above, whose stale entries are
+    dropped when they reach the top.  The merges are those a full
+    recount after every merge learns.
     """
     corpus = list(corpus)
     if not corpus:
@@ -150,9 +155,16 @@ def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
 
     id_to_token = [bytes([i]) for i in range(N_BASE)]
     merges = []
-    words = Counter(_code_points(text) for text in corpus)
-    seqs, weights = list(words), list(words.values())
-    counts = _pair_counts(seqs, weights)
+    sep = chr(min(target_vocab_size, sys.maxunicode))
+    groups = {}
+    for s, w in Counter(_code_points(text) for text in corpus).items():
+        groups.setdefault(w, []).append(s)
+    seqs, weights = [sep.join(g) for g in groups.values()], list(groups)
+    counts = Counter()
+    for s, w in zip(seqs, weights):
+        for p, n in Counter(zip(s, s[1:])).items():
+            if sep not in p:
+                counts[p] += w * n
 
     def entry(pair, n):
         return (-n, id_to_token[ord(pair[0])], id_to_token[ord(pair[1])], pair)
@@ -165,24 +177,27 @@ def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
             heapq.heappop(heap)
         if not heap or -heap[0][0] < 2:
             break
-        left, right = heapq.heappop(heap)[3]
+        pair = heapq.heappop(heap)[3]
+        left, right = pair
         a, b = ord(left), ord(right)
         pattern, new = left + right, chr(len(id_to_token))
         id_to_token.append(id_to_token[a] + id_to_token[b])
         merges.append((a, b))
 
-        hit = [i for i, s in enumerate(seqs) if pattern in s]
-        hit_weights = [weights[i] for i in hit]
-        windows = [[p[:1] + p[1:][-1:] for p in seqs[i].split(pattern)] for i in hit]
-        gone = _pair_counts([pattern.join(w) for w in windows], hit_weights)
-        born = _pair_counts([new.join(w) for w in windows], hit_weights)
-        for i in hit:
-            seqs[i] = seqs[i].replace(pattern, new)
-        for p in {p for p, _ in gone.items() ^ born.items()}:
-            n = counts[p] + born[p] - gone[p]
-            counts[p] = n
-            if n:
-                heapq.heappush(heap, entry(p, n))
+        delta = Counter()
+        for i, (s, w) in enumerate(zip(seqs, weights)):
+            if pattern in s:
+                window = new.join([p[:1] + p[1:][-1:] for p in s.split(pattern)])
+                for (x, y), n in Counter(zip(window, window[1:])).items():
+                    if new in (x, y) and sep not in (x, y):
+                        delta[x, y] += w * n
+                        delta[right if x == new else x, left if y == new else y] -= w * n
+                seqs[i] = s.replace(pattern, new)
+        for p, n in delta.items():
+            counts[p] += n
+            if n and counts[p]:
+                heapq.heappush(heap, entry(p, counts[p]))
+        counts[pair] = 0
 
     specials = {
         name: len(id_to_token) + k for k, name in enumerate(SPECIAL_NAMES)

@@ -257,17 +257,27 @@ _WINDOW_CASES = {
     "duplicated_strings": ["hello hello"] * 3 + ["help", "help", "hell"],
     "multibyte_utf8": ["\u20ac\u00e9\u20ac\u00e9", "\u00e9\u20ac\u00e9\u20ac\u00e9",
                        "\U0001f642\U0001f642 \U0001f642", "\U0001f642\U0001f642 \u00e9"],
+    "one_pair_in_several_count_groups": ["abab"] * 3 + ["ab"] * 2 + ["xaby"],
+    "repeated_and_single_texts": ["abab"] * 3 + ["hello world"],
 }
 
 
 @pytest.mark.parametrize("corpus", _WINDOW_CASES.values(), ids=list(_WINDOW_CASES))
-@pytest.mark.parametrize("target", [260, 262, 268, 1024])
+@pytest.mark.parametrize("target", [260, 262, 268, 1024, 2_000_000])
 def test_windowed_recount_matches_full_recount_on_edge_cases(corpus, target):
+    # the last target lies past sys.maxunicode, the highest code point
     v = train_bpe(corpus, target_vocab_size=target)
     assert v == train_bpe_reference(corpus, target_vocab_size=target)
-    if target == 1024:  # merges ran out: no pair occurs twice any more
+    if target >= 1024:  # merges ran out: no pair occurs twice any more
         assert v.size < target
         assert all(len(encode(v, s)) == 1 for s in corpus if corpus.count(s) > 1)
+
+
+def test_no_pair_spans_two_texts():
+    # texts that occur equally often share one joined string
+    assert train_bpe(["a", "b"] * 4, target_vocab_size=300).merges == ()
+    corpus = ["xa", "b", "", "ab", "a", "bx"]
+    assert train_bpe(corpus, 300) == train_bpe_reference(corpus, 300)
 
 
 def test_encode_leaves_vocab_equal_to_a_fresh_load(tmp_path):

@@ -335,6 +335,16 @@ def test_train_bpe_reports_merges_and_replays(pipeline, tmp_path, capsys):
     assert sha256_file(tmp_path / "r" / "v.bpe") == sha256_file(out)
 
 
+def test_train_bpe_target_beyond_the_last_code_point(pipeline, tmp_path, capsys):
+    # training's pair separator is derived from the target, which the
+    # flag lets exceed sys.maxunicode; merges run out first
+    out = tmp_path / "v.bpe"
+    assert run(["train-bpe", "--corpus", pipeline / "corpus.jsonl",
+                "--target-size", 2_000_000, "--out", out]) == 0
+    assert 400 < load_vocab(out).size < 2_000_000
+    capsys.readouterr()
+
+
 def test_argparse_usage_exit(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["train-bpe", "--corpus", "x"])  # missing --out
