@@ -216,6 +216,10 @@ def cmd_generate(args, man):
         raise UsageError("generate needs --ckpt")
     if args.out is not None and args.da is None and args.corpus is None:
         raise UsageError("generate --out needs --da or --corpus")
+    if args.da is not None and args.corpus is not None:
+        raise UsageError("generate takes --da or --corpus, not both")
+    if args.domain is not None and args.corpus is None:
+        raise UsageError("generate --domain needs --corpus")
     man.add_inputs(args.config, rc.vocab, args.ckpt, args.corpus)
     params = _load_model(args.ckpt, vocab)
     dc = rc.decode_config(seed=args.seed)
@@ -246,66 +250,60 @@ def cmd_evaluate(args, man):
     return ()
 
 
-_OUT_FLAGS = ("--out", "--out-dir", "--manifest")
+_OUT_FLAGS = ("--out", "--out-dir")
 
 
 def _redirect_argv(argv, out_dir):
-    """Point every output flag of a recorded argv into out_dir.
+    """Point the output flags of a recorded argv into out_dir.
 
-    A flag is either ``--out PATH`` or ``--out=PATH``; the parser takes no
-    abbreviated flags, so no other spelling can name an output.  Returns
-    the new argv and a map from each recorded flag value to its new one.
+    An output flag, ``--out`` or ``--out-dir``, is given as ``--out PATH``
+    or ``--out=PATH``; the parser takes no abbreviated flags, so no other
+    spelling can name an output.  The replay's own manifest goes to
+    ``<out_dir>/replay.manifest.json``: argparse keeps the last
+    ``--manifest``, so a recorded one is left as it is.  Returns the new
+    argv and the (recorded, new) value of each rewritten flag.
     """
-    moves = {}
-
-    def moved(path):
-        moves[path] = os.path.join(out_dir, os.path.basename(path))
-        return moves[path]
-
-    new = list(argv)
-    seen_manifest = False
+    new, moved = list(argv), []
     for i, tok in enumerate(argv):
         flag, eq, value = tok.partition("=")
-        if flag not in _OUT_FLAGS:
-            continue
-        if eq:
-            new[i] = f"{flag}={moved(value)}"
-        elif i + 1 < len(argv):
-            new[i + 1] = moved(argv[i + 1])
-        seen_manifest = seen_manifest or flag == "--manifest"
-    if not seen_manifest:
-        new += ["--manifest", os.path.join(out_dir, "replay.manifest.json")]
-    return new, moves
-
-
-def _rebase(path, moves):
-    """Where the replay wrote recorded output ``path``: the longest output
-    flag value it starts with (``fs`` of ``fs/test.jsonl``, ``x.ckpt`` of
-    ``x.ckpt.log``), swapped for that flag's new value."""
-    old = max((v for v in moves if path.startswith(v)), key=len, default=None)
-    if old is None:
-        raise UsageError(f"recorded output {path} lies under no output flag")
-    return moves[old] + path[len(old):]
+        j = i if eq else i + 1  # the token that holds the path
+        if flag in _OUT_FLAGS and j < len(argv):
+            old = value if eq else argv[j]
+            path = os.path.join(out_dir, os.path.basename(old))
+            new[j] = f"{flag}={path}" if eq else path
+            moved.append((old, path))
+    return new + ["--manifest", os.path.join(out_dir, "replay.manifest.json")], moved
 
 
 def cmd_replay(args):
+    """Re-run a manifest's argv into --out-dir and compare the outputs the
+    replayed run's own manifest records with the recorded ones, by file
+    name: each command writes all its outputs under one output flag, so
+    no two share a name."""
     man = load_manifest(args.manifest_path)
     for path, digest in sorted(man.inputs.items()):
         if sha256_file(path) != digest:
             raise UsageError(f"input {path} changed since the recorded run")
     out_dir = args.out_dir or tempfile.mkdtemp(prefix="scgpt-replay-")
+    sub_argv, moved = _redirect_argv(man.argv, out_dir)
+    for old, path in moved + [(args.manifest_path, sub_argv[-1])]:
+        if os.path.realpath(path) == os.path.realpath(old):
+            raise UsageError(f"replaying into {out_dir} would overwrite {old}; "
+                             "choose another --out-dir")
     os.makedirs(out_dir, exist_ok=True)
-    sub_argv, moves = _redirect_argv(man.argv, out_dir)
     print(f"replaying `{man.command}` into {out_dir}")
     code = main(sub_argv)
     if code != 0:
         return code
+    replayed = load_manifest(sub_argv[-1]).outputs
+    got = {os.path.basename(path): digest for path, digest in replayed.items()}
     bad = 0
     for path, digest in sorted(man.outputs.items()):
-        got = sha256_file(_rebase(path, moves))
-        mark = "ok" if got == digest else "MISMATCH"
+        name = os.path.basename(path)
+        new = got.get(name, "not written")
+        mark = "ok" if new == digest else "MISMATCH"
         bad += mark != "ok"
-        print(f"{mark}  {os.path.basename(path)}  {got[:12]}")
+        print(f"{mark}  {name}  {new[:12]}")
     return 1 if bad else 0
 
 

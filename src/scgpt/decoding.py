@@ -9,7 +9,7 @@ candidate index.
 The candidates of many acts decode together in batches of at most
 ``MAX_SESSION_ROWS`` rows, with cached attention keys/values, so one
 step is a few whole-batch array operations: the model's linear layers
-run as 2-D GEMMs over the rows, and :func:`select_tokens` picks every
+run as 2-D GEMMs over the rows, and :func:`select_next_token` picks every
 row's next token at once.  Each distinct act of a call decodes once:
 its prefix is prefilled, its caches are copied to its candidate rows,
 and its repeats in the call get copies of its candidates.  The prefill
@@ -92,12 +92,15 @@ class Candidate:
     err: float
 
 
-def select_tokens(logits: np.ndarray, uniforms: np.ndarray, k: int, temperature: float):
+def select_next_token(logits: np.ndarray, uniforms: np.ndarray, k: int,
+                      temperature: float):
     """Next token id of every row of ``logits`` [n,V], and its log-prob.
 
-    ``uniforms`` [n] holds each row's draw in [0, 1), NaN for a greedy
-    row, which takes the argmax.  Every other row draws from its k
-    largest logits divided by ``temperature`` (at least 1e-6) with its
+    The decode loop calls this once per step, on the logits of the
+    session's live rows, so a traced run times every select under this
+    name.  ``uniforms`` [n] holds each row's draw in [0, 1), NaN for a
+    greedy row, which takes the argmax.  Every other row draws from its
+    k largest logits divided by ``temperature`` (at least 1e-6) with its
     uniform; the draw is the arithmetic of ``rng.choice(k, p=...)`` over
     the k in descending order, so the uniform that ``rng.choice`` would
     have taken from a generator gives the same pick.  The
@@ -137,18 +140,6 @@ def select_tokens(logits: np.ndarray, uniforms: np.ndarray, k: int, temperature:
     logp = shifted[r, picked]
     np.exp(shifted, out=shifted)
     return picked, logp - np.log(np.add.reduce(shifted, -1))
-
-
-def select_next_token(logits: np.ndarray, rng, k: int, temperature: float) -> int:
-    """Next token id of one logits row: a one-row :func:`select_tokens`,
-    greedy when ``rng`` is None, else drawing one uniform from ``rng``.
-
-    Decoding calls :func:`select_tokens` directly.  This name stays as
-    the lookup site that ``perfbench/tracer.py`` wraps, until the package
-    records its own spans (ROADMAP item 2).
-    """
-    u = np.nan if rng is None else rng.random()
-    return int(select_tokens(logits[None], np.array([u]), k, temperature)[0][0])
 
 
 def _candidate_rng(seed: int, cand_index: int, prefix) -> np.random.Generator:
@@ -214,8 +205,8 @@ def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):
     # slot's column is attended by its own row alone, whose logits no one reads
     keep = np.ones((B, 1), dtype=bool)
     for step in range(tokens.shape[1]):
-        picked, logp = select_tokens(logits[slots], uniforms[live_rows, step], cfg.top_k,
-                                     cfg.temperature)
+        picked, logp = select_next_token(logits[slots], uniforms[live_rows, step], cfg.top_k,
+                                         cfg.temperature)
         logprob_sums[live_rows] += logp
         tokens[live_rows, step] = picked
         ended = (picked == v.eos_id) | (step + 1 >= budget[live_rows])

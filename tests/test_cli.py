@@ -222,6 +222,21 @@ def test_generate_out_needs_da_or_corpus(pipeline, tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--da", "bye ( )", "--corpus", "corpus.jsonl"], "--da or --corpus, not both"),
+        (["--da", "bye ( )", "--domain", "taxi"], "--domain needs --corpus"),
+    ],
+)
+def test_generate_refuses_flags_it_would_ignore(pipeline, tmp_path, capsys, flags, message):
+    # refused before any input is read: corpus.jsonl does not exist
+    assert run(["generate", "--config", pipeline / "run.cfg", "--ckpt", pipeline / "da.ckpt",
+                *flags, "--out", tmp_path / "gens.txt"]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_fewshot_and_stats(pipeline, tmp_path, capsys):
     out_dir = tmp_path / "fewshot"
     assert run(["build-fewshot", "--corpus", pipeline / "corpus.jsonl",
@@ -393,6 +408,60 @@ def test_replay_build_fewshot(pipeline, tmp_path, monkeypatch, capsys):
     assert [ln.split()[:2] for ln in lines if ln.startswith(("ok", "MISMATCH"))] == [
         ["ok", "test.jsonl"], ["ok", "train.jsonl"]]
     assert sha256_file("r/fs/test.jsonl") == sha256_file("runs/fs/test.jsonl")
+
+
+def test_replay_build_fewshot_trailing_slash(pipeline, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["build-fewshot", "--corpus", pipeline / "corpus.jsonl",
+                "--out-dir", "runs/fs/", "--k", 3]) == 0
+    capsys.readouterr()
+    assert run(["replay", "runs/fs/manifest.json", "--out-dir", "r"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[:2] for ln in lines if ln.startswith(("ok", "MISMATCH"))] == [
+        ["ok", "test.jsonl"], ["ok", "train.jsonl"]]
+
+
+def test_replay_leaves_a_recorded_manifest_alone(tmp_path, capsys):
+    man_path = tmp_path / "m.json"
+    assert run(["synth", "--domains", "taxi", "--n-per-domain", 5,
+                "--out", tmp_path / "c.jsonl", "--manifest", man_path]) == 0
+    recorded = man_path.read_bytes()
+    rep = tmp_path / "rep"
+    assert run(["replay", man_path, "--out-dir", rep]) == 0
+    assert "ok  c.jsonl" in capsys.readouterr().out
+    assert man_path.read_bytes() == recorded
+    assert sorted(p.name for p in rep.iterdir()) == ["c.jsonl", "replay.manifest.json"]
+
+
+def test_replay_refuses_to_overwrite_what_it_checks(tmp_path, capsys):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out, man_path = runs / "c.jsonl", runs / "c.jsonl.manifest.json"
+    assert run(["synth", "--domains", "taxi", "--n-per-domain", 5, "--out", out]) == 0
+    with out.open("a") as fh:
+        fh.write("tampered\n")
+    before = {p.name: p.read_bytes() for p in runs.iterdir()}
+    capsys.readouterr()
+    assert run(["replay", man_path, "--out-dir", runs]) == 2
+    assert "would overwrite" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in runs.iterdir()} == before
+    # nor the manifest it replays, from a run with no output flag
+    doc = json.loads(man_path.read_text())
+    doc.update(argv=["stats", "--train", "a", "--test", "b"], inputs={}, outputs={})
+    (runs / "replay.manifest.json").write_text(json.dumps(doc))
+    assert run(["replay", runs / "replay.manifest.json", "--out-dir", runs]) == 2
+    assert "would overwrite" in capsys.readouterr().err
+
+
+def test_replay_flags_an_output_it_did_not_write(pipeline, tmp_path, capsys):
+    man_path = tmp_path / "extra.json"
+    doc = json.loads((pipeline / "vocab.bpe.manifest.json").read_text())
+    doc["outputs"][str(tmp_path / "elsewhere" / "extra.txt")] = "0" * 64
+    man_path.write_text(json.dumps(doc))
+    assert run(["replay", man_path, "--out-dir", tmp_path / "r"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "MISMATCH  extra.txt  not written" in lines
+    assert any(ln.startswith("ok  vocab.bpe") for ln in lines)
 
 
 def test_replay_flags_drift(pipeline, tmp_path, capsys):

@@ -15,7 +15,6 @@ from scgpt.decoding import (
     generate_reranked,
     pick_best,
     select_next_token,
-    select_tokens,
 )
 from scgpt.dialog_act import act_set, linearize
 from scgpt.errors import ContextOverflowError
@@ -317,9 +316,9 @@ def test_context_overflow(overfit):
 
 def test_select_next_token_strategies():
     rng = np.random.default_rng(0)
-    logits = np.array([0.0, 5.0, 1.0, 4.9])
-    assert select_next_token(logits, None, 2, 1.0) == 1
-    picks = {select_next_token(logits, rng, 2, 1.0) for _ in range(50)}
+    logits = np.array([[0.0, 5.0, 1.0, 4.9]])  # one row
+    assert select_next_token(logits, np.array([np.nan]), 2, 1.0)[0].tolist() == [1]
+    picks = {int(select_next_token(logits, rng.random(1), 2, 1.0)[0][0]) for _ in range(50)}
     assert picks <= {1, 3}  # only the two largest logits are reachable
 
 
@@ -339,9 +338,8 @@ def test_sampled_draw_matches_rng_choice(strategy):
         logits = (rows.standard_normal(64) * 3).astype(np.float32)
         ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(20):
-            assert select_next_token(logits, ours, *strategy) == _reference_choice(
-                logits, ref, *strategy
-            )
+            picked, _ = select_next_token(logits[None], ours.random(1), *strategy)
+            assert picked[0] == _reference_choice(logits, ref, *strategy)
 
 
 @st.composite
@@ -375,7 +373,7 @@ def _row_uniforms(rngs):
 def test_whole_batch_select_matches_per_row_oracle(block, seed):
     logits, greedy, k, temperature = block
     rngs, ref_rngs = _row_rngs(greedy, seed), _row_rngs(greedy, seed)
-    picked, logp = select_tokens(logits, _row_uniforms(rngs), k, temperature)
+    picked, logp = select_next_token(logits, _row_uniforms(rngs), k, temperature)
     for i, row in enumerate(logits):
         ref = select_next_token_reference(row, ref_rngs[i], k, temperature)
         assert picked[i] == ref
@@ -388,8 +386,8 @@ def test_whole_batch_select_matches_per_row_oracle(block, seed):
 @settings(max_examples=200, deadline=None)
 def test_select_with_tied_logits_picks_from_top_k_values(block, seed):
     logits, greedy, k, temperature = block
-    first, _ = select_tokens(logits, _row_uniforms(_row_rngs(greedy, seed)), k, temperature)
-    again, _ = select_tokens(logits, _row_uniforms(_row_rngs(greedy, seed)), k, temperature)
+    first, _ = select_next_token(logits, _row_uniforms(_row_rngs(greedy, seed)), k, temperature)
+    again, _ = select_next_token(logits, _row_uniforms(_row_rngs(greedy, seed)), k, temperature)
     assert (first == again).all()
     for i, row in enumerate(logits):
         if greedy[i]:

@@ -8,10 +8,11 @@ reaches leaves its metric at 0, so each workload also requires the
 metrics of the sites it runs to be positive; on the serving workloads
 that includes ``model.decode_prefill.ms``, so a prefill that no longer
 runs through the wrapped ``DecodeSession.append`` fails here instead of
-reading 0.  The select metrics are left out: they read 0 at every site
-the decode loop reaches today.  So is ``model.train_pad_frac``: the
-training loss builds no padded batch, so the metric reads its true value
-0, and ``model.nll_loss.ms`` checks the loss site instead.
+reading 0; the select's calls and time check that the decode loop
+still runs its select through the wrapped ``select_next_token``.
+``model.train_pad_frac`` is left out: the training loss builds no padded
+batch, so the metric reads its true value 0, and ``model.nll_loss.ms``
+checks the loss site instead.
 
 The untraced mode is the one whose end-to-end metrics compare two
 commits, so it runs too, with its output checks, on ``offline_corpus``
@@ -29,8 +30,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Per-layer metrics that each workload's traced run must read above 0.
 LIVE_METRICS = {
-    "online_reranked": ("model.decode_step.calls", "model.decode_prefill.ms"),
-    "offline_corpus": ("model.decode_step.calls", "model.decode_prefill.ms"),
+    "online_reranked": ("model.decode_step.calls", "model.decode_prefill.ms",
+                        "decoding.select_next_token.calls", "decoding.select_next_token.ms"),
+    "offline_corpus": ("model.decode_step.calls", "model.decode_prefill.ms",
+                       "decoding.select_next_token.calls", "decoding.select_next_token.ms"),
     # run_stage's build_example, nll_loss and encode sites
     "train_da": ("model.build_example.ms", "model.nll_loss.ms", "bpe.encode.calls"),
     "prepare_corpus": ("bpe.train_bpe.ms", "bpe.encode.calls"),
