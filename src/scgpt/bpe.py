@@ -36,6 +36,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import itemgetter
 
 from .errors import (
     CorpusEmptyError,
@@ -48,6 +49,8 @@ N_BASE = 256
 SPECIAL_NAMES = ("BOS", "EOS", "PAD")
 #: The smallest ``target_vocab_size``: every byte, one merge, the specials.
 MIN_TARGET_SIZE = N_BASE + 1 + len(SPECIAL_NAMES)
+
+_first, _last = itemgetter(slice(1)), itemgetter(slice(-1, None))
 
 
 @dataclass(frozen=True)
@@ -129,20 +132,23 @@ def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
     is never counted, so no pair spans two texts.
     All pairs are counted once at the start, each of a joined string's
     pairs ``w`` times.  Each merge of ``(left, right)`` into ``new`` then
-    takes each joined string that holds the pair, splits it on the pair,
-    shrinks each piece to its first and last code point, joins the pieces
-    with ``new``, and counts that short string's pairs once.  Only the
-    pairs that hold ``new`` are kept, and each takes the place of one
-    pair of the old string: ``(x, new)`` gains ``w`` per occurrence and
-    ``(x, left)`` loses as much, as do ``(new, y)`` and ``(right, y)``,
-    and ``(new, new)`` and ``(right, left)``.  The merged pair's count becomes 0,
-    since ``replace`` matches left to right without overlaps and leaves
-    no occurrence.  That equals recounting the whole strings: ``split``
-    and ``replace`` cut the same pieces, and a pair inside a piece does
-    not change.  The best pair comes from a heap keyed ``(-count, left
-    bytes, right bytes)``, the tie rule above, whose stale entries are
-    dropped when they reach the top.  The merges are those a full
-    recount after every merge learns.
+    splits each joined string that holds the pair on the pair, once, and
+    joins the pieces with ``new``: ``split`` matches left to right without
+    overlaps, as ``replace`` does.  The pieces give the pairs that hold
+    ``new``.  Every piece but the last ends with the code point ``x``
+    before an occurrence, every piece but the first starts with the code
+    point ``y`` after one, and an empty piece between two occurrences
+    makes ``(new, new)``; the separator and an end of the string make no
+    pair.  ``Counter`` counts the pieces' last and first code points in C,
+    and each pair found takes the place of one pair of the old string:
+    ``(x, new)`` gains ``w`` per occurrence and ``(x, left)`` loses as
+    much, as do ``(new, y)`` and ``(right, y)``, and ``(new, new)`` and
+    ``(right, left)``.  The merged pair's count becomes 0, since no
+    occurrence is left.  That equals recounting the whole strings, since
+    a pair inside a piece does not change.  The best pair comes from a
+    heap keyed ``(-count, left bytes, right bytes)``, the tie rule above,
+    whose stale entries are dropped when they reach the top.  The merges
+    are those a full recount after every merge learns.
     """
     corpus = list(corpus)
     if not corpus:
@@ -186,13 +192,25 @@ def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
 
         delta = Counter()
         for i, (s, w) in enumerate(zip(seqs, weights)):
-            if pattern in s:
-                window = new.join([p[:1] + p[1:][-1:] for p in s.split(pattern)])
-                for (x, y), n in Counter(zip(window, window[1:])).items():
-                    if new in (x, y) and sep not in (x, y):
-                        delta[x, y] += w * n
-                        delta[right if x == new else x, left if y == new else y] -= w * n
-                seqs[i] = s.replace(pattern, new)
+            if pattern not in s:
+                continue
+            pieces = s.split(pattern)
+            seqs[i] = new.join(pieces)
+            before = Counter(map(_last, pieces[:-1]))
+            after = Counter(map(_first, pieces[1:]))
+            # an empty piece other than the first lies between two occurrences
+            doubles = before.pop("", 0) - (not pieces[0])
+            for x, n in before.items():
+                if x != sep:
+                    delta[x, new] += w * n
+                    delta[x, left] -= w * n
+            for y, n in after.items():
+                if y and y != sep:
+                    delta[new, y] += w * n
+                    delta[right, y] -= w * n
+            if doubles:
+                delta[new, new] += w * doubles
+                delta[right, left] -= w * doubles
         for p, n in delta.items():
             counts[p] += n
             if n and counts[p]:

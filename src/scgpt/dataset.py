@@ -82,6 +82,12 @@ def _example_from_obj(obj: dict, lineno: int, path) -> Example:
             fail(f"{key!r} in {where} must be a {kind.__name__}, got {value!r}")
         if kind is list and not all(isinstance(x, dict) for x in value):
             fail(f"every item of {key!r} in {where} must be an object")
+        if kind is str:  # a JSON escape such as "\udcff" makes a lone surrogate
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as e:
+                fail(f"{key!r} in {where} is not valid Unicode at character {e.start} "
+                     f"({e.reason})")
         return value
 
     domain = need(obj, "domain", "example")
@@ -115,7 +121,8 @@ def read_lines(path) -> list:
 
 
 def ingest(path) -> Corpus:
-    """Load a jsonl_v1 corpus file; parse failures name the offending line."""
+    """Load a jsonl_v1 corpus file; parse failures, and strings that are
+    not valid Unicode, name the offending line."""
     examples = []
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():

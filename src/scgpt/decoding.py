@@ -83,6 +83,8 @@ class DecodeConfig:
             raise ValueError("top_k must be at least 1")
         if not 0 <= self.temperature < np.inf:
             raise ValueError("temperature must be finite and not negative")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,13 @@ def select_next_token(logits: np.ndarray, uniforms: np.ndarray, k: int,
 
 
 def _candidate_rng(seed: int, cand_index: int, prefix) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, cand_index, *prefix)))
+    """The generator of ``SeedSequence((seed, cand_index, *prefix))``, from
+    the uint32 words that tuple gives: ``seed`` in little-endian 32-bit
+    words, at least one, then one word per other entry.  Numpy converts
+    a tuple entry by entry, and one array at once."""
+    words = [(seed >> s) & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.array([*words, cand_index, *prefix], dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _generate_rows(params: ModelParams, v: Vocab, prefixes, cfg: DecodeConfig):

@@ -47,7 +47,7 @@ def is_lexical_value(value: str) -> bool:
 def _check_name(kind: str, name: str) -> None:
     if not name:
         raise ValueError(f"{kind} must be non-empty")
-    if any(ch.isspace() for ch in name):
+    if name.split() != [name]:  # str.split and str.isspace share one whitespace test
         raise ValueError(f"{kind} {name!r} contains whitespace")
     bad = RESERVED_CHARS.intersection(name)
     if bad:
@@ -152,8 +152,15 @@ def parse_linearized(s: str) -> DialogActSet:
     this returns linearizes back to ``s`` up to whitespace.  Any other
     string raises :class:`MalformedInputError` naming the position of the
     first offending token; a value that breaks a value rule (``a;b``,
-    ``x)``) is named by its first token.
+    ``x)``) is named by its first token.  A string that is not valid
+    Unicode, such as one holding the lone surrogate that a byte that is
+    not UTF-8 becomes in ``sys.argv``, raises it too, naming the
+    character, so no such string reaches the tokenizer.
     """
+    try:
+        s.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise MalformedInputError(f"not valid Unicode at character {e.start} ({e.reason})") from None
     tokens = s.split()
     n = len(tokens)
 

@@ -74,8 +74,11 @@ class RunConfig:
 
 
 def parse_config(text: str, source: str = "<string>") -> RunConfig:
+    """Parse config text; a bad line, and a key set on two lines, raise
+    :class:`ParseError` naming ``source`` and the line numbers."""
     vocab = None
     sections = {section: {} for section in _KEYS}
+    set_at = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -84,6 +87,9 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise ParseError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
+        if key in set_at:
+            raise ParseError(f"{source}:{lineno}: {key} is set again, after line {set_at[key]}")
+        set_at[key] = lineno
         if key == "vocab":
             vocab = value
             continue

@@ -259,6 +259,12 @@ _WINDOW_CASES = {
                        "\U0001f642\U0001f642 \U0001f642", "\U0001f642\U0001f642 \u00e9"],
     "one_pair_in_several_count_groups": ["abab"] * 3 + ["ab"] * 2 + ["xaby"],
     "repeated_and_single_texts": ["abab"] * 3 + ["hello world"],
+    # one count group "ab|abab|xab|abx": the pair on both sides of separators
+    "pair_beside_the_separator": ["ab", "abab", "xab", "abx"],
+    # one count group "ab|abab": empty pieces at both ends, beside a separator
+    # and between two occurrences
+    "empty_pieces_in_a_count_group": ["ab", "ab", "abab", "abab"],
+    "run_of_one_token_beside_the_separator": ["aa", "aaaa", "aaa", "xaa", "aax"] * 2,
 }
 
 

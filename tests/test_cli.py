@@ -188,8 +188,9 @@ def test_generate_absent_domain_writes_no_lines(pipeline, tmp_path):
 
 
 def test_generate_malformed_da(pipeline, tmp_path, capsys):
-    # a broken grammar, then a slot name the act types refuse
-    for da in ("inform ( name x )", "inform ( Name = x )"):
+    # a broken grammar, a slot name the act types refuse, and the lone
+    # surrogate that a raw 0xff byte in argv becomes
+    for da in ("inform ( name x )", "inform ( Name = x )", "inform ( name = \udcff )"):
         code = run(["generate", "--config", pipeline / "run.cfg",
                     "--ckpt", pipeline / "da.ckpt", "--da", da,
                     "--manifest", tmp_path / "m.json"])
@@ -201,7 +202,7 @@ def test_generate_interactive(pipeline, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         sys, "stdin",
         io.StringIO("inform ( name = villa verde )\nbroken (\n"
-                    "inform ( Name = x )\nbye ( )\n"),
+                    "inform ( Name = x )\ninform ( name = \udcff )\nbye ( )\n"),
     )
     assert run(["generate", "--config", pipeline / "run.cfg",
                 "--ckpt", pipeline / "da.ckpt",
@@ -209,7 +210,7 @@ def test_generate_interactive(pipeline, tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert len(captured.out.strip().splitlines()) == 2  # two well-formed acts
     # one error line per bad line, and the lines after each are answered
-    assert [line[:7] for line in captured.err.splitlines()] == ["error: "] * 2
+    assert [line[:7] for line in captured.err.splitlines()] == ["error: "] * 3
 
 
 def test_generate_out_needs_da_or_corpus(pipeline, tmp_path, capsys, monkeypatch):
@@ -551,7 +552,10 @@ def test_replay_redirects_equals_form_and_refuses_abbreviations(tmp_path, capsys
 )
 def test_invalid_config_values_exit_2(pipeline, tmp_path, capsys, setting, command):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(CONFIG.replace("vocab = vocab.bpe", f"vocab = {pipeline}/vocab.bpe")
+    # the setting takes the place of the key's line: a key set twice is refused
+    key = setting.partition(" =")[0]
+    lines = [ln for ln in CONFIG.splitlines(keepends=True) if ln.partition(" =")[0] != key]
+    cfg.write_text("".join(lines).replace("vocab = vocab.bpe", f"vocab = {pipeline}/vocab.bpe")
                    + setting + "\n")
     text = tmp_path / "plain.txt"
     text.write_text("the tram runs along the river .\n")

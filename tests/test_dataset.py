@@ -79,6 +79,17 @@ def test_ingest_rejects_badly_typed_fields(tmp_path, where, key, value):
         ingest(p)
 
 
+@pytest.mark.parametrize("field", ["value", "response"])
+def test_ingest_refuses_strings_that_are_not_unicode(tmp_path, field):
+    # json.dumps writes the lone surrogate as the valid JSON escape "\udcff"
+    bad = _obj(response="x\udcff") if field == "response" else _obj(slots=(("name", "\udcff"),))
+    p = tmp_path / "c.jsonl"
+    _write(p, [_obj(), bad])
+    assert "\\udcff" in p.read_text()
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(p))}:2: '{field}' .* not valid Unicode"):
+        ingest(p)
+
+
 def test_ingest_bad_json_names_line(tmp_path):
     p = tmp_path / "c.jsonl"
     p.write_text(json.dumps(_obj()) + "\n{not json\n")

@@ -407,7 +407,17 @@ def test_decode_config_validation():
     for temperature in (-0.5, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="temperature"):
             DecodeConfig(temperature=temperature)
+    with pytest.raises(ValueError, match="seed"):
+        DecodeConfig(seed=-1)
     DecodeConfig(top_k=1, temperature=0.0)  # the smallest valid values
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+def test_candidate_rng_is_the_generator_of_the_tuple_seed(seed):
+    prefix = [257, 40, 300, 7]
+    tuple_form = np.random.default_rng(np.random.SeedSequence((seed, 3, *prefix)))
+    np.testing.assert_array_equal(decoding._candidate_rng(seed, 3, prefix).random(8),
+                                  tuple_form.random(8))
 
 
 def test_empty_act_list(overfit):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from scgpt.dialog_act import (
     match_count,
     parse_linearized,
 )
+from scgpt.dialog_act import _check_name
 from scgpt.errors import AmbiguousSlotError, MalformedInputError, UnknownSlotError
 
 
@@ -69,6 +72,28 @@ def test_parse_rejects_garbage():
     for bad in ["", "inform", "inform (", "inform ( name = )", "( )", "inform ( name = v ;"]:
         with pytest.raises(MalformedInputError):
             parse_linearized(bad)
+
+
+def test_parse_rejects_text_that_is_not_unicode():
+    # a raw 0xff byte in argv or on a surrogateescape stdin
+    with pytest.raises(MalformedInputError, match="not valid Unicode at character 16"):
+        parse_linearized("inform ( name = \udcff )")
+    with pytest.raises(MalformedInputError, match="not valid Unicode at character 0"):
+        parse_linearized("\udcffinform ( )")
+
+
+def test_check_name_refuses_whitespace_as_str_isspace_does():
+    refused = set()
+    for code in range(sys.maxunicode + 1):
+        try:
+            _check_name("intent", chr(code))
+        except ValueError as e:
+            if "whitespace" in str(e):
+                refused.add(code)
+    assert refused == {code for code in range(sys.maxunicode + 1) if chr(code).isspace()}
+    for name in (" inform", "inform ", "in form", "in\u00a0form", "inform\u2028", "\u3000x"):
+        with pytest.raises(ValueError, match="contains whitespace"):
+            _check_name("intent", name)
 
 
 def test_validation_rejects_bad_identifiers():

@@ -67,6 +67,13 @@ def test_parse_config_errors(line, fragment):
     assert str(exc.value).startswith("cfg:1")
 
 
+@pytest.mark.parametrize("key", ["vocab", "model.d_model"])
+def test_parse_config_refuses_a_key_set_twice(key):
+    text = f"{key} = 16\n# again\nmodel.n_layers = 1\n{key} = 32\n"
+    with pytest.raises(ParseError, match=rf"^cfg:4: {re.escape(key)} is set again, after line 1$"):
+        parse_config(text, source="cfg")
+
+
 def test_load_config_anchors_vocab(tmp_path):
     sub = tmp_path / "run"
     sub.mkdir()
