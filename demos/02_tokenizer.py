@@ -3,7 +3,7 @@
 Run with:  python3 demos/02_tokenizer.py
 """
 
-from scgpt.bpe import decode, encode, train_bpe
+from scgpt.bpe import SPECIAL_NAMES, decode, encode, train_bpe
 from scgpt.dialog_act import linearize
 from scgpt.synthetic import PRETRAIN_GRAMMARS, builtin_grammars, generate
 
@@ -18,7 +18,8 @@ def main() -> None:
     vocab = train_bpe(texts, target_vocab_size=400)
     n_merges = len(vocab.merges)
     print(f"trained on {len(texts)} strings -> vocab of {vocab.size} ids "
-          f"(256 bytes + {n_merges} merges + {len(vocab.specials)} specials)")
+          f"(256 bytes + {n_merges} merges + {len(SPECIAL_NAMES)} specials, "
+          f"{', '.join(SPECIAL_NAMES)} from id {vocab.bos_id})")
 
     print("\nlast merges learned (most corpus-specific):")
     for tok in vocab.id_to_token[-8:]:

@@ -19,8 +19,8 @@ def main() -> None:
                       d_ff=16, max_context=12, dropout=0.0)
     params = init_params(cfg, seed=0, dtype=np.float64)
     batch = [
-        LinearizedExample(ids=(3, 9, 1, 14, 7, 2, 15), loss_mask=(0, 0, 0, 1, 1, 1, 0)),
-        LinearizedExample(ids=(5, 11, 14, 4, 15), loss_mask=(0, 0, 1, 1, 0)),
+        LinearizedExample(ids=(3, 9, 1, 14, 7, 2, 15), bos=3),
+        LinearizedExample(ids=(5, 11, 14, 4, 15), bos=2),
     ]
 
     loss, chain = nll_loss(params, batch)

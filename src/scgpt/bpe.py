@@ -24,9 +24,12 @@ Vocab file format (line-delimited text)::
     BPEVOCAB v1 <base> <n_merges>
     <left-hex> <right-hex>      one line per merge, in learned order
     ...
-    SPECIAL BOS <id>
-    SPECIAL EOS <id>
-    SPECIAL PAD <id>
+    SPECIAL BOS <n>
+    SPECIAL EOS <n + 1>
+    SPECIAL PAD <n + 2>
+
+where ``n = base + n_merges`` is the number of tokens: the special
+lines come in this order, at the ids right after the tokens.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import heapq
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import itemgetter
 
@@ -55,49 +58,44 @@ _first, _last = itemgetter(slice(1)), itemgetter(slice(-1, None))
 
 @dataclass(frozen=True)
 class Vocab:
-    """Immutable tokenizer state: byte-level tokens, merges, special ids.
+    """Immutable tokenizer state: the merges, in learned order.
 
-    ``id_to_token[i]`` is the byte sequence of token ``i`` for the base
-    and merged tokens; the specials take the ids right after them, in
-    any order, and decode to "".  The merge at index ``i`` rewrites the
-    id pair ``merges[i]`` to id ``256 + i``.
+    The merge at index ``i`` rewrites the id pair ``merges[i]`` to id
+    ``256 + i``.  ``id_to_token[i]`` is the byte sequence of token ``i``,
+    derived from the merges: one byte for the base ids, the two tokens
+    of its merge joined for the others.  The specials BOS, EOS and PAD
+    take the ids right after the tokens, in that order, and decode to "".
     """
 
-    id_to_token: tuple
     merges: tuple
-    specials: dict
+    id_to_token: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        if len(self.id_to_token) != N_BASE + len(self.merges):
-            raise ValueError("id_to_token length inconsistent with merges")
+        tokens = [bytes([i]) for i in range(N_BASE)]
         for i, (a, b) in enumerate(self.merges):
             new = N_BASE + i
             if not (0 <= a < new and 0 <= b < new):
                 raise ValueError(f"merge {i} pairs ({a}, {b}), not two ids below {new}")
-            if self.id_to_token[new] != self.id_to_token[a] + self.id_to_token[b]:
-                raise ValueError(f"token {new} is not the bytes of merge {i} joined")
-        if len(set(self.id_to_token)) != len(self.id_to_token):
+            tokens.append(tokens[a] + tokens[b])
+        if len(set(tokens)) != len(tokens):
             raise ValueError("duplicate tokens in vocabulary")
-        ids = sorted(self.specials[name] for name in SPECIAL_NAMES)
-        after = list(range(len(self.id_to_token), len(self.id_to_token) + len(ids)))
-        if ids != after:
-            raise ValueError(f"special ids {ids} are not {after}, the ids after the tokens")
+        object.__setattr__(self, "id_to_token", tuple(tokens))
 
     @property
     def size(self) -> int:
-        return len(self.id_to_token) + len(self.specials)
+        return len(self.id_to_token) + len(SPECIAL_NAMES)
 
     @property
     def bos_id(self) -> int:
-        return self.specials["BOS"]
+        return len(self.id_to_token)
 
     @property
     def eos_id(self) -> int:
-        return self.specials["EOS"]
+        return len(self.id_to_token) + 1
 
     @property
     def pad_id(self) -> int:
-        return self.specials["PAD"]
+        return len(self.id_to_token) + 2
 
     @cached_property
     def _merge_table(self) -> tuple:
@@ -217,10 +215,7 @@ def train_bpe(corpus, target_vocab_size: int = 512) -> Vocab:
                 heapq.heappush(heap, entry(p, counts[p]))
         counts[pair] = 0
 
-    specials = {
-        name: len(id_to_token) + k for k, name in enumerate(SPECIAL_NAMES)
-    }
-    return Vocab(tuple(id_to_token), tuple(merges), specials)
+    return Vocab(tuple(merges))
 
 
 def _code_points(s: str) -> str:
@@ -250,17 +245,16 @@ def encode(v: Vocab, s: str) -> list:
 
 def decode(v: Vocab, ids) -> str:
     """Invert :func:`encode`; special tokens render as the empty string."""
-    special_ids = set(v.specials.values())
+    n_tokens, size = len(v.id_to_token), v.size
     chunks = []
     for t in ids:
         t = int(t)
-        if t in special_ids:
-            continue
-        if not 0 <= t < len(v.id_to_token):
+        if not 0 <= t < size:
             raise RangeError(
-                f"token id {t} out of range for vocabulary of size {v.size}"
+                f"token id {t} out of range for vocabulary of size {size}"
             )
-        chunks.append(v.id_to_token[t])
+        if t < n_tokens:
+            chunks.append(v.id_to_token[t])
     return b"".join(chunks).decode("utf-8", errors="replace")
 
 
@@ -268,8 +262,8 @@ def save_vocab(v: Vocab, path) -> None:
     lines = [f"BPEVOCAB v1 {N_BASE} {len(v.merges)}"]
     for a, b in v.merges:
         lines.append(f"{v.id_to_token[a].hex()} {v.id_to_token[b].hex()}")
-    for name in SPECIAL_NAMES:
-        lines.append(f"SPECIAL {name} {v.specials[name]}")
+    for k, name in enumerate(SPECIAL_NAMES):
+        lines.append(f"SPECIAL {name} {len(v.id_to_token) + k}")
     with open(path, "w", encoding="ascii") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -296,8 +290,7 @@ def load_vocab(path) -> Vocab:
     if len(lines) != 1 + n_merges + len(SPECIAL_NAMES):
         raise ParseError(f"{path}: expected {n_merges} merges and 3 specials")
 
-    id_to_token = [bytes([i]) for i in range(N_BASE)]
-    token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
+    token_to_id = {bytes([i]): i for i in range(N_BASE)}
     merges = []
     for ln in lines[1 : 1 + n_merges]:
         parts = ln.split()
@@ -309,22 +302,15 @@ def load_vocab(path) -> Vocab:
             raise ParseError(f"{path}: bad hex in merge line {ln!r}") from None
         if left not in token_to_id or right not in token_to_id:
             raise ParseError(f"{path}: merge refers to unknown token: {ln!r}")
+        token_to_id[left + right] = N_BASE + len(merges)
         merges.append((token_to_id[left], token_to_id[right]))
-        token_to_id[left + right] = len(id_to_token)
-        id_to_token.append(left + right)
 
-    specials = {}
-    for ln in lines[1 + n_merges :]:
-        parts = ln.split()
-        if len(parts) != 3 or parts[0] != "SPECIAL" or parts[1] not in SPECIAL_NAMES:
-            raise ParseError(f"{path}: malformed special line {ln!r}")
-        try:
-            specials[parts[1]] = int(parts[2])
-        except ValueError:
-            raise ParseError(f"{path}: bad special id in {ln!r}") from None
-    if set(specials) != set(SPECIAL_NAMES):
-        raise ParseError(f"{path}: missing special token declarations")
+    expected = [["SPECIAL", name, str(N_BASE + n_merges + k)]
+                for k, name in enumerate(SPECIAL_NAMES)]
+    if [ln.split() for ln in lines[1 + n_merges :]] != expected:
+        raise ParseError(f"{path}: the special lines must be "
+                         + ", ".join(map(" ".join, expected)))
     try:
-        return Vocab(tuple(id_to_token), tuple(merges), specials)
+        return Vocab(tuple(merges))
     except ValueError as e:
         raise ParseError(f"{path}: {e}") from None

@@ -49,6 +49,8 @@ a trailing newline.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import get_type_hints
@@ -105,18 +107,20 @@ EMBED_WEIGHTS = ("tok_emb", "pos_emb")
 HEAD_WEIGHTS = ("lnf.gain", "lnf.bias", "tok_emb")
 
 
-def _param_shapes(cfg: ModelConfig) -> dict:
+def _param_shapes(cfg: ModelConfig):
+    """Each tensor's (name, shape), in checkpoint order, one at a time: a
+    checkpoint header that claims a billion layers costs nothing before
+    its first missing tensor."""
     d, f = cfg.d_model, cfg.d_ff
     layer_shapes = (
         [(d,), (d,), (d, 3 * d), (3 * d,), (d, d), (d,)]  # ATTN_WEIGHTS
         + [(d,), (d,), (d, f), (f,), (f, d), (d,)]  # MLP_WEIGHTS
     )
-    shapes = {"tok_emb": (cfg.vocab_size, d), "pos_emb": (cfg.max_context, d)}
+    yield from (("tok_emb", (cfg.vocab_size, d)), ("pos_emb", (cfg.max_context, d)))
     for i in range(cfg.n_layers):
         for name, shape in zip(ATTN_WEIGHTS + MLP_WEIGHTS, layer_shapes):
-            shapes[f"layers.{i}.{name}"] = shape
-    shapes["lnf.gain"] = shapes["lnf.bias"] = (d,)
-    return shapes
+            yield f"layers.{i}.{name}", shape
+    yield from (("lnf.gain", (d,)), ("lnf.bias", (d,)))
 
 
 def _layer_names(i: int):
@@ -142,13 +146,14 @@ INIT_STD = 0.02
 
 
 def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParams:
-    """Fresh parameters: N(0, 0.02) matrices, zero biases, unit gains."""
+    """Fresh parameters: N(0, 0.02) matrices, unit gains, and every other
+    1-D tensor, a bias, zero."""
     rng = np.random.default_rng(seed)
     tensors = {}
-    for name, shape in _param_shapes(cfg).items():
+    for name, shape in _param_shapes(cfg):
         if name.endswith(".gain"):
             data = np.ones(shape, dtype=dtype)
-        elif name.endswith((".bias", ".b1", ".b2", ".bqkv", ".bo")):
+        elif len(shape) == 1:
             data = np.zeros(shape, dtype=dtype)
         else:
             data = rng.normal(0.0, INIT_STD, size=shape).astype(dtype)
@@ -158,34 +163,30 @@ def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> ModelParam
 
 @dataclass(frozen=True)
 class LinearizedExample:
-    """Token ids plus the 0/1 mask of positions whose prediction counts.
+    """Token ids and the position of BOS, where the loss starts.
 
-    ``loss_mask[t] == 1`` means position t's next-token prediction (of
-    ``ids[t+1]``) enters the loss; ones run from the BOS position through
-    the position before EOS.  The last position has no next token, so
-    its mask entry must be 0.
+    Position t's next-token prediction (of ``ids[t+1]``) enters the loss
+    for t from ``bos`` through ``len(ids) - 2``: BOS predicts the first
+    response token, and the last position, EOS, has no next token.
     """
 
     ids: tuple
-    loss_mask: tuple
+    bos: int
 
     def __post_init__(self):
-        if len(self.ids) != len(self.loss_mask):
-            raise ValueError("ids and loss_mask lengths differ")
-        if sum(self.loss_mask) < 1:
-            raise ValueError("an example needs at least one masked-in target")
-        if self.loss_mask[-1]:
-            raise ValueError("the last position has no next token to predict")
+        if not 0 <= self.bos < len(self.ids) - 1:
+            raise ValueError(f"bos {self.bos} is not a position before the last "
+                             f"of {len(self.ids)} ids")
 
 
 def build_example(
     acts: DialogActSet | None, response: str, v: Vocab, max_context: int = 256
 ) -> LinearizedExample:
-    """Linearize (acts, response) into ids and a response-only loss mask.
+    """Linearize (acts, response) into ids and the BOS position.
 
-    The sequence is ``A' [BOS] x' [EOS]``.  With ``acts`` None (plain
-    text) there is no prefix: BOS comes first and every next-token
-    prediction counts.
+    The sequence is ``A' [BOS] x' [EOS]``, so the loss covers the
+    response and EOS.  With ``acts`` None (plain text) there is no
+    prefix: BOS comes first and every next-token prediction counts.
     """
     prefix = [] if acts is None else encode(v, linearize(acts))
     body = encode(v, response)
@@ -195,16 +196,15 @@ def build_example(
             f"sequence of {len(ids)} tokens (prefix {len(prefix)}, response "
             f"{len(body)}) exceeds max_context {max_context}"
         )
-    bos_index = len(prefix)
-    mask = [1 if bos_index <= t < len(ids) - 1 else 0 for t in range(len(ids))]
-    return LinearizedExample(tuple(ids), tuple(mask))
+    return LinearizedExample(tuple(ids), len(prefix))
 
 
 def pad_batch(batch, pad_id: int):
     """Right-pad examples to a common length.
 
-    Returns (ids [B,T] int array, loss_mask [B,T] float array,
-    key_keep [B,T] bool array marking non-PAD positions).
+    Returns (ids [B,T] int array, loss_mask [B,T] float array, 1 from
+    each example's BOS through its second-last position, key_keep [B,T]
+    bool array marking non-PAD positions).
 
     The training loss does not pad.  This pads the tests' reference
     forward and stays as the lookup site that ``perfbench/tracer.py``
@@ -218,7 +218,7 @@ def pad_batch(batch, pad_id: int):
     for b, ex in enumerate(batch):
         L = len(ex.ids)
         ids[b, :L] = ex.ids
-        mask[b, :L] = ex.loss_mask
+        mask[b, ex.bos : L - 1] = 1
         keep[b, :L] = True
     return ids, mask, keep
 
@@ -444,7 +444,8 @@ def _link(chain: list, kernel, x, params: ModelParams, names, *args, **kwargs):
 
 
 def nll_loss(params: ModelParams, batch, rng: np.random.Generator | None = None):
-    """Mean masked next-token negative log-likelihood over a batch.
+    """Mean next-token negative log-likelihood over a batch, counted from
+    each example's BOS position through its second-last.
 
     Returns ``(loss, chain)``: the 0-d loss array and its kernel chain
     for :func:`scgpt.autograd.backward`.  Runs on packed rows (see the
@@ -465,7 +466,9 @@ def nll_loss(params: ModelParams, batch, rng: np.random.Generator | None = None)
     lengths = [len(ex.ids) for ex in batch]
     ids = np.concatenate([ex.ids for ex in batch])
     positions = np.concatenate([np.arange(L) for L in lengths])
-    rows = np.flatnonzero(np.concatenate([ex.loss_mask for ex in batch]))
+    starts = np.cumsum([0, *lengths[:-1]])
+    rows = np.concatenate([np.arange(s + ex.bos, s + L - 1)
+                           for s, ex, L in zip(starts, batch, lengths)])
     dtype = params["tok_emb"].dtype
     p_drop = cfg.dropout if rng is not None else 0.0
     drop = partial(ag.dropout_mask, p=p_drop, rng=rng, dtype=dtype) if p_drop else None
@@ -526,9 +529,9 @@ def load_checkpoint(path) -> ModelParams:
             cfg = ModelConfig(**values)
         except ValueError as e:
             raise ConfigMismatchError(f"{path}: {e}") from None
-        expected = _param_shapes(cfg)
+        size = os.fstat(f.fileno()).st_size
         tensors = {}
-        for name, shape in expected.items():
+        for name, shape in _param_shapes(cfg):
             meta = f.readline().decode("ascii", "replace").split()
             if not meta or meta[0] != name:
                 raise ConfigMismatchError(
@@ -540,11 +543,10 @@ def load_checkpoint(path) -> ModelParams:
                     f"{path}: tensor {name} has shape {' '.join(meta[1:])!r}, "
                     f"config implies {' '.join(dims)!r}"
                 )
-            n = int(np.prod(shape, dtype=np.int64))
-            raw = f.read(4 * n)
-            if len(raw) != 4 * n:
+            n_bytes = 4 * math.prod(shape)
+            if n_bytes > size - f.tell():  # read() would allocate n_bytes first
                 raise ConfigMismatchError(f"{path}: truncated tensor {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            tensors[name] = np.frombuffer(f.read(n_bytes), dtype="<f4").reshape(shape).copy()
             if not np.isfinite(tensors[name]).all():
                 raise NumericFaultError(f"{path}: tensor {name} holds NaN or Inf")
             if f.read(1) != b"\n":

@@ -91,6 +91,8 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
             raise ParseError(f"{source}:{lineno}: {key} is set again, after line {set_at[key]}")
         set_at[key] = lineno
         if key == "vocab":
+            if "\0" in value:  # open() refuses it with a ValueError
+                raise ParseError(f"{source}:{lineno}: the vocab path holds a NUL character")
             vocab = value
             continue
         section, _, name = key.partition(".")

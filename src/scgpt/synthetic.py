@@ -410,7 +410,9 @@ def inject_coined_values(corpus: Corpus, fraction: float, seed: int = 0) -> Corp
     :func:`_varied_value` (coined names, ordinary words, codes,
     quantities, clock times), so that copying is not tied to one token
     family.  A new value never occurs in the response already and never
-    contains another value of the example.
+    contains another value of the example.  Only what a swap changes is
+    rebuilt: the pair, its act and the example's act set; every other
+    pair, act and example is the input's own object.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be between 0 and 1")
@@ -420,27 +422,25 @@ def inject_coined_values(corpus: Corpus, fraction: float, seed: int = 0) -> Corp
     for ex in corpus:
         taken = {p.value for p in ex.acts.all_pairs()}
         response = ex.response
-        acts = []
-        touched = False
-        for act in ex.acts.acts:
-            pairs = []
-            for p in act.pairs:
-                value = p.value
-                if is_lexical_value(value) and rng.random() < fraction:
+        acts = list(ex.acts.acts)
+        for i, act in enumerate(acts):
+            pairs = list(act.pairs)
+            for j, p in enumerate(act.pairs):
+                if is_lexical_value(p.value) and rng.random() < fraction:
                     coined = _varied_value(rng, n_words=2)
                     while match_count(coined, response) or any(
                         match_count(v, coined) for v in taken
                     ):
                         coined = _varied_value(rng, n_words=2)
-                    swapped = boundary_pattern(value).sub(coined, response, count=1)
+                    swapped = boundary_pattern(p.value).sub(coined, response, count=1)
                     if swapped != response:
                         taken.add(coined)
                         response = swapped
-                        value = coined
-                        touched = True
-                pairs.append(SlotValuePair(p.name, value))
-            acts.append(DialogAct(act.intent, tuple(pairs)))
-        out.append(
-            Example(DialogActSet(tuple(acts)), response, ex.domain) if touched else ex
-        )
+                        pairs[j] = SlotValuePair(p.name, coined)
+            # a coined value is new to the response, so a swapped pair differs
+            if pairs != list(act.pairs):
+                acts[i] = DialogAct(act.intent, tuple(pairs))
+        if acts != list(ex.acts.acts):
+            ex = Example(DialogActSet(tuple(acts)), response, ex.domain)
+        out.append(ex)
     return Corpus(tuple(out))

@@ -3,10 +3,10 @@
 The stages share one loop and differ only in how raw data becomes
 examples: "plain" consumes text lines with every next-token prediction
 in the loss, while "da_pretrain" and "finetune" consume dialog-act
-corpora with the response-only mask.  Each epoch shuffles with a seeded
-RNG, measures validation loss, and the best-validation parameters are
-what the run returns; training is bitwise deterministic for a fixed
-seed in single-threaded mode.
+corpora with the loss from BOS on, over the response alone.  Each
+epoch shuffles with a seeded RNG, measures validation loss, and the
+best-validation parameters are what the run returns; training is
+bitwise deterministic for a fixed seed in single-threaded mode.
 """
 
 from __future__ import annotations
@@ -159,14 +159,20 @@ def _batches(examples, batch_size):
         yield examples[i : i + batch_size]
 
 
+def _loss_positions(batch) -> int:
+    """The positions :func:`nll_loss` averages over: BOS through the
+    second-last, in each example."""
+    return sum(len(ex.ids) - 1 - ex.bos for ex in batch)
+
+
 def evaluate_loss(params: ModelParams, examples, batch_size: int) -> float:
-    """Dropout-free mean NLL per masked position over a whole set."""
+    """Dropout-free mean NLL per loss position over a whole set."""
     total = 0.0
     count = 0
     for batch in _batches(examples, batch_size):
-        # each batch's mean re-weighted by its masked positions, so the
+        # each batch's mean re-weighted by its loss positions, so the
         # result does not depend on batch boundaries
-        n = sum(sum(ex.loss_mask) for ex in batch)
+        n = _loss_positions(batch)
         total += float(nll_loss(params, batch)[0]) * n
         count += n
     return total / count if count else 0.0
@@ -187,7 +193,7 @@ def run_stage(cfg: TrainConfig, data, params: ModelParams, vocab: Vocab):
     ``CorpusEmptyError`` is raised when no example fits.
 
     An epoch record also holds ``epoch``, ``train_loss`` (mean NLL per
-    masked position over its steps), ``val_loss``, the last step's
+    loss position over its steps), ``val_loss``, the last step's
     ``lr`` and ``grad_norm``: the mean over its steps of the global
     gradient norm before clipping.
     """
@@ -232,7 +238,7 @@ def run_stage(cfg: TrainConfig, data, params: ModelParams, vocab: Vocab):
             del chain  # frees the kernels' saved activations before the next forward
             norm_sum += clip_global_norm(grads, cfg.grad_clip)
             adamw_step(params, grads, state, lr, cfg.weight_decay)
-            n = sum(sum(ex.loss_mask) for ex in batch)
+            n = _loss_positions(batch)
             epoch_sum += float(loss) * n
             epoch_n += n
         val_loss = evaluate_loss(params, score_set, cfg.batch_size)

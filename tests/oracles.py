@@ -688,10 +688,7 @@ def train_bpe_reference(corpus, target_vocab_size: int = 512) -> Vocab:
         merges.append((a, b))
         seqs = [_merge_pair(seq, a, b, new_id) for seq in seqs]
 
-    specials = {
-        name: len(id_to_token) + k for k, name in enumerate(SPECIAL_NAMES)
-    }
-    return Vocab(tuple(id_to_token), tuple(merges), specials)
+    return Vocab(tuple(merges))
 
 
 def _apply_merges(v: Vocab, ids: list) -> list:

@@ -121,8 +121,8 @@ def test_gradient_correctness():
                       d_ff=16, max_context=12, dropout=0.0)
     params = init_params(cfg, seed=3, dtype=np.float64)
     batch = [
-        LinearizedExample(ids=(3, 9, 1, 14, 7, 2, 15), loss_mask=(0, 0, 0, 1, 1, 1, 0)),
-        LinearizedExample(ids=(5, 11, 14, 4, 15), loss_mask=(0, 0, 1, 1, 0)),
+        LinearizedExample(ids=(3, 9, 1, 14, 7, 2, 15), bos=3),
+        LinearizedExample(ids=(5, 11, 14, 4, 15), bos=2),
     ]
 
     def loss_value():
@@ -158,11 +158,8 @@ def test_uniform_loss_at_zero_weights():
         for _ in range(3):
             n = int(rng.integers(4, 16))
             ids = tuple(int(x) for x in rng.integers(0, vocab_size, n))
-            # the last position has no target
-            mask = tuple(int(x) for x in rng.integers(0, 2, n))[:-1] + (0,)
-            if not any(mask):
-                mask = (1,) + mask[1:]
-            batch.append(LinearizedExample(ids=ids, loss_mask=mask))
+            # the loss starts anywhere before the last position
+            batch.append(LinearizedExample(ids=ids, bos=int(rng.integers(0, n - 1))))
         loss = float(nll_loss(params, batch)[0])
         worst = max(worst, abs(loss - math.log(vocab_size)))
     verdict("uniform loss at zero weights", worst < 1e-5,

@@ -91,7 +91,7 @@ def test_nll_loss_numeric_fault(name, value):
     params[name][...] = value
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericFaultError):
-            nll_loss(params, [LinearizedExample(ids=(0, 3), loss_mask=(1, 0))])
+            nll_loss(params, [LinearizedExample(ids=(0, 3), bos=0)])
 
 
 def test_shape_mismatch_message_has_both_shapes():
@@ -103,19 +103,19 @@ def test_embed_lookup_range_check():
     # the model's embedding kernel checks ids against the vocabulary
     params = init_params(ModelConfig(vocab_size=4, n_layers=1, n_heads=1, d_model=2,
                                      d_ff=4, max_context=8, dropout=0.0))
-    nll_loss(params, [LinearizedExample(ids=(0, 3), loss_mask=(1, 0))])
+    nll_loss(params, [LinearizedExample(ids=(0, 3), bos=0)])
     for bad in (4, -1):
         with pytest.raises(RangeError, match=r"^token ids outside \[0, 4\) of tok_emb"):
-            nll_loss(params, [LinearizedExample(ids=(0, bad), loss_mask=(1, 0))])
+            nll_loss(params, [LinearizedExample(ids=(0, bad), bos=0)])
 
 
 def test_embed_position_range_check():
     # every id is valid; the 12-token sequence overflows the 8 positions
     params = init_params(ModelConfig(vocab_size=4, n_layers=1, n_heads=1, d_model=2,
                                      d_ff=4, max_context=8, dropout=0.0))
-    nll_loss(params, [LinearizedExample(ids=(1,) * 8, loss_mask=(1,) * 7 + (0,))])
+    nll_loss(params, [LinearizedExample(ids=(1,) * 8, bos=0)])
     with pytest.raises(RangeError, match=r"^positions outside \[0, 8\) of pos_emb"):
-        nll_loss(params, [LinearizedExample(ids=(1,) * 12, loss_mask=(1,) * 11 + (0,))])
+        nll_loss(params, [LinearizedExample(ids=(1,) * 12, bos=0)])
 
 
 def test_diamond_fanout_accumulates():

@@ -77,11 +77,7 @@ _BASE = tuple(bytes([i]) for i in range(N_BASE))
 
 
 def test_greedy_merge_application():
-    v = Vocab(
-        _BASE + (b"aa",),
-        ((ord("a"), ord("a")),),
-        {"BOS": 257, "EOS": 258, "PAD": 259},
-    )
+    v = Vocab(((ord("a"), ord("a")),))
     ids = encode(v, "aaa")
     assert [v.id_to_token[i] for i in ids] == [b"aa", b"a"]
 
@@ -89,28 +85,31 @@ def test_greedy_merge_application():
 def test_merge_order_respected():
     # learned order: ("a","a") first, then ("aa","b"); encode must apply
     # the earlier merge before the later one can fire.
-    v = Vocab(
-        _BASE + (b"aa", b"aab"),
-        ((ord("a"), ord("a")), (256, ord("b"))),
-        {"BOS": 258, "EOS": 259, "PAD": 260},
-    )
+    v = Vocab(((ord("a"), ord("a")), (256, ord("b"))))
     ids = encode(v, "aab")
     assert [v.id_to_token[i] for i in ids] == [b"aab"]
 
 
 @pytest.mark.parametrize(
-    "tokens,merges,match",
+    "merges,match",
     [
         # merge 0 names id 257, the token of the later merge 1
-        ((b"aab", b"ab"), ((ord("a"), 257), (ord("a"), ord("b"))), r"merge 0 pairs \(97, 257\)"),
-        ((b"ab",), ((ord("a"), 256),), r"merge 0 pairs \(97, 256\)"),  # names its own id
-        ((b"ba",), ((ord("a"), ord("b")),), "token 256 is not the bytes of merge 0"),
+        pytest.param(((ord("a"), 257), (ord("a"), ord("b"))), r"merge 0 pairs \(97, 257\)",
+                     id="later-merge"),
+        pytest.param(((ord("a"), 256),), r"merge 0 pairs \(97, 256\)", id="own-id"),
+        pytest.param(((ord("a"), ord("b")), (ord("a"), ord("b"))), "duplicate tokens",
+                     id="merged-twice"),
     ],
 )
-def test_vocab_rejects_merges_that_break_learned_order(tokens, merges, match):
-    n = N_BASE + len(tokens)
+def test_vocab_rejects_merges_that_break_learned_order(merges, match):
     with pytest.raises(ValueError, match=match):
-        Vocab(_BASE + tokens, merges, {"BOS": n, "EOS": n + 1, "PAD": n + 2})
+        Vocab(merges)
+
+
+def test_vocab_derives_tokens_and_special_ids_from_its_merges():
+    v = Vocab(((ord("a"), ord("a")), (256, ord("b"))))
+    assert v.id_to_token == _BASE + (b"aa", b"aab")
+    assert (v.bos_id, v.eos_id, v.pad_id, v.size) == (258, 259, 260, 261)
 
 
 def test_decode_invalid_id():
@@ -137,7 +136,7 @@ def test_determinism():
 def test_specials_never_emitted_without_wrap():
     v = train_bpe(["hello world"] * 3, target_vocab_size=280)
     ids = encode(v, "hello world hello")
-    assert not set(ids) & set(v.specials.values())
+    assert not set(ids) & {v.bos_id, v.eos_id, v.pad_id}
 
 
 def test_save_load_round_trip(tmp_path):
@@ -168,13 +167,15 @@ def test_load_reports_the_files_byte_offset(tmp_path):
 @pytest.mark.parametrize(
     "merges,specials",
     [
-        ([], ("257", "258", "x")),  # not an int
-        ([], ("257", "258", "\u00ff")),  # not ASCII
-        ([], ("257", "258", "258")),  # duplicated
-        ([], ("257", "258", "3")),  # inside the token ids
+        ([], ("256", "257", "x")),  # not an int
+        ([], ("256", "257", "\u00ff")),  # not ASCII
+        ([], ("256", "257", "257")),  # duplicated
+        ([], ("256", "257", "3")),  # inside the token ids
         (["61 62", "61 62"], ("258", "259", "260")),  # one token merged twice
-        ([], ("257", "258", "259")),  # PAD at the vocabulary's size
-        ([], ("257", "258", "900")),  # after a gap
+        ([], ("256", "257", "259")),  # PAD at the vocabulary's size
+        ([], ("256", "257", "900")),  # after a gap
+        ([], ("257", "256", "258")),  # BOS and EOS swapped
+        (["61 62"], ("258", "257", "259")),  # the same, after a merge
     ],
 )
 def test_load_rejects_corrupt_vocab(tmp_path, merges, specials):
@@ -320,8 +321,7 @@ def _vocabs(draw):
         merges.append((a, b))
         pool.append(len(id_to_token))
         id_to_token.append(id_to_token[a] + id_to_token[b])
-    n = len(id_to_token)
-    return Vocab(tuple(id_to_token), tuple(merges), {"BOS": n, "EOS": n + 1, "PAD": n + 2})
+    return Vocab(tuple(merges))
 
 
 @given(_vocabs(), st.lists(st.text(alphabet=_ALPHABET, max_size=30), max_size=6))

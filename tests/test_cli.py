@@ -9,11 +9,16 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from scgpt import cli
 from scgpt.bpe import load_vocab
 from scgpt.cli import main
 from scgpt.dataset import ingest
-from scgpt.dialog_act import linearize
+from scgpt.decoding import generate_reranked
+from scgpt.dialog_act import linearize, parse_linearized
+from scgpt.errors import ScgptError
 from scgpt.manifest import load_manifest, sha256_file
 from scgpt.model import load_checkpoint
 
@@ -633,3 +638,216 @@ def test_console_script(tmp_path):
                "--out", str(tmp_path / "taxi.jsonl"))
     assert out.returncode == 0, out.stderr
     assert len(ingest(tmp_path / "taxi.jsonl")) == 2
+
+
+# ---------------------------------------------------------------------------
+# The input boundary, fuzzed: whatever a user hands the CLI (an act, stdin
+# lines, a corpus, a config, a vocabulary, a checkpoint), ``main`` raises
+# nothing, returns 0, 1 or 2, and starts stderr with "error: " on failure.
+
+VALID_ACTS = ("bye ( )", "request ( area = ? )", "inform ( name = villa verde ; food = thai )")
+#: Any character but a newline, plus NUL and the lone surrogate that a raw
+#: 0xff byte in argv or stdin becomes.
+_CHARS = st.one_of(st.characters(exclude_characters="\n"), st.sampled_from("\x00\udcff"))
+FUZZ = settings(max_examples=25, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def _spliced(draw, valid):
+    """One of the valid strings, with up to three slices replaced by random text."""
+    s = draw(st.sampled_from(valid))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(s)))
+        j = draw(st.integers(i, len(s)))
+        s = s[:i] + draw(st.text(_CHARS, max_size=6)) + s[j:]
+    return s
+
+
+@pytest.fixture(scope="module")
+def fuzz(pipeline, tmp_path_factory):
+    """A scratch directory with a config that names the pipeline's vocabulary."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "run.cfg").write_text(CONFIG.replace("vocab = vocab.bpe",
+                                                 f"vocab = {pipeline}/vocab.bpe"))
+    return root
+
+
+def _checked_main(capsys, *argv):
+    """``main(argv)``'s exit code, stdout and stderr, held to the contract."""
+    capsys.readouterr()
+    code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert code == 0 or err.startswith("error: "), err
+    return code, out, err
+
+
+def _generate(pipeline, fuzz, *flags, config=None, ckpt=None):
+    return ("generate", "--config", config or fuzz / "run.cfg",
+            "--ckpt", ckpt or pipeline / "da.ckpt", "--manifest", fuzz / "m.json", *flags)
+
+
+@FUZZ
+@given(da=st.one_of(_spliced(VALID_ACTS), st.text(_CHARS, max_size=40)))
+def test_fuzzed_da(pipeline, fuzz, capsys, da):
+    _checked_main(capsys, *_generate(pipeline, fuzz, f"--da={da}"))
+
+
+@FUZZ
+@given(lines=st.lists(_spliced(VALID_ACTS), min_size=1, max_size=4))
+def test_fuzzed_stdin_answers_every_line(pipeline, fuzz, capsys, monkeypatch, lines):
+    # each non-blank line gets one answer, on stdout or as one error line,
+    # and every line that parses is generated for, bad lines before it or not
+    texts, calls = [], []
+
+    def recording(params, vocab, acts, dc):
+        calls.append(acts)
+        cand = generate_reranked(params, vocab, acts, dc)
+        texts.append(cand.text)
+        return cand
+
+    monkeypatch.setattr(cli, "generate_reranked", recording)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("".join(ln + "\n" for ln in lines)))
+    code, out, err = _checked_main(capsys, *_generate(pipeline, fuzz))
+    assert code == 0
+    valid = []
+    for line in filter(str.strip, lines):
+        try:
+            valid.append(parse_linearized(line.strip()))
+        except ScgptError:
+            pass
+    assert calls == valid
+    assert out == "".join(text + "\n" for text in texts)
+    errors = err.split("\n")[:-1]
+    assert all(e.startswith("error: ") for e in errors), err
+    assert len(errors) + len(texts) == len(list(filter(str.strip, lines)))
+
+
+_GOOD_EXAMPLE = {"domain": "taxi", "response": "villa verde serves thai", "acts": [
+    {"intent": "inform", "slots": [{"name": "name", "value": "villa verde"},
+                                   {"name": "food", "value": "thai"}]}]}
+_FIELDS = (("domain",), ("response",), ("acts",), ("acts", 0), ("acts", 0, "intent"),
+           ("acts", 0, "slots"), ("acts", 0, "slots", 1), ("acts", 0, "slots", 0, "name"),
+           ("acts", 0, "slots", 1, "value"))
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(_CHARS, max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _corpus_line(draw):
+    """The good example with one field replaced or deleted, as a JSON line,
+    then maybe spliced as text."""
+    obj = json.loads(json.dumps(_GOOD_EXAMPLE))
+    *path, last = draw(st.sampled_from(_FIELDS))
+    parent = obj
+    for key in path:
+        parent = parent[key]
+    if draw(st.booleans()):
+        parent[last] = draw(_JSON)
+    elif isinstance(parent, dict):
+        del parent[last]
+    return draw(_spliced((json.dumps(obj),)))
+
+
+@FUZZ
+@given(lines=st.lists(_corpus_line(), min_size=1, max_size=3))
+def test_fuzzed_corpus_lines(pipeline, fuzz, capsys, lines):
+    corpus = fuzz / "corpus.jsonl"
+    corpus.write_bytes("".join(ln + "\n" for ln in lines).encode("utf-8", "surrogateescape"))
+    _checked_main(capsys, "stats", "--train", corpus, "--test", corpus,
+                  "--manifest", fuzz / "m.json")
+    _checked_main(capsys, *_generate(pipeline, fuzz, "--corpus", corpus))
+
+
+#: Config values: small numbers, so that a valid config stays cheap to run,
+#: special floats, and text with no decimal digit.
+_CONFIG_VALUES = st.one_of(
+    st.integers(-3, 8).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e309", "0x10", "1_0", "0.5", "true"]),
+    st.text(st.one_of(st.characters(exclude_categories=("Nd",), exclude_characters="\n"),
+                      st.sampled_from("\x00\udcff")), max_size=6))
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_config_lines(pipeline, fuzz, capsys, data):
+    lines = (fuzz / "run.cfg").read_text().splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(["value", "line", "repeat", "drop"]))
+        if edit == "value":
+            lines[i] = lines[i].partition("=")[0] + "= " + data.draw(_CONFIG_VALUES)
+        elif edit == "line":
+            lines[i] = data.draw(st.text(_CHARS, max_size=12))
+        elif edit == "repeat":
+            lines.append(lines[i])
+        elif len(lines) > 1:
+            del lines[i]
+    config = fuzz / "fuzzed.cfg"
+    config.write_bytes("".join(ln + "\n" for ln in lines).encode("utf-8", "surrogateescape"))
+    text = fuzz / "plain.txt"
+    text.write_text("the tram runs along the river .\n")
+    _checked_main(capsys, *_generate(pipeline, fuzz, "--da", "bye ( )", config=config))
+    _checked_main(capsys, "pretrain-plain", "--config", config, "--corpus", text,
+                  "--out", fuzz / "plain.ckpt", "--manifest", fuzz / "m.json")
+
+
+_FIELD_BYTES = st.one_of(st.integers(-2, 1000).map(lambda n: str(n).encode()),
+                         st.sampled_from([b"BOS", b"EOS", b"PAD", b"SPECIAL", b"ff", b"6162"]),
+                         st.binary(max_size=4))
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_vocabulary_files(pipeline, fuzz, capsys, data):
+    # lines swapped, dropped, repeated, or one field of a line replaced
+    lines = (pipeline / "vocab.bpe").read_bytes().split(b"\n")
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = (data.draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        edit = data.draw(st.sampled_from(["swap", "drop", "repeat", "field"]))
+        if edit == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(j, lines[i])
+        else:
+            fields = lines[i].split(b" ")
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(_FIELD_BYTES)
+            lines[i] = b" ".join(fields)
+    vocab = fuzz / "fuzzed.bpe"
+    vocab.write_bytes(b"\n".join(lines))
+    config = fuzz / "vocab.cfg"
+    config.write_text(CONFIG.replace("vocab = vocab.bpe", f"vocab = {vocab}"))
+    _checked_main(capsys, *_generate(pipeline, fuzz, "--da", "bye ( )", config=config))
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_checkpoint_headers(pipeline, fuzz, capsys, data):
+    # the magic line spliced, or one field of the config line or of the
+    # first tensor's line replaced, dropped or repeated
+    lines = (pipeline / "da.ckpt").read_bytes().split(b"\n", 3)
+    i = data.draw(st.integers(0, 2))
+    if i == 0:
+        lines[0] = data.draw(_spliced((lines[0].decode(),))).encode("utf-8", "surrogateescape")
+    else:
+        fields = lines[i].split(b" ")
+        k = data.draw(st.integers(0, len(fields) - 1))
+        edit = data.draw(st.sampled_from(["value", "drop", "repeat"]))
+        if edit == "value":
+            name = fields[k].partition(b"=")[0] + b"=" if i == 1 else b""
+            fields[k] = name + data.draw(st.one_of(st.integers().map(lambda n: str(n).encode()),
+                                                   st.binary(max_size=4)))
+        elif edit == "drop":
+            del fields[k]
+        else:
+            fields.insert(k, fields[k])
+        lines[i] = b" ".join(fields)
+    ckpt = fuzz / "fuzzed.ckpt"
+    ckpt.write_bytes(b"\n".join(lines))
+    _checked_main(capsys, *_generate(pipeline, fuzz, "--da", "bye ( )", ckpt=ckpt))

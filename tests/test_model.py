@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from scgpt.autograd import backward, dropout_mask
 from scgpt.bpe import encode, train_bpe
-from scgpt.dialog_act import act_set
+from scgpt.dialog_act import act_set, linearize
 from scgpt.errors import (
     ConfigMismatchError,
     ContextOverflowError,
@@ -61,9 +61,11 @@ def affine_params(cfg, seed):
     return params
 
 
-def one_position(ids, t):
-    """``ids`` as an example whose loss is position t's prediction alone."""
-    return LinearizedExample(tuple(ids), tuple(int(s == t) for s in range(len(ids))))
+def span_loss(params, ids, bos):
+    """The summed loss of the predictions from position ``bos`` through
+    the second-last, 0 when there are none."""
+    n = len(ids) - 1 - bos
+    return n * float(nll_loss(params, [LinearizedExample(tuple(ids), bos)])[0]) if n else 0.0
 
 
 def _left_pad(seqs, pad_id, T=None):
@@ -82,9 +84,11 @@ def _left_pad(seqs, pad_id, T=None):
 
 
 def position_loss(params, ids, t):
-    """``nll_loss`` of ``one_position(ids, t)``: minus the log-probability
-    of ``ids[t+1]`` given ``ids[:t+1]``."""
-    return float(nll_loss(params, [one_position(ids, t)])[0])
+    """Minus the log-probability of ``ids[t+1]`` given ``ids[:t+1]``: the
+    loss counted from t minus the loss counted from t+1.  The difference
+    cancels to rounding, so float64 parameters keep it exact to about
+    1e-14."""
+    return span_loss(params, ids, t) - span_loss(params, ids, t + 1)
 
 
 def test_config_validation():
@@ -98,20 +102,18 @@ def test_config_validation():
 
 def test_build_example_layout(vocab):
     acts = act_set("inform", [("name", "hilton")])
-    ex = build_example(acts, "the hilton is in the center", vocab)
-    L = len(ex.ids)
-    bos = ex.ids.index(vocab.bos_id)
-    assert ex.ids[-1] == vocab.eos_id
-    # mask: zero over the DA prefix, one from BOS through L-2, zero at L-1
-    assert all(m == 0 for m in ex.loss_mask[:bos])
-    assert all(m == 1 for m in ex.loss_mask[bos : L - 1])
-    assert ex.loss_mask[L - 1] == 0
+    text = "the hilton is in the center"
+    ex = build_example(acts, text, vocab)
+    # the act's prefix, then BOS, from where the loss counts, the response and EOS
+    prefix = encode(vocab, linearize(acts))
+    assert ex.ids == (*prefix, vocab.bos_id, *encode(vocab, text), vocab.eos_id)
+    assert ex.bos == len(prefix)
 
 
 def test_build_example_empty_response(vocab):
     ex = build_example(act_set("bye"), "", vocab)
     assert ex.ids[-2:] == (vocab.bos_id, vocab.eos_id)
-    assert sum(ex.loss_mask) == 1  # only the EOS prediction
+    assert ex.bos == len(ex.ids) - 2  # only the EOS prediction
 
 
 def test_build_example_overflow(vocab):
@@ -122,21 +124,21 @@ def test_build_example_overflow(vocab):
 def test_build_plain_example(vocab):
     ex = build_example(None, "the hilton", vocab)  # no acts: plain text
     assert ex.ids == (vocab.bos_id, *encode(vocab, "the hilton"), vocab.eos_id)
-    assert ex.loss_mask == (1,) * (len(ex.ids) - 1) + (0,)
+    assert ex.bos == 0
 
 
 def test_linearized_example_validation():
-    with pytest.raises(ValueError):
-        LinearizedExample((1, 2), (0, 0))
-    with pytest.raises(ValueError):
-        LinearizedExample((1, 2), (1,))
-    with pytest.raises(ValueError, match="last position"):
-        LinearizedExample((1, 2), (0, 1))
+    LinearizedExample((1, 2), 0)
+    # BOS at the last position, which has no next token; before the
+    # first; and an example of one id, which has no prediction at all
+    for ids, bos in (((1, 2), 1), ((1, 2, 3), 2), ((1, 2), -1), ((1,), 0)):
+        with pytest.raises(ValueError, match=f"bos {bos} is not a position"):
+            LinearizedExample(ids, bos)
 
 
 def test_zero_params_uniform(vocab):
     cfg = tiny_config(vocab)
-    params = init_params(cfg)
+    params = init_params(cfg, dtype=np.float64)
     for _, t in params.named():
         t[...] = 0.0
     ex = build_example(act_set("inform", [("name", "hilton")]), "the hilton", vocab)
@@ -161,7 +163,7 @@ def test_causality(vocab):
     # mutating ids[j] leaves the predictions before position j-1 alone (that
     # one predicts ids[j]) and moves those from j on; position 9 predicts
     # the real token ids[10]
-    params = init_params(tiny_config(vocab), seed=1)
+    params = init_params(tiny_config(vocab), seed=1, dtype=np.float64)
     ids = list(range(11))
     base = [position_loss(params, ids, t) for t in range(10)]
     for j in [4, 7, 9]:
@@ -194,8 +196,8 @@ def test_loss_invariant_to_masked_out_labels(vocab):
 
 
 def test_padding_equivalence(vocab):
-    # each position's loss of a short example is the same alone as padded
-    # beside a longer one
+    # the loss of a short example, counted from each of its positions, is
+    # the same alone as packed beside a longer one
     params = init_params(tiny_config(vocab), seed=3)
     short = build_example(act_set("bye"), "bye", vocab).ids
     long = build_example(act_set("inform", [("name", "hilton")]), "the hilton is here",
@@ -203,9 +205,9 @@ def test_padding_equivalence(vocab):
     t_long = len(long) - 2
     long_alone = position_loss(params, long, t_long)
     for t in range(len(short) - 1):
-        batch = [one_position(short, t), one_position(long, t_long)]
-        both = 2 * float(nll_loss(params, batch)[0])
-        assert abs(both - long_alone - position_loss(params, short, t)) < 1e-5
+        batch = [LinearizedExample(short, t), LinearizedExample(long, t_long)]
+        both = (len(short) - t) * float(nll_loss(params, batch)[0])
+        assert abs(both - long_alone - span_loss(params, short, t)) < 1e-5
 
 
 def test_gradient_check_with_dropout():
@@ -213,8 +215,8 @@ def test_gradient_check_with_dropout():
                       max_context=12, dropout=0.3)
     params = init_params(cfg, seed=12, dtype=np.float64)
     batch = [
-        LinearizedExample(ids=(3, 9, 1, 14, 7, 2, 15), loss_mask=(0, 0, 0, 1, 1, 1, 0)),
-        LinearizedExample(ids=(5, 11, 14, 4, 15), loss_mask=(0, 0, 1, 1, 0)),
+        LinearizedExample(ids=(3, 9, 1, 14, 7, 2, 15), bos=3),
+        LinearizedExample(ids=(5, 11, 14, 4, 15), bos=2),
     ]
 
     def loss(params):
@@ -260,16 +262,13 @@ def dense_loss_and_grads(params, batch, seed=None):
 
 
 def mixed_batch(vocab_size, lengths, seed):
-    """Random examples of the given lengths with random loss masks, each
-    ending in 0 as the last position has no target."""
+    """Random examples of the given lengths, each with its BOS at a random
+    position before the last."""
     rng = np.random.default_rng(seed)
     batch = []
     for L in lengths:
         ids = tuple(int(i) for i in rng.integers(0, vocab_size - 1, L))
-        mask = rng.integers(0, 2, L)
-        mask[rng.integers(0, L - 1)] = 1
-        mask[-1] = 0
-        batch.append(LinearizedExample(ids, tuple(int(m) for m in mask)))
+        batch.append(LinearizedExample(ids, int(rng.integers(0, L - 1))))
     return batch
 
 
@@ -287,8 +286,7 @@ def test_packed_loss_matches_dense(dtype, dropout):
                       max_context=40, dropout=dropout)
     seed = 3 if dropout else None  # the same generator seed on both layouts
     for lengths in ((5, 23, 9, 2, 31), (17, 17, 17)):
-        batch = [LinearizedExample(ex.ids, ex.loss_mask[:-2] + (1, 0))
-                 for ex in mixed_batch(cfg.vocab_size, lengths, seed=0)]
+        batch = mixed_batch(cfg.vocab_size, lengths, seed=0)
         packed = loss_and_grads(init_params(cfg, seed=1, dtype=dtype), batch, seed)
         dense = dense_loss_and_grads(init_params(cfg, seed=1, dtype=dtype), batch, seed)
         assert packed[0] == pytest.approx(dense[0], rel=PACKED_TOL[dtype]), lengths
@@ -324,7 +322,7 @@ def test_forward_matches_per_op_oracle():
     cfg = ModelConfig(vocab_size=23, n_layers=2, n_heads=2, d_model=8, d_ff=16,
                       max_context=12, dropout=0.3)
     ids = np.random.default_rng(0).integers(0, cfg.vocab_size - 1, (3, 9))
-    batch = [LinearizedExample(tuple(int(i) for i in row[:L]), (1,) * (L - 1) + (0,))
+    batch = [LinearizedExample(tuple(int(i) for i in row[:L]), 0)
              for row, L in zip(ids, (7, 4, 9))]
     for seed in (None, 5):
         ours, ours_g = loss_and_grads(init_params(cfg, seed=11, dtype=np.float64), batch, seed)
@@ -343,7 +341,7 @@ def test_loss_batch_invariant(dtype):
                       max_context=40, dropout=0.0)
     params = init_params(cfg, seed=2, dtype=dtype)
     batch = mixed_batch(cfg.vocab_size, (4, 27, 13), seed=1)
-    counts = [sum(ex.loss_mask) for ex in batch]
+    counts = [len(ex.ids) - 1 - ex.bos for ex in batch]
     loss, grads = loss_and_grads(params, batch)
     alone = [loss_and_grads(params, [ex]) for ex in batch]
     total = sum(counts)
@@ -379,6 +377,22 @@ def test_checkpoint_rejects_truncation(tmp_path, vocab):
     data = p.read_bytes()
     p.write_bytes(data[: len(data) - 50])
     with pytest.raises(ConfigMismatchError):
+        load_checkpoint(p)
+
+
+def test_checkpoint_header_claiming_more_than_the_file_holds(tmp_path, vocab):
+    # a trillion layers fail at the first missing one, and a tensor of 10**15
+    # rows as truncated, before anything of either size is made
+    p = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(tiny_config(vocab), seed=6), p)
+    data = p.read_bytes()
+    p.write_bytes(data.replace(b"n_layers=1 ", b"n_layers=1000000000000 "))
+    with pytest.raises(ConfigMismatchError, match="expected tensor 'layers.1.ln1.gain'"):
+        load_checkpoint(p)
+    for old in (f"vocab_size={vocab.size} ", f"tok_emb {vocab.size} "):
+        data = data.replace(old.encode(), old.replace(str(vocab.size), str(10**15)).encode())
+    p.write_bytes(data)
+    with pytest.raises(ConfigMismatchError, match="truncated tensor tok_emb"):
         load_checkpoint(p)
 
 

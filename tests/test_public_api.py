@@ -90,3 +90,20 @@ def test_no_module_uses_another_modules_private_names():
             and node.value.id in modules and _private(node.attr)
         ]
     assert found == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # every name a module of scgpt imports is looked up in it; a
+    # ``from __future__`` import is a compiler directive, not a name
+    unused = []
+    for path in sorted((ROOT / "src" / "scgpt").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}: {name}" for name in sorted(imported - used)]
+    assert unused == []

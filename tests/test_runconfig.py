@@ -59,6 +59,7 @@ def test_defaults_fill_unset_keys():
         ("model.n_layers = soon", "needs a int"),
         ("just some words", "expected 'key = value'"),
         ("model.n_layers =", "expected 'key = value'"),
+        ("vocab = out/\0.bpe", "the vocab path holds a NUL character"),
     ],
 )
 def test_parse_config_errors(line, fragment):

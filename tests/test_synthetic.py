@@ -3,7 +3,7 @@ import textwrap
 import pytest
 
 from scgpt.dataset import Corpus, Example, write_jsonl
-from scgpt.dialog_act import act_set, canonicalize, linearize, match_count
+from scgpt.dialog_act import act_set, canonicalize, linearize, match_count, parse_linearized
 from scgpt.errors import GrammarValidationError, ParseError
 from scgpt.metrics import slot_error
 from scgpt.synthetic import (
@@ -305,6 +305,22 @@ def test_inject_never_coins_a_value_containing_another():
         assert slot_error(ex.acts, ex.response).err == 0.0
         name, wait = (p.value for p in ex.acts.all_pairs())
         assert not match_count(wait, name) and not match_count(name, wait)
+
+
+def test_inject_coined_values_rebuilds_only_what_it_swaps():
+    # every lexical value is drawn; "thai" is not in the response, so it
+    # cannot be swapped, and the request act has no lexical value at all
+    acts = parse_linearized(
+        "inform ( name = bridge house ; area = ? ) request ( area = ? ) inform ( food = thai )")
+    source = Corpus((Example(acts, "bridge house is in the centre", "hotel"),
+                     Example(acts, "which area do you prefer", "hotel")))
+    touched, untouched = inject_coined_values(source, 1.0, seed=0)
+    assert untouched is source.examples[1]
+    assert touched.acts.acts[0] is not acts.acts[0]
+    assert touched.acts.acts[0].pairs[0] != acts.acts[0].pairs[0]
+    assert touched.acts.acts[0].pairs[1] is acts.acts[0].pairs[1]
+    assert touched.acts.acts[1] is acts.acts[1]
+    assert touched.acts.acts[2] is acts.acts[2]
 
 
 def test_inject_coined_values_fraction_edges_and_determinism():
